@@ -213,7 +213,6 @@ inline std::vector<sim::ExperimentResult> run_figure_grid(
   spec.metrics_interval = opt.metrics_interval;
   spec.alloc_policy = opt.alloc_policy;
   spec.alloc_epoch = opt.alloc_epoch;
-  spec.parallel_chips = opt.parallel_chips;
   sweep::SweepRunner runner(opt.sweep);
   if (opt.trace_path.empty() && !opt.no_skip) return runner.run(spec);
   std::vector<sim::ExperimentSpec> points = spec.expand();

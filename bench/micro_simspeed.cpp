@@ -15,8 +15,7 @@
 // kernel timing is the best of CSMT_SIMSPEED_REPS runs (default 3) so the
 // small busy points aren't noise-dominated. Per-point peak RSS and the
 // point's own RSS delta (measured from a malloc-trimmed baseline) ride
-// along; the parallel A/B is skipped (marked host_limited) on hosts with
-// fewer threads than the point wants lanes.
+// along.
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
@@ -278,105 +277,6 @@ AbRow run_workload_point(const std::string& workload, core::ArchKind arch,
   return row;
 }
 
-// ---------------------------------------------------------------------------
-// Parallel-kernel A/B: sequential vs --parallel-chips lanes (DESIGN.md §13),
-// both under the quiescence scheduler, on the busy 4-chip chase point.
-
-/// One sequential-vs-parallel timing. Meaningful speedup needs host cores
-/// for the lanes; the record carries host_threads so a reader (and the
-/// perf gate) can tell a kernel regression from a narrow host.
-struct ParAbRow {
-  std::string name;
-  std::string arch;
-  unsigned chips = 0;
-  unsigned lanes = 0;
-  std::uint64_t cycles = 0;
-  double seq_seconds = 0.0;
-  double par_seconds = 0.0;
-  bool stats_equal = false;
-  /// True when the host has fewer threads than the point wants lanes: the
-  /// A/B was not run (a "slowdown" there measures host oversubscription,
-  /// not the kernel) and the timings are zero.
-  bool host_limited = false;
-
-  double speedup() const {
-    return par_seconds > 0 ? seq_seconds / par_seconds : 0.0;
-  }
-};
-
-ParAbRow run_parallel_point(core::ArchKind arch, unsigned chips,
-                            unsigned lanes, std::uint64_t iters) {
-  ParAbRow row;
-  row.name = "chase";
-  row.arch = core::arch_name(arch);
-  row.chips = chips;
-  row.lanes = lanes;
-  // A host narrower than the lane count cannot time the parallel kernel
-  // meaningfully — every lane would contend for the same cores and the
-  // "speedup" would really measure oversubscription. Mark the row instead
-  // of polluting the trajectory with a host artifact.
-  if (std::thread::hardware_concurrency() < lanes) {
-    row.host_limited = true;
-    return row;
-  }
-  const unsigned reps = reps_from_env();
-  sim::RunStats seq_stats, par_stats;
-  row.stats_equal = true;
-  // Kernels alternate within each rep — see run_chase_point.
-  for (unsigned rep = 0; rep < reps; ++rep) {
-    for (const unsigned parallel : {0u, lanes}) {
-      sim::MachineConfig mc;
-      mc.arch = core::arch_preset(arch);
-      mc.chips = chips;
-      mc.parallel_chips = parallel;
-      sim::Machine machine(mc);
-      mem::PagedMemory memory;
-      bench::init_chase_memory(memory, mc.total_threads(), iters);
-      const isa::Program program = bench::chase_program(iters);
-      bench::StopWatch timer;
-      const sim::RunStats stats =
-          machine
-              .run(sim::Mix::single(program, memory, bench::kChaseBase,
-                                    machine.config().total_threads()))
-              .combined;
-      const double secs = timer.seconds();
-      double& best = parallel ? row.par_seconds : row.seq_seconds;
-      if (rep == 0) {
-        best = secs;
-        (parallel ? par_stats : seq_stats) = stats;
-      } else {
-        best = std::min(best, secs);
-        row.stats_equal =
-            row.stats_equal &&
-            bench::stats_match(stats, parallel ? par_stats : seq_stats);
-      }
-      if (!parallel && rep == 0) row.cycles = stats.cycles;
-    }
-  }
-  row.stats_equal =
-      row.stats_equal && bench::stats_match(seq_stats, par_stats);
-  return row;
-}
-
-json::Value parallel_points_json(const std::vector<ParAbRow>& rows) {
-  json::Value points = json::Value::array();
-  for (const ParAbRow& r : rows) {
-    json::Value p = json::Value::object();
-    p["name"] = r.name;
-    p["arch"] = r.arch;
-    p["chips"] = static_cast<std::uint64_t>(r.chips);
-    p["parallel_chips"] = static_cast<std::uint64_t>(r.lanes);
-    p["cycles"] = r.cycles;
-    p["seq_seconds"] = r.seq_seconds;
-    p["par_seconds"] = r.par_seconds;
-    p["speedup"] = r.speedup();
-    p["stats_equal"] = r.stats_equal;
-    p["host_limited"] = r.host_limited;
-    points.push_back(std::move(p));
-  }
-  return points;
-}
-
 json::Value points_json(const std::vector<AbRow>& rows) {
   json::Value points = json::Value::array();
   for (const AbRow& r : rows) {
@@ -410,8 +310,7 @@ json::Value points_json(const std::vector<AbRow>& rows) {
 /// trajectory's first run record; an unparseable file is preserved as-is
 /// and the run starts a fresh trajectory next to it in memory (the write
 /// still replaces the file, but only after a successful parse decision).
-void write_ab_json(const std::string& path, const std::vector<AbRow>& rows,
-                   const std::vector<ParAbRow>& par_rows) {
+void write_ab_json(const std::string& path, const std::vector<AbRow>& rows) {
   json::Value doc = json::Value::object();
   doc["benchmark"] = std::string("micro_simspeed skip A/B");
   doc["runs"] = json::Value::array();
@@ -454,12 +353,10 @@ void write_ab_json(const std::string& path, const std::vector<AbRow>& rows,
     rec["recorded_at"] = std::string(stamp);
   }
   rec["reps"] = static_cast<std::uint64_t>(reps_from_env());
-  // Wall timings only mean something relative to the host's width — and the
-  // parallel A/B only expects a win when there are cores for the lanes.
+  // Wall timings only mean something relative to the host's width.
   rec["host_threads"] =
       static_cast<std::uint64_t>(std::thread::hardware_concurrency());
   rec["points"] = points_json(rows);
-  rec["parallel_points"] = parallel_points_json(par_rows);
   doc["runs"].push_back(std::move(rec));
 
   std::FILE* f = std::fopen(path.c_str(), "wb");
@@ -495,12 +392,6 @@ void run_skip_ab() {
   // Low-end contrast point.
   rows.push_back(run_chase_point(core::ArchKind::kSmt2, 1, 20000, "busy"));
 
-  // Parallel kernel A/B (DESIGN.md §13): the busy 4-chip point again,
-  // sequential vs 4 lanes — the headline speedup of the parallel kernel.
-  std::vector<ParAbRow> par_rows;
-  par_rows.push_back(
-      run_parallel_point(core::ArchKind::kSmt2, 4, 4, 8000));
-
   std::printf(
       "\nskip-ahead A/B (quiescence scheduler vs --no-skip, best of %u)\n"
       "%-8s %-6s %-5s %5s %12s %8s %10s %10s %10s %8s %8s %6s\n",
@@ -517,28 +408,7 @@ void run_skip_ab() {
         static_cast<unsigned long long>(r.rss_delta_kb),
         r.stats_equal ? "yes" : "NO");
   }
-
-  std::printf(
-      "\nparallel-kernel A/B (sequential vs --parallel-chips, best of %u, "
-      "host threads %u)\n"
-      "%-8s %-6s %5s %5s %12s %10s %10s %8s %6s\n",
-      reps_from_env(), std::thread::hardware_concurrency(), "point", "arch",
-      "chips", "lanes", "cycles", "seq-s", "par-s", "speedup", "equal");
-  for (const ParAbRow& r : par_rows) {
-    if (r.host_limited) {
-      std::printf(
-          "%-8s %-6s %5u %5u   skipped: host has %u threads < %u lanes "
-          "(host_limited)\n",
-          r.name.c_str(), r.arch.c_str(), r.chips, r.lanes,
-          std::thread::hardware_concurrency(), r.lanes);
-      continue;
-    }
-    std::printf("%-8s %-6s %5u %5u %12llu %10.3f %10.3f %7.2fx %6s\n",
-                r.name.c_str(), r.arch.c_str(), r.chips, r.lanes,
-                static_cast<unsigned long long>(r.cycles), r.seq_seconds,
-                r.par_seconds, r.speedup(), r.stats_equal ? "yes" : "NO");
-  }
-  if (!json_path.empty()) write_ab_json(json_path, rows, par_rows);
+  if (!json_path.empty()) write_ab_json(json_path, rows);
 }
 
 }  // namespace

@@ -21,7 +21,6 @@
 #include <fstream>
 #include <sstream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "bench_util.hpp"
@@ -87,9 +86,7 @@ isa::Program cluster_idle_program(unsigned total_threads,
 }
 
 /// Times one kernel flavor of a point: median of three in-process runs.
-/// `parallel_chips` > 0 uses the parallel kernel (DESIGN.md §13).
-double time_kernel(const GatePoint& pt, bool no_skip, sim::RunStats* stats,
-                   unsigned parallel_chips = 0) {
+double time_kernel(const GatePoint& pt, bool no_skip, sim::RunStats* stats) {
   const bool cluster_idle = pt.name == "cluster-idle";
   double secs[3] = {};
   for (int rep = 0; rep < 3; ++rep) {
@@ -97,7 +94,6 @@ double time_kernel(const GatePoint& pt, bool no_skip, sim::RunStats* stats,
     mc.arch = core::arch_preset(pt.arch);
     mc.chips = pt.chips;
     mc.no_skip = no_skip;
-    mc.parallel_chips = parallel_chips;
     sim::Machine machine(mc);
     mem::PagedMemory memory;
     Addr args_base = 0;
@@ -266,50 +262,6 @@ int main(int argc, char** argv) {
         "speedup %.2fx (floor %.2fx), stats %s -> %s%s%s\n",
         r.point.regime.c_str(), core::arch_name(r.point.arch), r.point.chips,
         r.skip_cps(), r.baseline_cps, r.speedup(), r.min_speedup,
-        r.stats_equal ? "equal" : "DIVERGED", r.passed ? "PASS" : "FAIL",
-        r.passed ? "" : ": ", r.failure.c_str());
-    results.push_back(std::move(r));
-  }
-
-  // Parallel-kernel gate (DESIGN.md §13): the busy 4-chip point again,
-  // sequential vs 4 worker lanes, both under the quiescence scheduler. The
-  // GateResult fields map "skip" -> the parallel kernel and "noskip" -> the
-  // sequential reference, so speedup() is the parallel speedup and the
-  // existing floor/report machinery applies unchanged. Stats divergence is
-  // a hard failure everywhere; the speedup floor only arms when the host
-  // has a core per lane — on narrower hosts the lanes time-slice and the
-  // measurement says nothing about the kernel. The sequential points above
-  // run with the flag off, so their floors keep gating the default path's
-  // cost.
-  {
-    const unsigned lanes = 4;
-    GateResult r;
-    r.point = {"chase-parallel", core::ArchKind::kSmt2, 4, 8000, "busy"};
-    sim::RunStats par_stats, seq_stats;
-    r.skip_seconds =
-        time_kernel(r.point, /*no_skip=*/false, &par_stats, lanes);
-    r.noskip_seconds = time_kernel(r.point, /*no_skip=*/false, &seq_stats);
-    r.cycles = seq_stats.cycles;
-    r.stats_equal = bench::stats_match(par_stats, seq_stats);
-    apply_baseline(baseline, r);
-    const unsigned host_threads = std::thread::hardware_concurrency();
-    const bool armed = host_threads >= lanes;
-    if (!armed) r.min_speedup = 0.0;
-
-    if (!r.stats_equal) {
-      r.passed = false;
-      r.failure = "kernel stats diverged (--parallel-chips vs sequential)";
-    } else if (r.min_speedup > 0 && r.speedup() < r.min_speedup) {
-      r.passed = false;
-      r.failure = "parallel speedup below floor";
-    }
-    all_passed = all_passed && r.passed;
-    std::printf(
-        "perf_gate parallel %-6s chips=%u lanes=%u: %.3e cyc/s, speedup "
-        "%.2fx (floor %.2fx%s), stats %s -> %s%s%s\n",
-        core::arch_name(r.point.arch), r.point.chips, lanes, r.skip_cps(),
-        r.speedup(), r.min_speedup,
-        armed ? "" : "; not armed, host too narrow",
         r.stats_equal ? "equal" : "DIVERGED", r.passed ? "PASS" : "FAIL",
         r.passed ? "" : ": ", r.failure.c_str());
     results.push_back(std::move(r));

@@ -298,7 +298,7 @@ AccessResult MemSys::access(Addr addr, Cycle arrival, bool is_store,
     // Exclusive placeholder (resolve_deferred fixes the grant by re-probing;
     // a placeholder evicted within the same cycle is simply left alone).
     // The record is pushed *before* any victim writeback records so the
-    // drain replays the sequential kernel's backend call order.
+    // drain replays the immediate (non-deferred) path's backend call order.
     DeferredAccess rec;
     rec.kind = DeferredAccess::Kind::kFetch;
     rec.line = line;

@@ -140,8 +140,8 @@ class MemSys {
   /// (the only cross-chip state) is recorded instead and resolved by
   /// resolve_deferred() at the end-of-cycle barrier, in chip order. Purely
   /// within-chip paths (L1/L2 hits, merges with resolved entries) are
-  /// untouched. Armed on every multi-chip machine so the sequential and
-  /// parallel kernels share one timing model bit for bit.
+  /// untouched. Armed on every multi-chip machine: it defines the v5
+  /// multi-chip timing.
   void set_deferred(bool on) { deferred_ = on; }
   bool deferred() const { return deferred_; }
 

@@ -16,8 +16,6 @@ Options Options::from_env(unsigned default_scale) {
   opt.json_path = env_string("CSMT_JSON");
   opt.trace_path = env_string("CSMT_TRACE");
   opt.no_skip = env_flag("CSMT_NO_SKIP");
-  opt.parallel_chips = static_cast<unsigned>(env_u64(
-      "CSMT_PARALLEL_CHIPS", 0, 0, "a lane count, 0 = sequential"));
   opt.metrics_interval =
       env_u64("CSMT_METRICS_INTERVAL", 0, 0, "a cycle count, 0 = off");
   if (const char* s = std::getenv("CSMT_ALLOC_POLICY")) {
@@ -82,9 +80,6 @@ Options parse_options(int argc, char** argv, unsigned default_scale) {
     } else if (const char* v = flag_value(argc, argv, i, "--alloc-epoch")) {
       opt.alloc_epoch =
           flag_u64(v, "--alloc-epoch", 0, "a cycle count, 0 = default");
-    } else if (const char* v = flag_value(argc, argv, i, "--parallel-chips")) {
-      opt.parallel_chips = static_cast<unsigned>(
-          flag_u64(v, "--parallel-chips", 0, "a lane count, 0 = sequential"));
     } else if (std::strcmp(argv[i], "--no-skip") == 0) {
       opt.no_skip = true;
     } else {
@@ -93,11 +88,11 @@ Options parse_options(int argc, char** argv, unsigned default_scale) {
           "usage: %s [--scale N] [--jobs N] [--cache-dir PATH] "
           "[--json PATH] [--trace PATH] [--metrics-interval N] "
           "[--ckpt-interval N] [--serve-telemetry PORT] [--no-skip] "
-          "[--parallel-chips N] [--alloc-policy NAME] [--alloc-epoch N]\n"
+          "[--alloc-policy NAME] [--alloc-epoch N]\n"
           "  (env: CSMT_SCALE, CSMT_JOBS, CSMT_CACHE_DIR, CSMT_JSON, "
           "CSMT_TRACE, CSMT_METRICS_INTERVAL, CSMT_CKPT_INTERVAL, "
-          "CSMT_SERVE_TELEMETRY, CSMT_NO_SKIP, CSMT_PARALLEL_CHIPS, "
-          "CSMT_ALLOC_POLICY, CSMT_ALLOC_EPOCH)\n"
+          "CSMT_SERVE_TELEMETRY, CSMT_NO_SKIP, CSMT_ALLOC_POLICY, "
+          "CSMT_ALLOC_EPOCH)\n"
           "  allocation policies: static, greedy-util, symbiosis, "
           "ipc-migrate\n",
           argv[0]);

@@ -26,10 +26,6 @@ struct Options {
   /// are bit-identical either way, so cached results are reused as-is;
   /// use a fresh --cache-dir when the point of the run is timing.
   bool no_skip = false;
-  /// Parallel simulation kernel (DESIGN.md §13): tick chip domains on this
-  /// many worker lanes. 0/1 = sequential kernel; like no_skip, the kernels
-  /// produce bit-identical results so the cache is shared.
-  unsigned parallel_chips = 0;
 
   // --- thread-to-cluster allocation (csmt::alloc, DESIGN.md §11) ---
   /// Placement policy; `static` is the paper's fixed assignment.
@@ -39,19 +35,18 @@ struct Options {
 
   /// Environment defaults only: CSMT_SCALE, CSMT_JOBS, CSMT_CACHE_DIR,
   /// CSMT_CKPT_INTERVAL, CSMT_SERVE_TELEMETRY, CSMT_JSON, CSMT_TRACE,
-  /// CSMT_METRICS_INTERVAL, CSMT_NO_SKIP, CSMT_PARALLEL_CHIPS,
-  /// CSMT_ALLOC_POLICY, CSMT_ALLOC_EPOCH. Malformed values warn and keep
-  /// the default.
+  /// CSMT_METRICS_INTERVAL, CSMT_NO_SKIP, CSMT_ALLOC_POLICY,
+  /// CSMT_ALLOC_EPOCH. Malformed values warn and keep the default.
   static Options from_env(unsigned default_scale = 4);
 };
 
 /// from_env() overridden by flags: --scale N, --jobs N, --cache-dir PATH,
 /// --json PATH, --trace PATH, --metrics-interval N, --ckpt-interval N,
 /// --serve-telemetry PORT (0 = ephemeral; see DESIGN.md §12), --no-skip,
-/// --parallel-chips N, --alloc-policy NAME, --alloc-epoch N (both
-/// "--flag value" and "--flag=value"). Unknown arguments and malformed
-/// flag values abort with a usage message (exit 2) so typos don't silently
-/// run the wrong experiment.
+/// --alloc-policy NAME, --alloc-epoch N (both "--flag value" and
+/// "--flag=value"). Unknown arguments and malformed flag values abort with
+/// a usage message (exit 2) so typos don't silently run the wrong
+/// experiment.
 Options parse_options(int argc, char** argv, unsigned default_scale = 4);
 
 }  // namespace csmt::cli

@@ -37,8 +37,8 @@ class Chip {
   /// Switches this chip into deferred mode (multi-chip machines, DESIGN.md
   /// §13): cross-chip-visible side effects — backend fetches, atomics, sync
   /// primitives — are queued during tick() and drained in chip order at the
-  /// Machine's cycle barrier. Both kernels run the same deferral, so their
-  /// interleavings (and artifacts) are identical.
+  /// Machine's cycle barrier, so cross-chip resolution is a function of
+  /// (cycle, chip index) alone.
   void arm_deferred() {
     memsys_.set_deferred(true);
     for (auto& cl : clusters_) cl->set_defer_queue(&defer_);
@@ -86,8 +86,8 @@ class Chip {
   /// this same cycle, after the release); everything else queues for the
   /// top of the next tick, matching when the baseline's tick order lets
   /// the target observe the release. In deferred (multi-chip) mode hooks
-  /// only fire at the coordinator's barrier drain, so wakes land in
-  /// wake_pending_ regardless of lane striping.
+  /// only fire at the cycle-barrier drain, so wakes always land in
+  /// wake_pending_.
   void signal_wake(Cluster* c);
 
   /// A cluster woke itself outside tick() (freeze/detach/attach settling):

@@ -2,11 +2,11 @@
 //
 // Under the domain-decomposed tick, atomics and sync primitives touch state
 // that other chips read in the same cycle (shared functional memory words,
-// the SyncManager's waiter lists). To keep both simulation kernels
-// bit-identical, a chip whose machine has more than one chip *defers* the
+// the SyncManager's waiter lists). So that cross-chip hand-offs resolve in
+// a fixed order, a chip whose machine has more than one chip *defers* the
 // functional side effect of these operations: the fetch stage records the
 // operation here and the Machine drains all chips' queues in chip order at
-// the end-of-cycle barrier, where execution is single-threaded again.
+// the end-of-cycle barrier.
 #pragma once
 
 #include <vector>
@@ -35,15 +35,14 @@ struct DeferredThreadOp {
 };
 
 /// Per-chip queue of deferred operations, drained in issue order. Owned by
-/// core::Chip; threads only ever push into their own chip's queue, so no
-/// synchronization is needed even under the parallel kernel.
+/// core::Chip; threads only ever push into their own chip's queue.
 class DeferQueue {
  public:
   void push(const DeferredThreadOp& op) { ops_.push_back(op); }
   bool empty() const { return ops_.empty(); }
 
   /// Replays every queued operation against the shared functional state.
-  /// Must only run between cycle barriers (single-threaded).
+  /// Runs only at the cycle barrier, after every chip has ticked.
   void drain();
 
  private:

@@ -4,11 +4,9 @@
 #pragma once
 
 #include <algorithm>
-#include <atomic>
 #include <bit>
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <unordered_map>
 #include <vector>
 
@@ -29,10 +27,6 @@ class PagedMemory {
   /// Untouched memory reads as zero.
   std::uint64_t read(Addr a) const {
     check_aligned(a);
-    if (const Index* idx = index_.load(std::memory_order_acquire)) {
-      const Page* p = idx->lookup(page_of(a));
-      return p ? p->words[word_index(a)] : 0;
-    }
     const auto it = pages_.find(page_of(a));
     if (it == pages_.end()) return 0;
     return it->second->words[word_index(a)];
@@ -70,40 +64,13 @@ class PagedMemory {
   /// Number of materialized pages (for tests / footprint reporting).
   std::size_t resident_pages() const { return pages_.size(); }
 
-  /// Frees every materialized page, the concurrent-index tables, and the
-  /// map's bucket array, returning the object to its fresh sequential
-  /// state. Sweep points call this once their run has completed and been
-  /// validated, so a grid's peak footprint tracks one point's address
-  /// space, not the sum of every point the process has run. Not safe while
-  /// worker lanes are live.
+  /// Frees every materialized page and the map's bucket array, returning
+  /// the object to its fresh state. Sweep points call this once their run
+  /// has completed and been validated, so a grid's peak footprint tracks
+  /// one point's address space, not the sum of every point the process has
+  /// run.
   void release() {
-    index_.store(nullptr, std::memory_order_release);
-    indexes_.clear();
-    indexes_.shrink_to_fit();
     std::unordered_map<Addr, std::unique_ptr<Page>>().swap(pages_);
-  }
-
-  /// Arms the lock-free page index for the parallel kernel (DESIGN.md §13):
-  /// after this, lookups probe an open-addressed atomic table instead of
-  /// the unordered_map (whose buckets are not safe to read while another
-  /// lane inserts), and page *creation* serializes on a mutex. Reading a
-  /// page mid-creation returns zero — correct, because a word that did not
-  /// exist at the cycle boundary is untouched, and conflicting same-cycle
-  /// same-word accesses only occur in programs that race (excluded by the
-  /// deferral of atomics/sync ops to the barrier). Call once, after any
-  /// checkpoint restore, before the worker lanes start ticking.
-  void enable_concurrent_index() {
-    std::lock_guard<std::mutex> lk(create_mu_);
-    unsigned log2cap = 4;
-    while ((pages_.size() + 1) * 4 > (std::size_t{1} << log2cap) * 3) {
-      ++log2cap;
-    }
-    ++log2cap;  // headroom before the first growth
-    auto idx = std::make_unique<Index>(log2cap);
-    for (const auto& [k, p] : pages_) index_insert_slot(*idx, k, p.get());
-    idx->used = pages_.size();
-    indexes_.push_back(std::move(idx));
-    index_.store(indexes_.back().get(), std::memory_order_release);
   }
 
   /// Checkpoint visitor (ckpt::Serializer). Pages are written in sorted key
@@ -142,39 +109,6 @@ class PagedMemory {
     std::uint64_t words[kPageWords] = {};
   };
 
-  /// Lock-free open-addressed page index (Fibonacci hashing, linear
-  /// probing). Entries are only ever added (pages never free); a writer
-  /// publishes the page pointer before the key (release), so a reader that
-  /// observes the key (acquire) sees the pointer. Page objects themselves
-  /// are stable: the map owns them through unique_ptr and never rehashes
-  /// them away.
-  static constexpr Addr kEmptyIndexKey = ~Addr{0};
-  struct Index {
-    struct Slot {
-      std::atomic<Addr> key{kEmptyIndexKey};
-      std::atomic<Page*> page{nullptr};
-    };
-    explicit Index(unsigned log2cap)
-        : shift(64 - log2cap),
-          mask((std::size_t{1} << log2cap) - 1),
-          slots(std::make_unique<Slot[]>(std::size_t{1} << log2cap)) {}
-    std::size_t probe_start(Addr key) const {
-      return static_cast<std::size_t>((key * 0x9E3779B97F4A7C15ull) >> shift);
-    }
-    Page* lookup(Addr key) const {
-      for (std::size_t i = probe_start(key);; i = (i + 1) & mask) {
-        const Slot& s = slots[i];
-        const Addr k = s.key.load(std::memory_order_acquire);
-        if (k == key) return s.page.load(std::memory_order_relaxed);
-        if (k == kEmptyIndexKey) return nullptr;
-      }
-    }
-    unsigned shift;
-    std::size_t mask;
-    std::size_t used = 0;  ///< guarded by create_mu_
-    std::unique_ptr<Slot[]> slots;
-  };
-
   static void check_aligned(Addr a) {
     CSMT_ASSERT_MSG((a & (kWordBytes - 1)) == 0,
                     "unaligned word access in functional memory");
@@ -183,59 +117,13 @@ class PagedMemory {
     return (a % kPageBytes) / kWordBytes;
   }
 
-  /// Publication-safe slot insert (only ever called under create_mu_, or on
-  /// an index that has not been published yet).
-  static void index_insert_slot(Index& idx, Addr key, Page* p) {
-    for (std::size_t i = idx.probe_start(key);; i = (i + 1) & idx.mask) {
-      Index::Slot& s = idx.slots[i];
-      if (s.key.load(std::memory_order_relaxed) == kEmptyIndexKey) {
-        s.page.store(p, std::memory_order_relaxed);
-        s.key.store(key, std::memory_order_release);
-        return;
-      }
-    }
-  }
-
   Page& page(Addr a) {
-    const Addr key = page_of(a);
-    if (Index* idx = index_.load(std::memory_order_acquire)) {
-      if (Page* p = idx->lookup(key)) return *p;
-      return create_page_locked(key);
-    }
-    auto& slot = pages_[key];
+    auto& slot = pages_[page_of(a)];
     if (!slot) slot = std::make_unique<Page>();
     return *slot;
   }
 
-  /// Armed-index slow path: materializes a page (or finds one another lane
-  /// just created) under the creation mutex.
-  Page& create_page_locked(Addr key) {
-    std::lock_guard<std::mutex> lk(create_mu_);
-    auto& slot = pages_[key];
-    if (!slot) {
-      slot = std::make_unique<Page>();
-      Index* idx = indexes_.back().get();
-      if ((idx->used + 1) * 4 > (idx->mask + 1) * 3) {
-        // Growth: build the doubled table aside, then publish it. The old
-        // table stays alive (readers may still hold its pointer this
-        // cycle); all its Page pointers remain valid forever.
-        auto bigger = std::make_unique<Index>(64 - idx->shift + 1);
-        for (const auto& [k, p] : pages_) index_insert_slot(*bigger, k, p.get());
-        bigger->used = pages_.size();
-        indexes_.push_back(std::move(bigger));
-        index_.store(indexes_.back().get(), std::memory_order_release);
-      } else {
-        index_insert_slot(*idx, key, slot.get());
-        ++idx->used;
-      }
-    }
-    return *slot;
-  }
-
   std::unordered_map<Addr, std::unique_ptr<Page>> pages_;
-  std::atomic<Index*> index_{nullptr};           ///< null = sequential path
-  std::vector<std::unique_ptr<Index>> indexes_;  ///< current + retired
-  std::mutex create_mu_;
 };
 
 /// Bump allocator over a PagedMemory address space. Workloads use it to lay

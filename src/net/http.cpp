@@ -3,6 +3,7 @@
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
+#include <optional>
 
 #if defined(__unix__) || defined(__APPLE__)
 #define CSMT_NET_POSIX 1
@@ -10,7 +11,6 @@
 #include <netinet/in.h>
 #include <poll.h>
 #include <sys/socket.h>
-#include <sys/time.h>
 #include <unistd.h>
 #endif
 
@@ -27,27 +27,6 @@ std::string http_response(const char* status, const char* content_type,
          std::to_string(body.size()) + "\r\n\r\n";
   out += body;
   return out;
-}
-
-std::optional<std::pair<std::string, std::uint16_t>> parse_hostport(
-    const std::string& text) {
-  std::string host = "127.0.0.1";
-  std::string port_text = text;
-  const std::size_t colon = text.rfind(':');
-  if (colon != std::string::npos) {
-    host = text.substr(0, colon);
-    port_text = text.substr(colon + 1);
-    if (host.empty()) host = "127.0.0.1";
-  }
-  if (port_text.empty()) return std::nullopt;
-  std::uint64_t port = 0;
-  for (const char c : port_text) {
-    if (c < '0' || c > '9') return std::nullopt;
-    port = port * 10 + static_cast<std::uint64_t>(c - '0');
-    if (port > 65535) return std::nullopt;
-  }
-  if (port == 0) return std::nullopt;
-  return std::make_pair(host, static_cast<std::uint16_t>(port));
 }
 
 #if CSMT_NET_POSIX
@@ -260,66 +239,6 @@ void HttpServer::handle_client(int fd) {
   // would race a concurrent stop() handing the number to a new socket.
 }
 
-std::optional<HttpResult> http_request(const std::string& host,
-                                       std::uint16_t port,
-                                       const std::string& method,
-                                       const std::string& path,
-                                       const std::string& body,
-                                       int timeout_ms) {
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(port);
-  const char* ip = (host.empty() || host == "localhost") ? "127.0.0.1"
-                                                         : host.c_str();
-  if (::inet_pton(AF_INET, ip, &addr.sin_addr) != 1) return std::nullopt;
-
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) return std::nullopt;
-  timeval tv{};
-  tv.tv_sec = timeout_ms / 1000;
-  tv.tv_usec = (timeout_ms % 1000) * 1000;
-  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof tv);
-  ::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &tv, sizeof tv);
-#ifdef SO_NOSIGPIPE
-  const int one = 1;
-  ::setsockopt(fd, SOL_SOCKET, SO_NOSIGPIPE, &one, sizeof one);
-#endif
-  if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr) < 0) {
-    ::close(fd);
-    return std::nullopt;
-  }
-
-  std::string req = method + " " + path + " HTTP/1.1\r\nHost: " + host +
-                    "\r\nConnection: close\r\nContent-Length: " +
-                    std::to_string(body.size()) + "\r\n\r\n" + body;
-  if (!send_all(fd, req.data(), req.size())) {
-    ::close(fd);
-    return std::nullopt;
-  }
-
-  // The server always closes after one response, so EOF delimits it.
-  std::string resp;
-  char buf[4096];
-  ssize_t n;
-  while ((n = ::recv(fd, buf, sizeof buf, 0)) > 0) {
-    resp.append(buf, static_cast<std::size_t>(n));
-    if (resp.size() > kMaxRequestBytes) break;
-  }
-  ::close(fd);
-  // n == -1 here means a recv timeout/reset mid-body: report failure rather
-  // than a truncated payload.
-  if (n < 0) return std::nullopt;
-
-  const std::size_t sp = resp.find(' ');
-  const std::size_t head_end = resp.find("\r\n\r\n");
-  if (sp == std::string::npos || head_end == std::string::npos)
-    return std::nullopt;
-  HttpResult out;
-  out.status = std::atoi(resp.c_str() + sp + 1);
-  out.body = resp.substr(head_end + 4);
-  return out;
-}
-
 #else  // !CSMT_NET_POSIX
 
 bool ClientConn::respond(const char*, const char*, const std::string&) {
@@ -336,12 +255,6 @@ void HttpServer::stop() {}
 void HttpServer::reap_finished() {}
 void HttpServer::accept_loop() {}
 void HttpServer::handle_client(int) {}
-
-std::optional<HttpResult> http_request(const std::string&, std::uint16_t,
-                                       const std::string&, const std::string&,
-                                       const std::string&, int) {
-  return std::nullopt;
-}
 
 #endif
 

@@ -1,17 +1,12 @@
-// csmt::net — the shared loopback HTTP component (DESIGN.md §15).
-//
-// Two layers ride on it: the telemetry endpoint (src/telemetry/server.hpp,
-// read-only GET + SSE streaming) and the sweep-service coordinator
-// (src/svc/coordinator.hpp, a JSON request/response protocol with POST
-// bodies). Both need the same plumbing — bind 127.0.0.1, accept loop,
-// per-connection handler threads reaped without blocking, orderly stop that
-// unblocks streaming handlers — so it lives here once.
+// csmt::net — the loopback HTTP server under the telemetry endpoint
+// (src/telemetry/server.hpp, DESIGN.md §12): bind 127.0.0.1, accept loop,
+// per-connection handler threads reaped without blocking, and an orderly
+// stop that unblocks streaming handlers.
 //
 // The server is deliberately minimal: HTTP/1.1, loopback only, one request
-// per connection ("Connection: close"), bodies bounded by kMaxRequestBytes.
-// That is exactly the operational surface the repo needs (localhost fleet
-// console + coordinator/worker RPC on one host or a trusted LAN via SSH
-// port-forwarding) and nothing more.
+// per connection ("Connection: close"), requests bounded by
+// kMaxRequestBytes. That is exactly the operational surface the telemetry
+// console needs and nothing more.
 #pragma once
 
 #include <atomic>
@@ -19,16 +14,16 @@
 #include <functional>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
 
 namespace csmt::net {
 
-/// Largest accepted request (head + body). Submissions of 10^4-point grids
-/// are a few MB of spec JSON; 64 MB leaves an order of magnitude of slack.
-constexpr std::size_t kMaxRequestBytes = 64u << 20;
+/// Largest accepted request (head + body). Every endpoint is a bodyless
+/// GET of a few hundred bytes, so a handler thread never needs to buffer
+/// more than this; larger requests are answered 400.
+constexpr std::size_t kMaxRequestBytes = 16u << 10;
 
 struct HttpRequest {
   std::string method;  ///< "GET", "POST", ... (uppercase as received)
@@ -113,28 +108,5 @@ class HttpServer {
   std::mutex mu_;            ///< guards conns_
   std::vector<Conn> conns_;  ///< live + finished-but-unreaped connections
 };
-
-// --- client side (the worker/submit half of the svc protocol) ---
-
-struct HttpResult {
-  int status = 0;     ///< parsed status code (200, 404, ...)
-  std::string body;   ///< response body (after the blank line)
-};
-
-/// One blocking request to host:port ("Connection: close"; the functions
-/// above always close, so EOF delimits the body). Returns nullopt when the
-/// host is unreachable, the connection drops mid-response, or `timeout_ms`
-/// elapses on connect/send/recv. Host may be a dotted quad or "localhost".
-std::optional<HttpResult> http_request(const std::string& host,
-                                       std::uint16_t port,
-                                       const std::string& method,
-                                       const std::string& path,
-                                       const std::string& body = {},
-                                       int timeout_ms = 10'000);
-
-/// Splits "host:port" (host defaults to 127.0.0.1 when the text is just a
-/// port). nullopt on a malformed port.
-std::optional<std::pair<std::string, std::uint16_t>> parse_hostport(
-    const std::string& text);
 
 }  // namespace csmt::net

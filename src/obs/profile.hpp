@@ -110,11 +110,8 @@ struct SimSpeed {
   /// Counts cluster-cycles, so it can exceed sim_cycles on wide machines.
   std::uint64_t cluster_quiet_cycles = 0;
   std::uint64_t committed = 0;  ///< useful + sync instructions
-  /// Worker lanes the parallel kernel ran on (0 = sequential kernel,
-  /// DESIGN.md §13). Execution-strategy metadata like quiet_cycles.
-  std::uint32_t parallel_chips = 0;
   /// std::thread::hardware_concurrency() of the host that produced this
-  /// run — context for interpreting parallel speedups across machines.
+  /// run — context for comparing wall-clock numbers across machines.
   std::uint32_t host_threads = 0;
   bool phases_measured = false;
   std::array<double, kNumPhases> phase_seconds = {};

@@ -20,7 +20,6 @@
 #include <cstdio>
 #include <limits>
 #include <string>
-#include <vector>
 
 #include "common/types.hpp"
 
@@ -137,45 +136,6 @@ class ChromeTraceWriter final : public TraceSink {
   std::FILE* f_ = nullptr;
   std::uint64_t events_ = 0;
   bool first_ = true;
-};
-
-/// Per-domain trace buffer for the parallel kernel (DESIGN.md §13): each
-/// chip writes its cycle's events into its own shard from its worker
-/// thread, and the coordinator flushes the shards *in chip order* at the
-/// barrier — so the parent sink sees exactly the event stream the
-/// sequential kernel would have produced (chips tick in index order there,
-/// and events never cross a cycle boundary inside a tick).
-///
-/// Events are PODs with static-literal names, so buffering them is a
-/// memcpy; naming metadata is emitted at attach time (single-threaded
-/// construction) and forwards immediately.
-class TraceShard final : public TraceSink {
- public:
-  explicit TraceShard(TraceSink& parent) : parent_(parent) {}
-
-  void event(const TraceEvent& e) override { buf_.push_back(e); }
-  void name_process(std::uint32_t pid, const std::string& name) override {
-    parent_.name_process(pid, name);
-  }
-  void name_track(Track track, const std::string& name) override {
-    parent_.name_track(track, name);
-  }
-
-  /// Replays the buffered events into the parent. Barrier/coordinator time
-  /// only — the parent is not thread-safe.
-  void flush() {
-    for (const TraceEvent& e : buf_) parent_.event(e);
-    buf_.clear();
-  }
-
-  /// Releases the buffer's capacity. End-of-run only: the shard outlives
-  /// the run inside the Machine, and a busy traced run's high-water event
-  /// buffer would otherwise stay resident until the machine dies.
-  void shrink() { buf_.shrink_to_fit(); }
-
- private:
-  TraceSink& parent_;
-  std::vector<TraceEvent> buf_;
 };
 
 }  // namespace csmt::obs

@@ -1,6 +1,5 @@
 #include "sim/experiment.hpp"
 
-#include <algorithm>
 #include <cstdio>
 #include <memory>
 #include <thread>
@@ -33,7 +32,6 @@ void publish_run_totals(const ExperimentResult& r) {
                   telemetry::classify_regime(r.sim_speed.quiet_fraction())))
       .add();
   reg.gauge("sim.last_run_cycles_per_sec").set(r.sim_speed.cycles_per_sec());
-  reg.gauge("sim.last_run_parallel_chips").set(r.sim_speed.parallel_chips);
 }
 
 }  // namespace
@@ -54,7 +52,6 @@ ExperimentResult run_experiment(const ExperimentSpec& spec) {
   mc.alloc.policy = spec.alloc_policy;
   mc.alloc.epoch = spec.alloc_epoch;
   mc.no_skip = spec.no_skip;
-  mc.parallel_chips = spec.parallel_chips;
   mc.ckpt_interval = spec.ckpt_interval;
   mc.ckpt_path = spec.ckpt_path;
   mc.ckpt_spec_hash = spec.ckpt_tag;
@@ -107,11 +104,6 @@ ExperimentResult run_experiment(const ExperimentSpec& spec) {
   result.sim_speed.cluster_quiet_cycles = machine.cluster_quiet_cycles();
   result.sim_speed.committed =
       result.stats.committed_useful + result.stats.committed_sync;
-  // Record the kernel actually used: lanes clamp to the chip count, and a
-  // 1-lane pool is the sequential kernel.
-  const unsigned lanes = std::min(
-      spec.parallel_chips > 0 ? spec.parallel_chips : 1, spec.chips);
-  result.sim_speed.parallel_chips = lanes > 1 ? lanes : 0;
   result.sim_speed.host_threads = std::thread::hardware_concurrency();
   if (spec.profile_phases) {
     result.sim_speed.phases_measured = true;

@@ -46,10 +46,6 @@ struct ExperimentSpec {
   /// Excluded from identity like the other knobs here: the two kernels
   /// produce bit-identical RunStats, they just spend different host time.
   bool no_skip = false;
-  /// Parallel simulation kernel lane count (DESIGN.md §13; 0/1 =
-  /// sequential). Excluded from identity for the same reason as no_skip:
-  /// the kernels produce bit-identical artifacts.
-  unsigned parallel_chips = 0;
 
   // --- fault tolerance (csmt::ckpt, DESIGN.md §10) — also excluded from
   // identity: a resumed run produces bit-identical RunStats, so the result

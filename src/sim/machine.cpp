@@ -1,12 +1,10 @@
 #include "sim/machine.hpp"
 
-#include <algorithm>
 #include <cstdio>
 
 #include "alloc/controller.hpp"
 #include "ckpt/serializer.hpp"
 #include "common/assert.hpp"
-#include "sim/parallel.hpp"
 #include "sim/scheduler.hpp"
 #include "telemetry/probe.hpp"
 
@@ -20,20 +18,10 @@ Machine::Machine(const MachineConfig& cfg) : cfg_(cfg) {
     // high-end one (Table 3 scale).
     cfg_.arch.cluster.sync_wake_latency = cfg_.chips > 1 ? 40 : 15;
   }
-  // The parallel kernel (DESIGN.md §13): lanes beyond the chip count would
-  // have nothing to tick; a 1-lane "pool" is the sequential kernel.
-  const unsigned lanes =
-      std::min(cfg_.parallel_chips > 0 ? cfg_.parallel_chips : 1, cfg_.chips);
-  const bool pooled = lanes > 1;
   // Cross-chip side effects (backend fetches, atomics, sync ops) go through
-  // the barrier drain whenever more than one chip exists — the sequential
-  // kernel runs the exact same deferral, so the two kernels interleave
-  // cross-chip state identically and every artifact is bit-identical.
+  // the end-of-cycle barrier drain whenever more than one chip exists
+  // (deferred mode, DESIGN.md §13).
   deferred_mode_ = cfg_.chips > 1;
-  // The phase profiler is a plain shared accumulator; under the pool the
-  // chips would race on it, so they only get one on the sequential kernel
-  // (SimSpeed is host-time observability, never part of run identity).
-  obs::PhaseProfiler* chip_prof = pooled ? nullptr : cfg_.profiler;
 
   cache::MemoryBackend* backend = nullptr;
   if (cfg_.chips == 1) {
@@ -43,10 +31,7 @@ Machine::Machine(const MachineConfig& cfg) : cfg_(cfg) {
     noc::NocParams np = cfg_.noc;
     np.nodes = cfg_.chips;
     dash_ = std::make_unique<noc::DashInterconnect>(np, cfg_.mem);
-    // DASH only runs at the coordinator's barrier drain in deferred mode,
-    // so it may keep the parent sink; the profiler races like any shared
-    // accumulator would if a lane ever touched it, so it follows the chips.
-    dash_->set_obs(cfg_.trace, chip_prof);
+    dash_->set_obs(cfg_.trace, cfg_.profiler);
     backend = dash_.get();
   }
   if (cfg_.trace) {
@@ -55,28 +40,15 @@ Machine::Machine(const MachineConfig& cfg) : cfg_(cfg) {
   }
   chips_.reserve(cfg_.chips);
   for (unsigned c = 0; c < cfg_.chips; ++c) {
-    obs::TraceSink* chip_trace = cfg_.trace;
-    if (pooled && cfg_.trace) {
-      shards_.push_back(std::make_unique<obs::TraceShard>(*cfg_.trace));
-      chip_trace = shards_.back().get();
-    }
     chips_.push_back(std::make_unique<core::Chip>(
-        static_cast<ChipId>(c), cfg_.arch, cfg_.mem, *backend, chip_trace,
-        chip_prof));
+        static_cast<ChipId>(c), cfg_.arch, cfg_.mem, *backend, cfg_.trace,
+        cfg_.profiler));
     if (dash_) dash_->attach_chip(&chips_.back()->memsys());
     if (deferred_mode_) chips_.back()->arm_deferred();
   }
-  if (pooled) {
-    std::vector<core::Chip*> raw;
-    raw.reserve(chips_.size());
-    for (auto& chip : chips_) raw.push_back(chip.get());
-    pool_ = std::make_unique<ChipTickPool>(std::move(raw), lanes);
-  }
   // Cluster-level sleep (DESIGN.md §14): off under --no-skip (ground-truth
   // per-cycle kernel) and under tracing, where wake-time replay would emit
-  // events out of timestamp order. Skip decisions are per-chip and
-  // observation-driven, so they are identical under both kernels and any
-  // lane striping.
+  // events out of timestamp order.
   const bool lazy = !cfg_.no_skip && cfg_.trace == nullptr;
   for (auto& chip : chips_) chip->set_lazy(lazy);
 }
@@ -112,12 +84,6 @@ void Machine::trace_name_sync_tracks(const exec::ThreadGroup& group) {
 
 void Machine::trace_flush(Cycle end) {
   for (auto& chip : chips_) chip->trace_flush(end);
-  // End-of-run slice closures land in the shards; push them to the parent,
-  // then drop the buffers — the machine (and its shards) outlives the run.
-  for (auto& shard : shards_) {
-    shard->flush();
-    shard->shrink();
-  }
 }
 
 void Machine::ckpt_shape(ckpt::Serializer& s, const exec::ThreadGroup& group) {
@@ -344,13 +310,6 @@ MultiRunStats Machine::run(const Mix& mix) {
     });
   }
 
-  if (pool_) {
-    // Functional-memory lookups run from the worker lanes under the
-    // parallel kernel; arm the concurrent page index after any restore so
-    // it covers the restored pages.
-    for (const Job& j : mix.jobs) j.memory->enable_concurrent_index();
-  }
-
   // Per-tick hook: advance in-flight migrations and observe job
   // completions. A job can only finish on a full tick (its last thread has
   // to fetch a halt), so the hook sees every completion exactly when the
@@ -408,27 +367,19 @@ bool Machine::all_finished() const {
 
 bool Machine::tick_chips(Cycle now) {
   bool active = false;
-  if (pool_) {
-    active = pool_->tick(now);
-  } else {
-    for (auto& chip : chips_) {
-      chip->tick(now);
-      active |= chip->active_last_tick();
-    }
+  for (auto& chip : chips_) {
+    chip->tick(now);
+    active |= chip->active_last_tick();
   }
-  // Cycle barrier (deferred mode, DESIGN.md §13) — everything below runs on
-  // the coordinator, in chip order, in both kernels:
-  //   1. trace shards flush (parallel kernel only), so the parent sink sees
-  //      the sequential kernel's event stream;
-  //   2. memory systems resolve their posted boundary traffic (backend
+  // Cycle barrier (deferred mode, DESIGN.md §13), in chip order:
+  //   1. memory systems resolve their posted boundary traffic (backend
   //      fetches, upgrades, writebacks) — DASH sees chip-major order;
-  //   3. deferred thread ops (atomics, sync primitives) apply against the
+  //   2. deferred thread ops (atomics, sync primitives) apply against the
   //      shared functional state.
   // Deferred work only exists when some cluster was active this cycle, so
   // `active` already covers it and the skip path can never skip past it.
   // The O(1) has_deferred gates keep a mostly-idle chip's barrier cost at
   // two flag reads instead of two calls per cycle (DESIGN.md §14).
-  for (auto& shard : shards_) shard->flush();
   if (deferred_mode_) {
     for (auto& chip : chips_) {
       if (chip->memsys().has_deferred()) chip->memsys().resolve_deferred();
@@ -461,10 +412,6 @@ void Machine::settle_chips(Cycle upto) {
 
 void Machine::quiet_tick_chips(Cycle now) {
   for (auto& chip : chips_) chip->quiet_tick(now);
-  // Quiet ticks run on the coordinator but still emit trace instants into
-  // the chips' sinks — under the pool, their shards. Flush per cycle, or a
-  // quiet span's events would replay chip-major at the next full tick.
-  for (auto& shard : shards_) shard->flush();
 }
 
 RunStats Machine::collect_stats(Cycle now, double running_accum,

@@ -32,7 +32,6 @@ class RunProbe;
 namespace csmt::sim {
 
 class Scheduler;
-class ChipTickPool;
 
 struct MachineConfig {
   core::ArchConfig arch;
@@ -47,13 +46,6 @@ struct MachineConfig {
   /// bit-identical either way — this is the A/B verification escape hatch,
   /// not a fidelity knob.
   bool no_skip = false;
-
-  /// Parallel simulation kernel (DESIGN.md §13): tick chip domains on this
-  /// many worker lanes between deterministic cycle barriers. 0 or 1 =
-  /// sequential kernel; values above `chips` are clamped (extra lanes would
-  /// have no chips to tick). RunStats, epochs, Chrome traces, and ckpt
-  /// snapshots are bit-identical to the sequential kernel.
-  unsigned parallel_chips = 0;
 
   // --- observability (all off by default; RunStats counters are
   // bit-identical with these on or off, see DESIGN.md §7) ---
@@ -246,14 +238,7 @@ class Machine {
   MachineConfig cfg_;
   std::unique_ptr<cache::LocalMemoryBackend> local_backend_;
   std::unique_ptr<noc::DashInterconnect> dash_;
-  /// Per-chip trace buffers (parallel kernel + tracing only): chips write
-  /// into their shard from their lane, the coordinator flushes in chip
-  /// order at the barrier. Must outlive chips_ (chips hold the sink).
-  std::vector<std::unique_ptr<obs::TraceShard>> shards_;
   std::vector<std::unique_ptr<core::Chip>> chips_;
-  /// Worker pool of the parallel kernel; null for the sequential kernel.
-  /// Declared after chips_ so the lanes are joined before chips die.
-  std::unique_ptr<ChipTickPool> pool_;
   bool deferred_mode_ = false;  ///< multi-chip: barrier-drain cross-chip work
   Cycle quiet_cycles_ = 0;
   Cycle resumed_from_cycle_ = 0;

@@ -156,6 +156,10 @@ std::string render_epoch_sparklines(
   return out;
 }
 
+namespace {
+
+/// The spec alone — the object to_json() nests under "spec". Knobs outside
+/// spec identity (trace_path, no_skip, ckpt_*) are not encoded.
 json::Value spec_to_json(const ExperimentSpec& sp) {
   json::Value spec = json::Value::object();
   spec["workload"] = sp.workload;
@@ -175,6 +179,9 @@ json::Value spec_to_json(const ExperimentSpec& sp) {
   return spec;
 }
 
+/// Rebuilds a spec from spec_to_json() output; nullopt when required fields
+/// are missing or malformed (unknown workload names are accepted here —
+/// run_experiment validates them — but unknown arch/policy names are not).
 std::optional<ExperimentSpec> spec_from_json(const json::Value& v) {
   if (!v.is_object()) return std::nullopt;
   const json::Value* workload = v.find("workload");
@@ -208,6 +215,8 @@ std::optional<ExperimentSpec> spec_from_json(const json::Value& v) {
     spec.alloc_epoch = a->as_u64();
   return spec;
 }
+
+}  // namespace
 
 json::Value to_json(const ExperimentResult& r) {
   json::Value spec = spec_to_json(r.spec);
@@ -313,7 +322,6 @@ json::Value to_json(const ExperimentResult& r) {
     speed["quiet_cycles"] = r.sim_speed.quiet_cycles;
     speed["cluster_quiet_cycles"] = r.sim_speed.cluster_quiet_cycles;
     speed["committed"] = r.sim_speed.committed;
-    speed["parallel_chips"] = std::uint64_t{r.sim_speed.parallel_chips};
     speed["host_threads"] = std::uint64_t{r.sim_speed.host_threads};
     speed["cycles_per_sec"] = r.sim_speed.cycles_per_sec();  // derived
     speed["committed_kips"] = r.sim_speed.committed_kips();  // derived
@@ -479,9 +487,6 @@ std::optional<ExperimentResult> result_from_json(const json::Value& v) {
       r.sim_speed.cluster_quiet_cycles = c->as_u64();
     if (const json::Value* c = speed->find("committed"))
       r.sim_speed.committed = c->as_u64();
-    // Absent in artifacts written before the parallel kernel: keep 0.
-    if (const json::Value* c = speed->find("parallel_chips"))
-      r.sim_speed.parallel_chips = static_cast<std::uint32_t>(c->as_u64());
     if (const json::Value* c = speed->find("host_threads"))
       r.sim_speed.host_threads = static_cast<std::uint32_t>(c->as_u64());
     if (const json::Value* phases = speed->find("phase_seconds")) {

@@ -35,18 +35,6 @@ std::string render_summary_table(
 std::string render_epoch_sparklines(
     const std::vector<ExperimentResult>& results);
 
-/// Machine-readable form of a spec alone — the object to_json() nests under
-/// "spec", and the unit the svc wire protocol submits (DESIGN.md §15).
-/// Observability/fault-tolerance knobs outside spec identity (trace_path,
-/// no_skip, parallel_chips, ckpt_*) are not encoded: the executing side
-/// chooses them.
-json::Value spec_to_json(const ExperimentSpec& spec);
-
-/// Rebuilds a spec from spec_to_json() output; nullopt when required fields
-/// are missing or malformed (unknown workload names are accepted here —
-/// run_experiment validates them — but unknown arch/policy names are not).
-std::optional<ExperimentSpec> spec_from_json(const json::Value& v);
-
 /// Full machine-readable form of one result: the spec, every RunStats
 /// counter (slot shares by name, predictor, memory, DASH when present) and
 /// the validation flag. Round-trips through result_from_json().

@@ -7,7 +7,6 @@
 #include <filesystem>
 #include <fstream>
 #include <sstream>
-#include <thread>
 
 #if defined(__unix__) || defined(__APPLE__)
 #include <unistd.h>
@@ -33,8 +32,7 @@ namespace fs = std::filesystem;
 /// v4: results schema v3 (derived sim_speed.regime tag, DESIGN.md §12).
 /// v5: multi-chip timing — cross-chip traffic resolves at the cycle
 /// barrier (deferred mode, DESIGN.md §13), shifting multi-chip counters
-/// relative to v4 entries. parallel_chips stays *out* of the key: the two
-/// kernels are bit-identical, so they share entries.
+/// relative to v4 entries.
 constexpr const char* kCacheKeyVersion = "csmt-sweep-v5";
 
 /// Progress rendering picks between two stderr styles: a `\r`-rewritten
@@ -83,8 +81,8 @@ std::string canonical_encoding(const sim::ExperimentSpec& spec) {
   return out.str();
 }
 
-}  // namespace
-
+/// Checkpoint file ("<cache_dir>/ckpt/csmt-<16 hex digits>.ckpt") of the
+/// point with spec-hash `hash`, keyed like its result-cache entry.
 std::string ckpt_entry_path(const std::string& cache_dir,
                             std::uint64_t hash) {
   char buf[64];
@@ -92,6 +90,8 @@ std::string ckpt_entry_path(const std::string& cache_dir,
                 static_cast<unsigned long long>(hash));
   return (fs::path(cache_dir) / "ckpt" / buf).string();
 }
+
+}  // namespace
 
 std::vector<sim::ExperimentSpec> SweepSpec::expand() const {
   std::vector<sim::ExperimentSpec> points;
@@ -112,7 +112,6 @@ std::vector<sim::ExperimentSpec> SweepSpec::expand() const {
           spec.metrics_interval = metrics_interval;
           spec.alloc_policy = alloc_policy;
           spec.alloc_epoch = alloc_epoch;
-          spec.parallel_chips = parallel_chips;
           points.push_back(std::move(spec));
         }
       }
@@ -278,30 +277,6 @@ std::vector<sim::ExperimentResult> SweepRunner::run(
     // run_experiment resumes from it if a previous (killed) invocation
     // left a valid snapshot behind.
     std::vector<sim::ExperimentSpec> to_run(points.begin(), points.end());
-    // Oversubscription guard: J concurrent points each ticking N lanes
-    // would put J*N runnable threads on the host. Clamp per-run lanes (not
-    // jobs — points share nothing, so point-level parallelism wins) and
-    // say so once.
-    {
-      const unsigned workers = static_cast<unsigned>(
-          std::min<std::size_t>(options_.jobs, misses.size()));
-      const unsigned hw = std::thread::hardware_concurrency();
-      bool warned = false;
-      for (const std::size_t i : misses) {
-        const unsigned requested = to_run[i].parallel_chips;
-        const unsigned granted =
-            clamp_parallel_chips(requested, workers, hw);
-        if (granted != requested && !warned) {
-          warned = true;
-          std::fprintf(stderr,
-                       "csmt: sweep would oversubscribe the host (%u jobs x "
-                       "%u lanes > %u hardware threads); clamping each run "
-                       "to %u lane(s)\n",
-                       workers, requested, hw, granted);
-        }
-        to_run[i].parallel_chips = granted;
-      }
-    }
     if (ckpt_on) {
       for (const std::size_t i : misses) {
         const std::uint64_t hash = spec_hash(to_run[i]);
@@ -357,8 +332,8 @@ void cache_publish(const std::string& cache_dir,
   const fs::path path = fs::path(cache_dir) / cache_entry_name(result.spec);
   // Write-then-rename so no reader ever observes a torn entry. The tmp name
   // carries the pid: in-process workers already serialize per point, but
-  // two *processes* racing the same entry (svc workers, concurrent benches
-  // sharing a cache dir) must not interleave writes into one tmp file —
+  // two *processes* racing the same entry (concurrent benches sharing a
+  // cache dir) must not interleave writes into one tmp file —
   // each renames its own complete file into place, last one wins.
   fs::path tmp = path;
 #if defined(__unix__) || defined(__APPLE__)
@@ -374,33 +349,6 @@ void cache_publish(const std::string& cache_dir,
   std::error_code ec;
   fs::rename(tmp, path, ec);
   if (ec) fs::remove(tmp, ec);
-}
-
-sim::ExperimentResult SweepRunner::run_point(sim::ExperimentSpec point) {
-  if (auto cached = cache_load(point)) {
-    ++counters_.cache_hits;
-    return *cached;
-  }
-  // Arm checkpointing from the runner's own options unless the caller (a
-  // coordinator lease) already stamped a parking spot onto the spec.
-  if (point.ckpt_path.empty() && options_.ckpt_interval > 0 &&
-      !options_.cache_dir.empty()) {
-    const std::uint64_t hash = spec_hash(point);
-    std::error_code ec;
-    fs::create_directories(fs::path(options_.cache_dir) / "ckpt", ec);
-    point.ckpt_interval = options_.ckpt_interval;
-    point.ckpt_path = ckpt_entry_path(options_.cache_dir, hash);
-    point.ckpt_tag = hash;
-  }
-  sim::ExperimentResult result = sim::run_experiment(point);
-  ++counters_.executed;
-  if (result.resumed_from_cycle > 0) ++counters_.resumed;
-  cache_store(result);
-  if (!point.ckpt_path.empty()) {
-    std::error_code ec;
-    fs::remove(point.ckpt_path, ec);
-  }
-  return result;
 }
 
 std::optional<sim::ExperimentResult> SweepRunner::cache_load(

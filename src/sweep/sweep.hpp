@@ -36,10 +36,6 @@ struct SweepSpec {
   alloc::PolicyKind alloc_policy = alloc::PolicyKind::kStatic;
   /// Reallocation epoch length stamped onto every point (0 = policy default).
   Cycle alloc_epoch = 0;
-  /// Parallel-kernel lanes stamped onto every point (DESIGN.md §13);
-  /// 0/1 = sequential. SweepRunner clamps this against --jobs so a grid
-  /// never oversubscribes the host (see clamp_parallel_chips).
-  unsigned parallel_chips = 0;
 
   /// Expansion order: workload-major, then arch, then chips, then scale —
   /// identical to the nesting of the old per-bench loops.
@@ -83,23 +79,6 @@ struct SweepCounters {
   std::uint64_t resumed = 0;     ///< executed points resumed from a checkpoint
 };
 
-/// Parallel-kernel lanes a sweep grants a point that asked for `requested`
-/// while `jobs` points run concurrently on `hw` hardware threads. A grid
-/// that fits (jobs * requested <= hw) passes through untouched; an
-/// oversubscribed one clamps each run to hw / jobs lanes (floor, minimum 1
-/// = the sequential kernel) — point-level parallelism beats lane-level
-/// parallelism because points share nothing. requested <= 1 (sequential)
-/// and hw == 0 (width unknown) never clamp. Results are unaffected either
-/// way: the kernels are bit-identical (DESIGN.md §13).
-inline unsigned clamp_parallel_chips(unsigned requested, unsigned jobs,
-                                     unsigned hw) {
-  if (requested <= 1 || hw == 0) return requested;
-  if (jobs <= 1) jobs = 1;
-  if (static_cast<std::uint64_t>(jobs) * requested <= hw) return requested;
-  const unsigned lanes = hw / jobs;
-  return lanes > 1 ? lanes : 1;
-}
-
 /// Stable 64-bit key of an experiment point: FNV-1a over a canonical
 /// encoding of the spec *and* the resolved Table 2 preset, salted with the
 /// cache schema version — so editing a preset or the result schema
@@ -108,12 +87,6 @@ std::uint64_t spec_hash(const sim::ExperimentSpec& spec);
 
 /// File name ("csmt-<16 hex digits>.json") of a point's cache entry.
 std::string cache_entry_name(const sim::ExperimentSpec& spec);
-
-/// Checkpoint file ("<cache_dir>/ckpt/csmt-<16 hex digits>.ckpt") of the
-/// point with spec-hash `hash`, keyed like its result-cache entry. The svc
-/// coordinator hands this path out in leases so a requeued point's next
-/// worker resumes from the dead worker's parked snapshot (DESIGN.md §15).
-std::string ckpt_entry_path(const std::string& cache_dir, std::uint64_t hash);
 
 /// Single-entry cache probe: the cached result for `spec` in `cache_dir`,
 /// or nullopt on a miss/mismatched entry. Safe against concurrent writers
@@ -142,16 +115,6 @@ class SweepRunner {
   /// window-size ablation); results arrive in `points` order.
   std::vector<sim::ExperimentResult> run(
       const std::vector<sim::ExperimentSpec>& points);
-
-  /// Runs one point on the calling thread with the runner's full cache and
-  /// fault-tolerance semantics: probe the result cache, execute on a miss
-  /// (arming --ckpt-interval checkpoints when configured, or honoring
-  /// ckpt_* fields already stamped on the spec — the svc worker path, where
-  /// the coordinator's lease carries the checkpoint location), publish to
-  /// the cache, and delete the completed point's checkpoint. This is the
-  /// entry point for remote job sources (DESIGN.md §15): the caller owns
-  /// the queue, the runner owns one point's lifecycle.
-  sim::ExperimentResult run_point(sim::ExperimentSpec point);
 
   const SweepOptions& options() const { return options_; }
   const SweepCounters& counters() const { return counters_; }

@@ -11,9 +11,7 @@ namespace {
 
 /// The embedded console: the same stream the standalone
 /// examples/fleet_console page renders, kept deliberately text-first (a
-/// monospace ops view, not a dashboard) so it has zero dependencies. When
-/// the serving process is an svc coordinator its svc.* counters light up
-/// the queue line (DESIGN.md §15).
+/// monospace ops view, not a dashboard) so it has zero dependencies.
 constexpr const char* kConsoleHtml = R"html(<!doctype html>
 <meta charset="utf-8">
 <title>csmt fleet console</title>
@@ -29,7 +27,6 @@ constexpr const char* kConsoleHtml = R"html(<!doctype html>
 </style>
 <h1>csmt fleet console <span id=link class=dim></span></h1>
 <div id=sweep class=dim>waiting for snapshots…</div>
-<div id=queue class=dim></div>
 <h2>runs</h2><table id=runs></table>
 <h2>counters</h2><table id=ctrs></table>
 <script>
@@ -51,15 +48,6 @@ function render(snap) {
     `| regimes busy=${c['sim.regime.busy'] ?? 0} idle=${c['sim.regime.idle'] ?? 0} ` +
     `mixed=${c['sim.regime.mixed'] ?? 0} | elapsed=${(g['sweep.elapsed_seconds'] ?? 0).toFixed(1)}s ` +
     `| snapshot #${snap.seq}`;
-  // Queue view: present only when the serving process is an svc
-  // coordinator (DESIGN.md §15).
-  document.getElementById('queue').textContent =
-    'svc.submitted' in c ?
-    `queue: ${g['svc.queued'] ?? 0} queued, ${g['svc.leased'] ?? 0} leased, ` +
-    `${g['svc.workers'] ?? 0} workers | done=${c['svc.completed'] ?? 0} ` +
-    `executed=${c['svc.executed'] ?? 0} cache_hits=${c['svc.cache_hits'] ?? 0} ` +
-    `deduped=${c['svc.deduped'] ?? 0} requeued=${c['svc.requeued'] ?? 0} ` +
-    `expired=${c['svc.leases_expired'] ?? 0}` : '';
   const runs = {};
   for (const [k, v] of Object.entries(g)) {
     const m = k.match(/^(run\.\d+\.(.*))\.([a-z_]+)$/);
@@ -119,34 +107,29 @@ void serve_events(net::ClientConn& conn, Registry& registry,
 
 }  // namespace
 
-bool handle_observability(const net::HttpRequest& req, net::ClientConn& conn,
-                          Registry& registry, unsigned sse_interval_ms) {
+void Server::handle(const net::HttpRequest& req, net::ClientConn& conn) {
   if (req.path != "/metrics" && req.path != "/events" && req.path != "/" &&
       req.path != "/index.html") {
-    return false;
-  }
-  if (req.method != "GET") {
+    conn.respond("404 Not Found", "text/plain",
+                 "try /metrics, /events, or /\n");
+  } else if (req.method != "GET") {
     conn.respond("405 Method Not Allowed", "text/plain", "GET only\n");
   } else if (req.path == "/metrics") {
     conn.respond("200 OK", "application/json",
-                 registry.snapshot_json().dump(2) + "\n");
+                 registry_.snapshot_json().dump(2) + "\n");
   } else if (req.path == "/events") {
-    serve_events(conn, registry, sse_interval_ms);
+    serve_events(conn, registry_, sse_interval_ms_);
   } else {
     conn.respond("200 OK", "text/html", kConsoleHtml);
   }
-  return true;
 }
 
 bool Server::start(std::uint16_t port) {
   if (running()) return true;
-  const bool ok = http_.start(port, [this](const net::HttpRequest& req,
-                                           net::ClientConn& conn) {
-    if (!handle_observability(req, conn, registry_, sse_interval_ms_)) {
-      conn.respond("404 Not Found", "text/plain",
-                   "try /metrics, /events, or /\n");
-    }
-  });
+  const bool ok = http_.start(
+      port, [this](const net::HttpRequest& req, net::ClientConn& conn) {
+        handle(req, conn);
+      });
   if (!ok) return false;
   was_enabled_ = registry_.enabled();
   registry_.set_enabled(true);

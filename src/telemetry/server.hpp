@@ -1,11 +1,12 @@
-// Embedded telemetry endpoint (DESIGN.md §12): the observability paths of
-// the shared csmt::net HTTP component (DESIGN.md §15), serving live
-// registry snapshots on 127.0.0.1.
+// Embedded telemetry endpoint (DESIGN.md §12): serves live registry
+// snapshots on 127.0.0.1 over the csmt::net loopback HTTP server.
 //
 //   GET /metrics   one JSON snapshot of every counter/gauge/series
 //   GET /events    server-sent events: a "snapshot" event every
 //                  ~sse_interval_ms until the client disconnects
 //   GET /          a self-contained HTML console that renders the stream
+//
+// Other methods on these paths answer 405, other paths 404.
 //
 // All sampling happens on the server's own wall-clock threads, which read
 // only registry atomics — they never touch simulation state, so a serving
@@ -13,10 +14,6 @@
 // the CI telemetry smoke job). CORS is wide open (the metrics are
 // loopback-only operational counters) so the examples/fleet_console static
 // page works straight off the filesystem.
-//
-// The same three paths can be grafted onto any other csmt::net server via
-// handle_observability() — the svc coordinator does exactly that, so one
-// port serves both the sweep protocol and the fleet console.
 #pragma once
 
 #include <cstdint>
@@ -25,13 +22,6 @@
 #include "telemetry/registry.hpp"
 
 namespace csmt::telemetry {
-
-/// Serves `req` if its path is one of the observability endpoints
-/// (/metrics, /events, / or /index.html); returns false for any other path
-/// so the caller can layer its own routes. GETs only: other methods on
-/// these paths answer 405 (and return true — the path was claimed).
-bool handle_observability(const net::HttpRequest& req, net::ClientConn& conn,
-                          Registry& registry, unsigned sse_interval_ms);
 
 class Server {
  public:
@@ -58,6 +48,9 @@ class Server {
   void set_sse_interval_ms(unsigned ms) { sse_interval_ms_ = ms ? ms : 1; }
 
  private:
+  /// Routes one request; runs on the connection's handler thread.
+  void handle(const net::HttpRequest& req, net::ClientConn& conn);
+
   Registry& registry_;
   net::HttpServer http_;
   unsigned sse_interval_ms_ = 250;

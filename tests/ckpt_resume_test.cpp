@@ -182,11 +182,7 @@ TEST(CkptResume, KilledRunResumesBitIdenticalAcrossGrid) {
           ASSERT_TRUE(fs::exists(path)) << where;
 
           // Leg C: resume to completion; stats must match leg A exactly.
-          // Multi-chip rows resume under the parallel kernel (a snapshot
-          // is kernel-neutral, DESIGN.md §13); the reverse direction is
-          // covered in parallel_kernel_test.
           ExperimentSpec resume = spec;
-          resume.parallel_chips = chips;
           resume.ckpt_interval = interval;
           resume.ckpt_path = path;
           resume.ckpt_tag = kTag;

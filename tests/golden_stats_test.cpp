@@ -6,13 +6,24 @@
 // across the paper grid. Unlike scheduler_test's serialized-JSON comparison,
 // this suite asserts field by field so a divergence names the exact counter
 // that moved.
+//
+// That check is relative: a timing change applied to both kernels passes
+// it. PaperGridFingerprints pins the reproduction absolutely, against
+// per-point RunStats digests committed under tests/golden/.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstdio>
+#include <filesystem>
+#include <fstream>
+#include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "sim/experiment.hpp"
 #include "sim/machine.hpp"
+#include "sim/report.hpp"
 
 namespace csmt::sim {
 namespace {
@@ -123,19 +134,88 @@ TEST(GoldenStats, PaperGridMatchesNoSkipFieldByField) {
         const std::string where = wl + "/" + core::arch_name(arch) +
                                   "/chips=" + std::to_string(chips);
         expect_stats_equal(fast.stats, golden.stats, where);
-
-        // Parallel axis (DESIGN.md §13): the pooled kernel must hit the
-        // same per-cycle golden reference, not merely match the other
-        // fast kernel.
-        if (chips > 1) {
-          spec.no_skip = false;
-          spec.parallel_chips = chips;
-          const ExperimentResult pooled = run_experiment(spec);
-          expect_stats_equal(pooled.stats, golden.stats, where + "/parallel");
-          spec.parallel_chips = 0;
-        }
       }
     }
+  }
+}
+
+/// FNV-1a over the serialized "stats" object of to_json (RunStats and the
+/// epoch series; the host-dependent sim_speed block lives outside it) —
+/// the same per-point digest perfbench prints.
+std::string stats_digest(const ExperimentResult& r) {
+  std::uint64_t h = 14695981039346656037ull;
+  for (const unsigned char c : to_json(r).find("stats")->dump()) {
+    h ^= c;
+    h *= 1099511628211ull;
+  }
+  char hex[17];
+  std::snprintf(hex, sizeof hex, "%016llx",
+                static_cast<unsigned long long>(h));
+  return hex;
+}
+
+TEST(GoldenStats, PaperGridFingerprints) {
+  // Every workload on the paper's seven organizations and both machines.
+  // The 4-chip half exercises DASH remote fetches, interventions and
+  // invalidations, deferred mode, the quiet path, and lazy replay.
+  const std::vector<core::ArchKind> archs = {
+      core::ArchKind::kFa1,  core::ArchKind::kFa2,  core::ArchKind::kFa4,
+      core::ArchKind::kFa8,  core::ArchKind::kSmt1, core::ArchKind::kSmt2,
+      core::ArchKind::kSmt4};
+  std::vector<std::pair<std::string, std::string>> points;
+  std::string regenerated;
+  for (const std::string& wl : workloads::workload_names()) {
+    for (const core::ArchKind arch : archs) {
+      for (const unsigned chips : {1u, 4u}) {
+        ExperimentSpec spec;
+        spec.workload = wl;
+        spec.arch = arch;
+        spec.chips = chips;
+        spec.scale = 1;
+        spec.metrics_interval = 128;
+        const std::string name = wl + "/" + core::arch_name(arch) + "/x" +
+                                 std::to_string(chips);
+        const std::string digest = stats_digest(run_experiment(spec));
+        regenerated += name + " " + digest + "\n";
+        points.emplace_back(name, digest);
+      }
+    }
+  }
+
+  // One "workload/arch/xchips digest" line per point.
+  std::map<std::string, std::string> golden;
+  {
+    std::ifstream in(std::string(CSMT_GOLDEN_DIR) +
+                     "/paper_grid_fingerprints.txt");
+    std::string name, digest;
+    while (in >> name >> digest) golden[name] = digest;
+  }
+  std::string moved;
+  for (const auto& [name, digest] : points) {
+    const auto it = golden.find(name);
+    if (it == golden.end()) {
+      moved += "  " + name + ": missing from the golden file (now " + digest +
+               ")\n";
+      continue;
+    }
+    if (it->second != digest) {
+      moved += "  " + name + ": " + it->second + " -> " + digest + "\n";
+    }
+    golden.erase(it);
+  }
+  for (const auto& [name, digest] : golden) {
+    moved += "  " + name + ": no longer in the grid\n";
+  }
+  if (!moved.empty()) {
+    const std::string path =
+        (std::filesystem::path(::testing::TempDir()) /
+         "paper_grid_fingerprints.txt")
+            .string();
+    std::ofstream out(path);
+    out << regenerated;
+    ADD_FAILURE() << "simulated timing moved at:\n"
+                  << moved << "regenerated fingerprints: " << path
+                  << " (commit them only with an intended timing change)";
   }
 }
 

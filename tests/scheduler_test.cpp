@@ -196,8 +196,7 @@ TEST(KernelEquivalence, AsymmetricMixSleepsClustersBitIdentically) {
   // each alone on its own FA2 cluster across four chips — sit blocked at a
   // barrier. Machine-level skip never fires on such a span (some cluster is
   // always active); per-cluster sleep must, and every artifact must stay
-  // bit-identical across {skip, no-skip} x {sequential, parallel kernel}
-  // and through a kill-and-resume.
+  // bit-identical across skip and no-skip and through a kill-and-resume.
   constexpr unsigned kChips = 4;
   MachineConfig base;
   base.arch = core::arch_preset(core::ArchKind::kFa2);
@@ -219,12 +218,11 @@ TEST(KernelEquivalence, AsymmetricMixSleepsClustersBitIdentically) {
   b.halt();
   const isa::Program p = b.take();
 
-  auto run_once = [&](bool no_skip, unsigned lanes, Cycle max_cycles,
-                      Cycle ckpt_interval, const std::string& ckpt_path,
-                      Cycle* resumed = nullptr, std::uint64_t* lazy = nullptr) {
+  auto run_once = [&](bool no_skip, Cycle max_cycles, Cycle ckpt_interval,
+                      const std::string& ckpt_path, Cycle* resumed = nullptr,
+                      std::uint64_t* lazy = nullptr) {
     MachineConfig mc = base;
     mc.no_skip = no_skip;
-    mc.parallel_chips = lanes;
     if (max_cycles) mc.max_cycles = max_cycles;
     mc.ckpt_interval = ckpt_interval;
     mc.ckpt_path = ckpt_path;
@@ -239,29 +237,23 @@ TEST(KernelEquivalence, AsymmetricMixSleepsClustersBitIdentically) {
   };
 
   std::uint64_t lazy = 0;
-  const RunStats ref = run_once(false, 0, 0, 0, "", nullptr, &lazy);
+  const RunStats ref = run_once(false, 0, 0, "", nullptr, &lazy);
   // The blocked clusters actually slept while the machine stayed busy.
   EXPECT_GT(lazy, 0u);
-  const RunStats noskip = run_once(true, 0, 0, 0, "");
-  const RunStats par = run_once(false, kChips, 0, 0, "");
-  const RunStats par_noskip = run_once(true, kChips, 0, 0, "");
+  const RunStats noskip = run_once(true, 0, 0, "");
   EXPECT_EQ(stats_json(ref), stats_json(noskip));
-  EXPECT_EQ(stats_json(ref), stats_json(par));
-  EXPECT_EQ(stats_json(ref), stats_json(par_noskip));
 
   // Kill-and-resume: a run killed mid-span (clusters asleep at the clamp)
   // must settle into its snapshots, resume cold, and still finish with the
-  // uninterrupted run's artifacts — on both kernels.
+  // uninterrupted run's artifacts.
   ASSERT_GT(ref.cycles, 128u);
   const std::string ckpt = ::testing::TempDir() + "csmt_asym_ckpt.bin";
-  for (const unsigned lanes : {0u, kChips}) {
-    std::remove(ckpt.c_str());
-    run_once(false, lanes, ref.cycles / 2, 64, ckpt);  // killed: times out
-    Cycle resumed = 0;
-    const RunStats done = run_once(false, lanes, 0, 64, ckpt, &resumed);
-    EXPECT_GT(resumed, 0u);
-    EXPECT_EQ(stats_json(ref), stats_json(done)) << "lanes=" << lanes;
-  }
+  std::remove(ckpt.c_str());
+  run_once(false, ref.cycles / 2, 64, ckpt);  // killed: times out
+  Cycle resumed = 0;
+  const RunStats done = run_once(false, 0, 64, ckpt, &resumed);
+  EXPECT_GT(resumed, 0u);
+  EXPECT_EQ(stats_json(ref), stats_json(done));
 
   // Trace leg: tracing disables lazy sleep (wake-time replay would emit
   // events out of timestamp order), and the counter series must match the
@@ -300,14 +292,6 @@ TEST(Scheduler, QuietCyclesEngageOnSyncHeavyPoints) {
   EXPECT_GT(r.sim_speed.quiet_cycles, 0u);
   EXPECT_GT(r.sim_speed.quiet_fraction(), 0.0);
   EXPECT_LT(r.sim_speed.quiet_fraction(), 1.0);
-
-  // The skip horizon is computed from the same post-barrier state under
-  // the parallel kernel, so its decisions — not just the final counters —
-  // must be identical (DESIGN.md §13).
-  spec.parallel_chips = 4;
-  const ExperimentResult pooled = run_experiment(spec);
-  EXPECT_EQ(pooled.sim_speed.quiet_cycles, r.sim_speed.quiet_cycles);
-  EXPECT_EQ(stats_json(pooled), stats_json(r));
 }
 
 }  // namespace

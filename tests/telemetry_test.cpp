@@ -10,6 +10,7 @@
 #include <thread>
 #include <vector>
 
+#include "net/http.hpp"
 #include "sim/experiment.hpp"
 #include "sim/report.hpp"
 #include "sweep/sweep.hpp"
@@ -238,10 +239,10 @@ TEST(ProbeTest, RunProbesRegisterOnlyWhenEnabled) {
 
 #if CSMT_TELEMETRY_TEST_POSIX
 
-/// Minimal blocking HTTP client: sends one GET and reads until EOF, or —
-/// for SSE — until `stop_after` occurrences of "event:" arrived.
-std::string http_get(std::uint16_t port, const std::string& path,
-                     int stop_after_events = 0) {
+/// Minimal blocking HTTP client: sends `req` verbatim and reads until
+/// EOF, or — for SSE — until `stop_after` occurrences of "event:" arrived.
+std::string http_send(std::uint16_t port, const std::string& req,
+                      int stop_after_events = 0) {
   const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
   EXPECT_GE(fd, 0);
   sockaddr_in addr{};
@@ -253,8 +254,6 @@ std::string http_get(std::uint16_t port, const std::string& path,
     ADD_FAILURE() << "cannot connect to 127.0.0.1:" << port;
     return "";
   }
-  const std::string req =
-      "GET " + path + " HTTP/1.1\r\nHost: 127.0.0.1\r\n\r\n";
   EXPECT_EQ(::send(fd, req.data(), req.size(), 0),
             static_cast<ssize_t>(req.size()));
   std::string out;
@@ -273,6 +272,12 @@ std::string http_get(std::uint16_t port, const std::string& path,
   }
   ::close(fd);
   return out;
+}
+
+std::string http_get(std::uint16_t port, const std::string& path,
+                     int stop_after_events = 0) {
+  return http_send(port, "GET " + path + " HTTP/1.1\r\nHost: 127.0.0.1\r\n\r\n",
+                   stop_after_events);
 }
 
 std::string body_of(const std::string& response) {
@@ -342,6 +347,30 @@ TEST(ServerTest, MetricsEventsAndErrorsAgainstLiveSweep) {
     EXPECT_EQ(a.find("sim_speed")->find("quiet_cycles")->as_u64(),
               b.find("sim_speed")->find("quiet_cycles")->as_u64());
   }
+}
+
+TEST(ServerTest, OversizedRequestIsRejectedAndServingContinues) {
+  telemetry::Server server;
+  ASSERT_TRUE(server.start(0));
+  // A head that never ends within the limit. Exactly kMaxRequestBytes, so
+  // the server has consumed every byte when it answers and closes.
+  std::string head = "GET /metrics HTTP/1.1\r\nX-Pad: ";
+  head.resize(net::kMaxRequestBytes, 'a');
+  const std::string rejected = http_send(server.port(), head);
+  EXPECT_NE(rejected.find("HTTP/1.1 400 Bad Request"), std::string::npos)
+      << rejected;
+  EXPECT_NE(http_get(server.port(), "/metrics").find("HTTP/1.1 200 OK"),
+            std::string::npos);
+}
+
+TEST(ServerTest, NonGetMethodIsRejected) {
+  telemetry::Server server;
+  ASSERT_TRUE(server.start(0));
+  const std::string resp = http_send(
+      server.port(),
+      "POST /metrics HTTP/1.1\r\nHost: 127.0.0.1\r\nContent-Length: 0\r\n\r\n");
+  EXPECT_NE(resp.find("HTTP/1.1 405 Method Not Allowed"), std::string::npos)
+      << resp;
 }
 
 // Keep last: serve_global starts a server that lives until process exit.

@@ -1,6 +1,7 @@
 #include "core/cluster.hpp"
 
 #include <algorithm>
+#include <bit>
 
 #include "ckpt/serializer.hpp"
 #include "common/assert.hpp"
@@ -40,7 +41,10 @@ Cluster::Cluster(ClusterId id, const ClusterConfig& cfg, FetchPolicy policy,
   slots_.resize(cfg.rob_entries);
   free_slots_.reserve(cfg.rob_entries);
   for (std::uint16_t i = cfg.rob_entries; i-- > 0;) free_slots_.push_back(i);
-  iq_.reserve(cfg.iq_entries);
+  wheel_.assign(kWheelSlots, kNoSrc);
+  far_.reserve(2 * std::size_t{cfg.rob_entries});
+  ready_.reserve(cfg.iq_entries);
+  unbound_.reserve(cfg.rob_entries);
   threads_.reserve(cfg.threads);
   if (trace_) {
     trace_->name_track(track_, "cluster " + std::to_string(id_) + " pipeline");
@@ -158,22 +162,14 @@ std::uint16_t Cluster::alloc_slot() {
   u.issued = false;
   u.mispredicted = false;
   u.complete_at = kNeverCycle;
+  u.consumers = kNoSrc;
+  u.pending = 0;
   return idx;
 }
 
 void Cluster::free_slot(std::uint16_t idx) {
   slots_[idx].live = false;
   free_slots_.push_back(idx);
-}
-
-bool Cluster::src_ready(const SrcDep& dep, Cycle now, Slot* hazard) const {
-  if (dep.producer == kNoUop) return true;
-  const Uop& p = slots_[dep.producer];
-  // A dead or recycled slot means the producer already committed.
-  if (!p.live || p.gen != dep.gen) return true;
-  if (p.issued && p.complete_at <= now) return true;
-  *hazard = dep.producer_is_load ? Slot::kMemory : Slot::kData;
-  return false;
 }
 
 bool Cluster::mispredict_blocked(const ThreadSlot& t, Cycle now) const {
@@ -186,7 +182,7 @@ bool Cluster::mispredict_blocked(const ThreadSlot& t, Cycle now) const {
 }
 
 bool Cluster::has_dispatch_room(const ThreadSlot& t) const {
-  if (free_slots_.empty() || iq_.size() >= cfg_.iq_entries) return false;
+  if (free_slots_.empty() || iq_size() >= cfg_.iq_entries) return false;
   const isa::Inst& next = t.tc->peek();
   const isa::OpInfo& oi = next.info();
   if (oi.writes_int && next.rd != isa::kRegZero &&
@@ -249,7 +245,7 @@ Cycle Cluster::next_event(Cycle now) {
     if (!t.rob.empty()) {
       const Uop& head = slots_[t.rob.front()];
       // The ROB head commits the cycle it completes; younger completions
-      // are passive until then (dependents are handled by the IQ scan).
+      // are passive until then (dependents are source events below).
       if (head.issued) consider(head.complete_at);
     }
     if (!t.tc || t.tc->done()) continue;
@@ -268,7 +264,7 @@ Cycle Cluster::next_event(Cycle now) {
     if (mispredict_blocked(t, next)) {
       const Uop& b = slots_[t.blocked_on];
       // Fetch resumes the cycle after the branch resolves; an unissued
-      // branch is gated by its operands via the IQ scan.
+      // branch is gated by its operands' source events.
       if (b.issued) consider(b.complete_at + 1);
       continue;
     }
@@ -279,28 +275,14 @@ Cycle Cluster::next_event(Cycle now) {
     // No dispatch room: only a commit or issue (events above/below) frees
     // it, so this thread contributes no horizon of its own.
   }
-  for (const std::uint16_t idx : iq_) {
-    const Uop& u = slots_[idx];
-    bool known = true;
-    Cycle issuable_at = next;
-    for (const SrcDep& dep : u.src) {
-      if (dep.producer == kNoUop) continue;
-      const Uop& p = slots_[dep.producer];
-      if (!p.live || p.gen != dep.gen) continue;  // already satisfied
-      if (!p.issued) {
-        // The producer's own issue is a separate event (it is in the IQ
-        // too, and the dependence graph bottoms out at a known uop).
-        known = false;
-        continue;
-      }
-      // src_ready() flips — and the stall histogram with it — the cycle
-      // the producer completes, so every such flip bounds the span even
-      // when the uop still cannot issue.
-      if (p.complete_at > now) consider(p.complete_at);
-      if (p.complete_at > issuable_at) issuable_at = p.complete_at;
-    }
-    if (known && issuable_at <= next) return next;  // issuable: full tick
-  }
+  // The issue stage, in O(1): a ready uop issues or charges a slot next
+  // cycle, and so does a fill the barrier bound this cycle (its consumers
+  // are released then). Otherwise the earliest source event ends the span
+  // — every event flips a readiness bit and, with it, the stall histogram,
+  // even when the uop still cannot issue. A source whose producer has not
+  // issued has no cycle of its own: the producer's issue comes first.
+  if (!ready_.empty() || !unbound_.empty()) return next;
+  consider(earliest_event(now));
   if (ev > next) prime_quiet_plan(now);
   return ev;
 }
@@ -310,17 +292,11 @@ void Cluster::prime_quiet_plan(Cycle now) {
   // (next_event() ends the span at the first cycle any of them flips), so
   // evaluating at the first skipped cycle stands for all of them.
   const Cycle q = now + 1;
-  std::uint32_t hist[kNumSlots] = {};
   // issue()'s stall histogram: during a quiescent span every IQ entry is
-  // operand-stalled, in the same short-circuit order as issue().
-  for (const std::uint16_t idx : iq_) {
-    const Uop& u = slots_[idx];
-    Slot hz = Slot::kData;
-    const bool ready =
-        src_ready(u.src[0], q, &hz) && src_ready(u.src[1], q, &hz);
-    CSMT_ASSERT_MSG(!ready, "issuable uop inside a quiescent span");
-    ++hist[static_cast<std::size_t>(u.sync ? Slot::kSync : hz)];
-  }
+  // operand-stalled, so it is exactly the waiting uops' per-class counts.
+  CSMT_ASSERT_MSG(ready_.empty(), "issuable uop inside a quiescent span");
+  std::uint32_t hist[kNumSlots];
+  for (std::size_t i = 0; i < kNumSlots; ++i) hist[i] = waiting_[i];
   // account()'s per-thread contributions, plus fetch()'s two dispatch-stall
   // checks (the round-robin "selected thread lacks room" check and the
   // chosen<0 fallback scan).
@@ -397,7 +373,7 @@ bool Cluster::try_sleep(Cycle now) {
   // Probe deferral mirrors the machine-level scheduler (DESIGN.md §9): a
   // failed probe (horizon at now+1) doubles the number of inactive ticks
   // the next probe waits for, so busy clusters with 1-cycle gaps do not pay
-  // the O(window) horizon walk every gap.
+  // the per-thread horizon walk and the wheel search every gap.
   if (++idle_streak_ <= sleep_defer_) return false;
   idle_streak_ = 0;
   const Cycle h = next_event(now);
@@ -523,8 +499,143 @@ void Cluster::commit(Cycle now) {
   }
 }
 
+void Cluster::link_src(std::uint16_t idx, unsigned s, Cycle now) {
+  Uop& u = slots_[idx];
+  const SrcDep& dep = u.src[s];
+  if (dep.producer == kNoUop) return;
+  Uop& p = slots_[dep.producer];
+  // A dead or recycled slot means the producer already committed.
+  if (!p.live || p.gen != dep.gen) return;
+  const std::uint32_t src = 2u * idx + s;
+  if (p.issued && p.complete_at != kNeverCycle) {
+    // Already complete: ready at the first issue stage this uop sees.
+    if (p.complete_at <= now) return;
+    u.pending |= static_cast<std::uint8_t>(1u << s);
+    schedule(src, p.complete_at, now);
+    return;
+  }
+  // Unissued, or issued this cycle into a fill the barrier has yet to
+  // bind: wait on the producer's consumer list.
+  u.pending |= static_cast<std::uint8_t>(1u << s);
+  u.src_next[s] = p.consumers;
+  p.consumers = src;
+}
+
+void Cluster::schedule(std::uint32_t src, Cycle at, Cycle now) {
+  if (at <= now) {
+    satisfy(src);
+    return;
+  }
+  Uop& u = slots_[src >> 1];
+  if (at - now < kWheelSlots) {
+    // Wheel events lie in (now, now + kWheelSlots), so a bucket never
+    // holds two cycles: its pop at `at` finds only due events.
+    const std::size_t b = at & (kWheelSlots - 1);
+    u.src_next[src & 1] = wheel_[b];
+    wheel_[b] = src;
+    wheel_bits_[b / 64] |= std::uint64_t{1} << (b % 64);
+    ++wheel_events_;
+  } else {
+    far_.push_back({at, src});
+    if (at < far_min_) far_min_ = at;
+  }
+}
+
+void Cluster::release_consumers(std::uint16_t idx, Cycle now) {
+  Uop& p = slots_[idx];
+  std::uint32_t src = p.consumers;
+  p.consumers = kNoSrc;
+  while (src != kNoSrc) {
+    const std::uint32_t next = slots_[src >> 1].src_next[src & 1];
+    schedule(src, p.complete_at, now);
+    src = next;
+  }
+}
+
+void Cluster::satisfy(std::uint32_t src) {
+  const std::uint16_t idx = static_cast<std::uint16_t>(src >> 1);
+  Uop& u = slots_[idx];
+  --waiting_[static_cast<std::size_t>(waiting_class(u))];
+  u.pending &= static_cast<std::uint8_t>(~(1u << (src & 1)));
+  if (u.pending == 0) {
+    make_ready(idx);
+  } else {
+    ++waiting_[static_cast<std::size_t>(waiting_class(u))];
+  }
+}
+
+void Cluster::make_ready(std::uint16_t idx) {
+  std::size_t pos = ready_.size();
+  ready_.push_back(idx);
+  while (pos > 0 && older(idx, ready_[pos - 1])) {
+    ready_[pos] = ready_[pos - 1];
+    --pos;
+  }
+  ready_[pos] = idx;
+}
+
+void Cluster::pull_far(Cycle now) {
+  Cycle min = kNeverCycle;
+  std::size_t keep = 0;
+  for (const FarEvent& e : far_) {
+    if (e.at < now + kWheelSlots) {
+      schedule(e.src, e.at, now);  // into the wheel, or fires if due
+    } else {
+      far_[keep++] = e;
+      if (e.at < min) min = e.at;
+    }
+  }
+  far_.resize(keep);
+  far_min_ = min;
+}
+
+void Cluster::fire_events(Cycle now) {
+  if (far_min_ < now + kWheelSlots) pull_far(now);
+  const std::size_t b = now & (kWheelSlots - 1);
+  std::uint32_t src = wheel_[b];
+  if (src != kNoSrc) {
+    wheel_[b] = kNoSrc;
+    wheel_bits_[b / 64] &= ~(std::uint64_t{1} << (b % 64));
+    while (src != kNoSrc) {
+      const std::uint32_t next = slots_[src >> 1].src_next[src & 1];
+      --wheel_events_;
+      satisfy(src);
+      src = next;
+    }
+  }
+  // Fills issued last cycle were bound at the barrier since.
+  for (const std::uint16_t idx : unbound_) release_consumers(idx, now);
+  unbound_.clear();
+}
+
+Cycle Cluster::earliest_event(Cycle now) const {
+  if (wheel_events_ == 0) return far_min_;
+  // Every wheel event lies in (now, now + kWheelSlots): the first non-empty
+  // bucket at or after now + 1, wrapping once, is the earliest.
+  const std::size_t start = (now + 1) & (kWheelSlots - 1);
+  const std::size_t w0 = start / 64;
+  const std::uint64_t from = ~std::uint64_t{0} << (start % 64);
+  for (std::size_t k = 0; k <= kWheelWords; ++k) {
+    const std::size_t w = (w0 + k) % kWheelWords;
+    std::uint64_t bits = wheel_bits_[w];
+    if (k == 0) bits &= from;
+    if (k == kWheelWords) bits &= ~from;
+    if (bits != 0) {
+      const std::size_t b = w * 64 + static_cast<std::size_t>(
+                                         std::countr_zero(bits));
+      const Cycle at = now + 1 + ((b - start) & (kWheelSlots - 1));
+      return at < far_min_ ? at : far_min_;
+    }
+  }
+  CSMT_ASSERT_MSG(false, "wheel event count without a non-empty bucket");
+  return far_min_;
+}
+
 void Cluster::issue(Cycle now) {
-  for (std::uint32_t& h : cycle_hist_) h = 0;
+  fire_events(now);
+  // §4.1 charges of the uops still waiting on an operand: the per-class
+  // counts stand in for a walk of the queue. Ready uops add theirs below.
+  for (std::size_t i = 0; i < kNumSlots; ++i) cycle_hist_[i] = waiting_[i];
   issued_useful_ = 0;
   issued_sync_ = 0;
   dispatch_stalled_ = false;
@@ -534,24 +645,19 @@ void Cluster::issue(Cycle now) {
                                 cfg_.fp_units};
   unsigned width_used = 0;
 
-  // Uops that cannot issue are compacted toward the front of iq_ in place:
-  // the write cursor never passes the read cursor, so no scratch vector —
-  // and no per-cycle allocation — is needed.
-  std::size_t waiting = 0;
+  // Ready uops, oldest first, so the width, FU and memory-system checks
+  // see them in queue order. Those that cannot issue are compacted toward
+  // the front of ready_ in place: the write cursor never passes the read
+  // cursor, so no scratch vector is needed.
+  std::size_t kept = 0;
 
-  for (const std::uint16_t idx : iq_) {
+  for (const std::uint16_t idx : ready_) {
     Uop& u = slots_[idx];
     auto stall = [&](Slot s) {
       ++cycle_hist_[static_cast<std::size_t>(u.sync ? Slot::kSync : s)];
-      iq_[waiting++] = idx;
+      ready_[kept++] = idx;
     };
 
-    // Operand readiness (the paper's data/memory hazards).
-    Slot hz = Slot::kData;
-    if (!src_ready(u.src[0], now, &hz) || !src_ready(u.src[1], now, &hz)) {
-      stall(hz);
-      continue;
-    }
     // Issue bandwidth and functional units (structural hazards).
     if (width_used >= cfg_.width) {
       stall(Slot::kStructural);
@@ -599,7 +705,15 @@ void Cluster::issue(Cycle now) {
       u.complete_at = now + u.latency;
     }
 
+    // No consumer can issue in its producer's cycle, so releasing the
+    // consumers below never touches ready_ mid-walk.
+    CSMT_ASSERT(u.complete_at > now);
     u.issued = true;
+    if (u.complete_at == kNeverCycle) {
+      unbound_.push_back(idx);  // released at the next tick's top
+    } else {
+      release_consumers(idx, now);
+    }
     ++width_used;
     ++stats_.issued;
     if (u.sync) {
@@ -608,7 +722,7 @@ void Cluster::issue(Cycle now) {
       ++issued_useful_;
     }
   }
-  iq_.resize(waiting);
+  ready_.resize(kept);
 }
 
 void Cluster::fetch(Cycle now) {
@@ -702,7 +816,7 @@ void Cluster::fetch(Cycle now) {
     const isa::OpInfo& oi = next.info();
     const bool needs_int_rename = oi.writes_int && next.rd != isa::kRegZero;
 
-    if (free_slots_.empty() || iq_.size() >= cfg_.iq_entries ||
+    if (free_slots_.empty() || iq_size() >= cfg_.iq_entries ||
         (needs_int_rename && int_rename_used_ >= cfg_.int_rename) ||
         (oi.writes_fp && fp_rename_used_ >= cfg_.fp_rename)) {
       dispatch_stalled_ = true;
@@ -715,9 +829,9 @@ void Cluster::fetch(Cycle now) {
     CSMT_ASSERT(stepped);
     u.hw_thread = static_cast<unsigned>(chosen);
     u.dispatched_at = now;
-    // Cache the decode-derived hot bits: the per-cycle issue scan reads
-    // them every cycle the uop waits, so they must not cost a pointer
-    // chase through dyn.inst each time.
+    // Cache the decode-derived hot bits: the issue stage reads them every
+    // cycle the uop sits ready, so they must not cost a pointer chase
+    // through dyn.inst each time.
     u.fu = oi.fu;
     u.latency = oi.latency;
     u.is_load = oi.is_load;
@@ -731,31 +845,38 @@ void Cluster::fetch(Cycle now) {
       if (rd_int) {
         if (r == isa::kRegZero) return {};
         const RenameEntry& e = t.int_map[r];
-        return {e.producer, e.gen, e.is_load};
+        return {e.gen, e.producer, e.is_load};
       }
       if (rd_fp) {
         const RenameEntry& e = t.fp_map[r];
-        return {e.producer, e.gen, e.is_load};
+        return {e.gen, e.producer, e.is_load};
       }
       return {};
     };
     u.src[0] = capture(oi.reads_int1, oi.reads_fp1, u.dyn.inst->rs1);
     u.src[1] = capture(oi.reads_int2, oi.reads_fp2, u.dyn.inst->rs2);
+    u.age = next_age_++;
+    link_src(idx, 0, now);
+    link_src(idx, 1, now);
+    if (u.pending == 0) {
+      ready_.push_back(idx);  // youngest, so age order holds
+    } else {
+      ++waiting_[static_cast<std::size_t>(waiting_class(u))];
+    }
 
     u.holds_int_rename = needs_int_rename;
     u.holds_fp_rename = oi.writes_fp;
     if (needs_int_rename) {
       ++int_rename_used_;
-      t.int_map[u.dyn.inst->rd] = {idx, u.gen, oi.is_load};
+      t.int_map[u.dyn.inst->rd] = {u.gen, idx, oi.is_load};
     }
     if (oi.writes_fp) {
       ++fp_rename_used_;
-      t.fp_map[u.dyn.inst->rd] = {idx, u.gen, oi.is_load};
+      t.fp_map[u.dyn.inst->rd] = {u.gen, idx, oi.is_load};
     }
 
     t.rob.push_back(idx);
     ++t.window_count;
-    iq_.push_back(idx);
     t.in_sync = u.sync;
     ++stats_.fetched;
 
@@ -841,7 +962,7 @@ unsigned Cluster::running_threads() const { return last_running_; }
 
 std::string Cluster::debug_dump(Cycle now) const {
   std::string out = "cluster " + std::to_string(id_) + " iq=" +
-                    std::to_string(iq_.size()) +
+                    std::to_string(iq_size()) +
                     " int_ren=" + std::to_string(int_rename_used_) +
                     " fp_ren=" + std::to_string(fp_rename_used_) + "\n";
   for (std::size_t i = 0; i < threads_.size(); ++i) {
@@ -863,11 +984,126 @@ std::string Cluster::debug_dump(Cycle now) const {
   return out;
 }
 
+std::vector<std::uint16_t> Cluster::iq_in_age_order() const {
+  std::vector<std::uint16_t> iq;
+  iq.reserve(iq_size());
+  for (std::size_t i = 0; i < slots_.size(); ++i) {
+    if (slots_[i].live && !slots_[i].issued) {
+      iq.push_back(static_cast<std::uint16_t>(i));
+    }
+  }
+  std::sort(iq.begin(), iq.end(), [this](std::uint16_t a, std::uint16_t b) {
+    return older(a, b);
+  });
+  return iq;
+}
+
+void Cluster::restore_issue_stage(ckpt::Serializer& s,
+                                  const std::vector<std::uint16_t>& iq) {
+  std::fill(wheel_.begin(), wheel_.end(), kNoSrc);
+  for (auto& w : wheel_bits_) w = 0;
+  wheel_events_ = 0;
+  far_.clear();
+  far_min_ = kNeverCycle;
+  ready_.clear();
+  unbound_.clear();
+  for (auto& w : waiting_) w = 0;
+  next_age_ = 0;
+  for (Uop& u : slots_) {
+    u.consumers = kNoSrc;
+    u.pending = 0;
+  }
+  if (!s.ok()) return;
+
+  // The slot bookkeeping must agree before anything is linked: every slot
+  // is free or in exactly one ROB window (of the thread that owns it), and
+  // the IQ is exactly the live, unissued uops, each once. Anything else
+  // would double-allocate a slot or strand a uop.
+  std::vector<std::uint8_t> seen(slots_.size(), 0);
+  for (const std::uint16_t v : free_slots_) {
+    if (slots_[v].live || seen[v]) {
+      s.fail("free list names a live or repeated slot");
+      return;
+    }
+    seen[v] = 1;
+  }
+  for (std::size_t ti = 0; ti < threads_.size(); ++ti) {
+    const ThreadSlot& t = threads_[ti];
+    if (t.rob.size() != t.window_count) {
+      s.fail("rob window disagrees with the thread's window count");
+      return;
+    }
+    for (std::size_t i = 0; i < t.rob.size(); ++i) {
+      const std::uint16_t v = t.rob.at(i);
+      if (!slots_[v].live || seen[v] || slots_[v].hw_thread != ti) {
+        s.fail("rob names a dead, foreign or repeated slot");
+        return;
+      }
+      seen[v] = 1;
+    }
+  }
+  if (std::find(seen.begin(), seen.end(), 0) != seen.end()) {
+    s.fail("slot neither free nor in a rob window");
+    return;
+  }
+  std::fill(seen.begin(), seen.end(), 0);
+  for (const std::uint16_t v : iq) {
+    if (!slots_[v].live || slots_[v].issued || seen[v]) {
+      s.fail("iq entry is not a live, unissued slot, or repeats one");
+      return;
+    }
+    seen[v] = 1;
+  }
+  const auto unissued = std::count_if(
+      slots_.begin(), slots_.end(),
+      [](const Uop& u) { return u.live && !u.issued; });
+  if (static_cast<std::size_t>(unissued) != iq.size()) {
+    s.fail("iq omits an unissued uop");
+    return;
+  }
+
+  next_age_ = static_cast<std::uint32_t>(iq.size());
+  for (std::size_t i = 0; i < iq.size(); ++i) {
+    slots_[iq[i]].age = static_cast<std::uint32_t>(i);
+  }
+  for (const std::uint16_t idx : iq) {
+    Uop& u = slots_[idx];
+    for (unsigned k = 0; k < 2; ++k) {
+      const SrcDep& dep = u.src[k];
+      if (dep.producer == kNoUop) continue;
+      Uop& p = slots_[dep.producer];
+      if (!p.live || p.gen != dep.gen) continue;
+      const std::uint32_t src = 2u * idx + k;
+      u.pending |= static_cast<std::uint8_t>(1u << k);
+      if (p.issued) {
+        far_.push_back({p.complete_at, src});
+        if (p.complete_at < far_min_) far_min_ = p.complete_at;
+      } else {
+        u.src_next[k] = p.consumers;
+        p.consumers = src;
+      }
+    }
+    if (u.pending == 0) {
+      ready_.push_back(idx);
+    } else {
+      ++waiting_[static_cast<std::size_t>(waiting_class(u))];
+    }
+  }
+}
+
 void Cluster::serialize(ckpt::Serializer& s,
                         const std::vector<exec::ThreadContext*>& by_tid) {
   // Shape first: a checkpoint for a differently configured cluster must be
   // refused before any state is applied.
   s.check(slots_.size(), "cluster rob entries");
+  // Slot references load fail-closed: an index past the slot array (other
+  // than kNoUop where "none" is legal) is refused, never dereferenced.
+  const auto slot_ref = [&s, this](std::uint16_t& v, bool none_ok) {
+    if (s.loading() && v >= slots_.size() && !(none_ok && v == kNoUop)) {
+      s.fail("cluster slot index out of range");
+      v = none_ok ? kNoUop : 0;
+    }
+  };
 
   // Context layout travels as data, not shape: with dynamic allocation the
   // saved slot count and thread bindings can differ from the startup
@@ -908,6 +1144,7 @@ void Cluster::serialize(ckpt::Serializer& s,
       }
     }
     s.io(t.blocked_on);
+    slot_ref(t.blocked_on, true);
     s.io(t.blocked_gen);
     s.io(t.blocked_sync);
     s.io(t.was_sync_blocked);
@@ -915,11 +1152,13 @@ void Cluster::serialize(ckpt::Serializer& s,
     s.io(t.frozen);
     for (auto& e : t.int_map) {
       s.io(e.producer);
+      slot_ref(e.producer, true);
       s.io(e.gen);
       s.io(e.is_load);
     }
     for (auto& e : t.fp_map) {
       s.io(e.producer);
+      slot_ref(e.producer, true);
       s.io(e.gen);
       s.io(e.is_load);
     }
@@ -946,6 +1185,7 @@ void Cluster::serialize(ckpt::Serializer& s,
     s.io(u.complete_at);
     for (auto& d : u.src) {
       s.io(d.producer);
+      slot_ref(d.producer, true);
       s.io(d.gen);
       s.io(d.producer_is_load);
     }
@@ -989,20 +1229,30 @@ void Cluster::serialize(ckpt::Serializer& s,
         free_slots_.resize(static_cast<std::size_t>(n));
       }
     }
-    for (auto& v : free_slots_) s.io(v);
+    for (auto& v : free_slots_) {
+      s.io(v);
+      slot_ref(v, false);
+    }
   }
   {
-    std::uint64_t n = iq_.size();
+    // The IQ travels as the live unissued uops in age order; the issue
+    // stage's wheel, lists and counts are derived from it on load.
+    std::vector<std::uint16_t> iq;
+    if (s.saving()) iq = iq_in_age_order();
+    std::uint64_t n = iq.size();
     s.io(n);
     if (s.loading()) {
       if (!s.bounded_count(n) || n > cfg_.iq_entries) {
         s.fail("iq larger than configured");
-        iq_.clear();
-      } else {
-        iq_.resize(static_cast<std::size_t>(n));
+        n = 0;
       }
+      iq.resize(static_cast<std::size_t>(n));
     }
-    for (auto& v : iq_) s.io(v);
+    for (auto& v : iq) {
+      s.io(v);
+      slot_ref(v, false);
+    }
+    if (s.loading()) restore_issue_stage(s, iq);
   }
 
   s.io(int_rename_used_);

@@ -33,19 +33,22 @@ namespace csmt::core {
 class Chip;
 
 inline constexpr std::uint16_t kNoUop = 0xFFFF;
+/// End of an issue-stage source list. A source node names one operand of
+/// one in-flight uop: `slot * 2 + operand`.
+inline constexpr std::uint32_t kNoSrc = 0xFFFFFFFFu;
 
 /// A source dependence captured at dispatch: either a reference to the
 /// producing in-flight uop (generation-tagged, so slot reuse is detected),
-/// or "ready since `ready`".
+/// or "ready since `ready`". Generation first, so it packs into 8 bytes.
 struct SrcDep {
-  std::uint16_t producer = kNoUop;
   std::uint32_t gen = 0;
+  std::uint16_t producer = kNoUop;
   bool producer_is_load = false;
 };
 
 /// One in-flight dynamic instruction. The decode-derived fields (`fu`,
 /// `latency`, the memory/sync bits) are cached here at dispatch so the
-/// per-cycle issue scan never re-derives them through `dyn.inst`.
+/// issue stage never re-derives them through `dyn.inst`.
 struct Uop {
   exec::DynInst dyn;
   std::uint32_t gen = 0;
@@ -64,6 +67,13 @@ struct Uop {
   bool holds_int_rename = false;
   bool holds_fp_rename = false;
   bool mispredicted = false;
+
+  // Issue-stage links (DESIGN.md §9). Derived from the IQ, never
+  // checkpointed: a load rebuilds them.
+  std::uint32_t age = 0;                         ///< dispatch order, see older()
+  std::uint32_t consumers = kNoSrc;              ///< sources awaiting our issue
+  std::uint32_t src_next[2] = {kNoSrc, kNoSrc};  ///< wheel bucket/consumer link
+  std::uint8_t pending = 0;                      ///< bit s: src[s] not ready
 };
 
 /// Fixed-capacity FIFO of slot indices: the per-thread ROB view. Capacity is
@@ -78,7 +88,14 @@ class UopFifo {
     count_ = 0;
   }
   bool empty() const { return count_ == 0; }
+  std::size_t size() const { return count_; }
   std::uint16_t front() const { return buf_[head_]; }
+  /// The i-th entry from the head (i < size()).
+  std::uint16_t at(std::size_t i) const {
+    std::size_t pos = head_ + i;
+    if (pos >= buf_.size()) pos -= buf_.size();
+    return buf_[pos];
+  }
   void push_back(std::uint16_t v) {
     std::size_t tail = head_ + count_;
     if (tail >= buf_.size()) tail -= buf_.size();
@@ -93,11 +110,19 @@ class UopFifo {
 
   /// Checkpoint visitor (ckpt::Serializer). The ring buffer travels
   /// verbatim (including dead slots — init() zeroed them, so the bytes are
-  /// deterministic); capacity is config and only checked.
+  /// deterministic); capacity is config and only checked. Entries are slot
+  /// indices and the capacity is the slot count, so a load refuses any
+  /// entry at or beyond it.
   template <class Serializer>
   void serialize(Serializer& s) {
     s.check(buf_.size(), "rob capacity");
-    for (auto& v : buf_) s.io(v);
+    for (auto& v : buf_) {
+      s.io(v);
+      if (s.loading() && v >= buf_.size()) {
+        s.fail("rob entry beyond the slot array");
+        v = 0;
+      }
+    }
     s.io(head_);
     s.io(count_);
     if (s.loading() &&
@@ -283,8 +308,8 @@ class Cluster {
   friend class Chip;  ///< active-list linkage + sleep bookkeeping
 
   struct RenameEntry {
-    std::uint16_t producer = kNoUop;
     std::uint32_t gen = 0;
+    std::uint16_t producer = kNoUop;
     bool is_load = false;
   };
 
@@ -320,9 +345,61 @@ class Cluster {
                    std::uint64_t fetched_before);
   std::uint8_t thread_state(const ThreadSlot& t, Cycle now) const;
 
-  /// True when the dependence is satisfied at `now`. Otherwise `*hazard`
-  /// reports why (kMemory for an in-flight load producer, kData otherwise).
-  bool src_ready(const SrcDep& dep, Cycle now, Slot* hazard) const;
+  // --- event-driven issue stage (DESIGN.md §9) ---
+  //
+  // Every unready source of a waiting uop sits in exactly one place: on its
+  // producer's consumer list while the producer's completion cycle is
+  // unknown (not issued yet, or issued into a deferred fill that the cycle
+  // barrier binds), or in the timing wheel once it is known. A source
+  // event fires at the top of the issue stage of its cycle — always a full
+  // tick, because next_event() reports the earliest event — and a uop
+  // whose last source fires joins the age-ordered ready list. Per-class
+  // counts of the waiting uops feed the §4.1 charges, so no stage walks
+  // the whole queue.
+
+  /// Dispatch-time capture of operand `s` of uop `idx` at `now`.
+  void link_src(std::uint16_t idx, unsigned s, Cycle now);
+  /// Source node `src` becomes ready at `at`: fires now if `at <= now`,
+  /// else lands in the wheel (or the far list beyond its reach).
+  void schedule(std::uint32_t src, Cycle at, Cycle now);
+  /// Producer `idx` issued with a known completion: schedule its consumers.
+  void release_consumers(std::uint16_t idx, Cycle now);
+  /// Clears one pending source; the uop joins the ready list on its last.
+  void satisfy(std::uint32_t src);
+  /// Sorted insert into ready_ by age.
+  void make_ready(std::uint16_t idx);
+  /// Dispatch order of two uops both in the IQ. Their ages lie within one
+  /// window of each other, so the wrapping difference orders them.
+  bool older(std::uint16_t a, std::uint16_t b) const {
+    return static_cast<std::int32_t>(slots_[a].age - slots_[b].age) < 0;
+  }
+  /// Fires every source event due at `now` (top of the issue stage).
+  void fire_events(Cycle now);
+  /// Moves far events that came within the wheel's reach into it.
+  void pull_far(Cycle now);
+  /// Earliest pending source event after `now` (kNeverCycle if none).
+  Cycle earliest_event(Cycle now) const;
+  /// The §4.1 hazard a waiting uop is charged: sync for a sync-tagged uop,
+  /// else memory or data by the producer of its first unready source.
+  static Slot waiting_class(const Uop& u) {
+    if (u.sync) return Slot::kSync;
+    return u.src[(u.pending & 1) ? 0 : 1].producer_is_load ? Slot::kMemory
+                                                           : Slot::kData;
+  }
+  /// Checkpoint load: validates the restored slot bookkeeping against the
+  /// saved IQ (fails `s` on any inconsistency) and rebuilds the issue
+  /// stage from it. Source events go to the far list, since the clock is
+  /// not known here; the first tick pulls them in.
+  void restore_issue_stage(ckpt::Serializer& s,
+                           const std::vector<std::uint16_t>& iq);
+  /// The IQ in age order: every live, unissued uop (checkpoint save).
+  std::vector<std::uint16_t> iq_in_age_order() const;
+  /// IQ occupancy: every unissued uop is ready or waiting in one class.
+  std::size_t iq_size() const {
+    return ready_.size() + waiting_[static_cast<std::size_t>(Slot::kData)] +
+           waiting_[static_cast<std::size_t>(Slot::kMemory)] +
+           waiting_[static_cast<std::size_t>(Slot::kSync)];
+  }
 
   /// True if `t` may fetch this cycle (not done, not sync-blocked or
   /// waking, not mispredict-blocked, room for at least one instruction).
@@ -364,7 +441,24 @@ class Cluster {
   std::vector<ThreadSlot> threads_;
   std::vector<Uop> slots_;
   std::vector<std::uint16_t> free_slots_;
-  std::vector<std::uint16_t> iq_;  ///< waiting-to-issue uops, oldest first
+
+  // Issue stage: all derived from the IQ and rebuilt on checkpoint load.
+  // Every container is sized at construction, so a tick never allocates.
+  static constexpr std::size_t kWheelSlots = 1024;  ///< power of two
+  static constexpr std::size_t kWheelWords = kWheelSlots / 64;
+  struct FarEvent {
+    Cycle at;
+    std::uint32_t src;
+  };
+  std::vector<std::uint32_t> wheel_;  ///< bucket heads, by cycle % slots
+  std::uint64_t wheel_bits_[kWheelWords] = {};  ///< non-empty buckets
+  unsigned wheel_events_ = 0;
+  std::vector<FarEvent> far_;         ///< events beyond the wheel's reach
+  Cycle far_min_ = kNeverCycle;
+  std::vector<std::uint16_t> ready_;    ///< all sources ready, oldest first
+  std::vector<std::uint16_t> unbound_;  ///< issued into an unbound fill
+  std::uint32_t waiting_[kNumSlots] = {};  ///< unready uops by hazard
+  std::uint32_t next_age_ = 0;
   unsigned int_rename_used_ = 0;
   unsigned fp_rename_used_ = 0;
   unsigned fetch_rr_ = 0;

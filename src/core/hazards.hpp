@@ -1,7 +1,7 @@
-// Issue-slot accounting, per §4.1 of the paper: every cycle the instruction
-// window is scanned and each instruction that cannot issue records the type
-// of hazard it faces; the cycle's wasted slots are then divided
-// proportionally among the recorded hazards.
+// Issue-slot accounting, per §4.1 of the paper: every cycle each
+// instruction in the window that cannot issue records the type of hazard
+// it faces; the cycle's wasted slots are then divided proportionally among
+// the recorded hazards.
 #pragma once
 
 #include <array>

@@ -13,15 +13,16 @@
 // per-cycle kernel; MachineConfig::no_skip forces the old stepping for A/B
 // verification.
 //
-// Horizon probes are amortized (DESIGN.md §9): a probe walks every IQ
-// entry, MSHR, and bank, so on busy workloads whose quiescent gaps are only
-// a cycle or two long the probe costs more than the skipped cycles save.
-// The scheduler therefore tracks how productive recent probes were and,
-// after a run of short spans, defers the next probe until the machine has
-// been continuously quiescent for a threshold of full ticks (exponential
-// backoff, reset by the first long span). Deferred cycles run through the
-// ordinary full tick — always valid, bit-identical by construction — so
-// the heuristic trades only host time, never fidelity.
+// Horizon probes are amortized (DESIGN.md §9): a probe visits every
+// cluster's threads and every chip's memory system, so on busy workloads
+// whose quiescent gaps are only a cycle or two long the probe costs more
+// than the skipped cycles save. The scheduler therefore tracks how
+// productive recent probes were and, after a run of short spans, defers the
+// next probe until the machine has been continuously quiescent for a
+// threshold of full ticks (exponential backoff, reset by the first long
+// span). Deferred cycles run through the ordinary full tick — always valid,
+// bit-identical by construction — so the heuristic trades only host time,
+// never fidelity.
 #pragma once
 
 #include <functional>

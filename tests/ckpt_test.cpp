@@ -14,13 +14,16 @@
 #include <string>
 #include <vector>
 
+#include "cache/backend.hpp"
 #include "cache/cache_array.hpp"
 #include "cache/mshr.hpp"
 #include "cache/tlb.hpp"
 #include "ckpt/serializer.hpp"
 #include "common/rng.hpp"
+#include "core/chip.hpp"
 #include "exec/sync.hpp"
 #include "exec/thread_context.hpp"
+#include "exec/thread_group.hpp"
 #include "isa/builder.hpp"
 #include "mem/paged_memory.hpp"
 
@@ -385,6 +388,113 @@ TEST(CkptComponents, SyncManagerRejectsOutOfRangeTid) {
   sync_b.serialize(load, nullptr, 0);
   EXPECT_FALSE(load.ok());
   EXPECT_EQ(sync_b.blocked_waiters(), 0u);
+}
+
+// --- cluster: slot indices fail closed -----------------------------------
+
+/// A divide chain with dependent adds: the window holds uops waiting on it.
+isa::Program div_chain_program() {
+  isa::ProgramBuilder b("div-chain");
+  const isa::Reg a = b.ireg(), one = b.ireg(), x = b.ireg(), i = b.ireg(),
+                 n = b.ireg();
+  b.li(a, 7);
+  b.li(one, 1);
+  b.li(n, 10'000);
+  b.for_range(i, 0, n, 1, [&] {
+    b.div(a, a, one);
+    b.add(x, a, a);
+    b.add(x, x, a);
+  });
+  b.halt();
+  return b.take();
+}
+
+/// One FA1 chip (a single one-thread cluster) running `prog` from cycle 0.
+struct ClusterRig {
+  explicit ClusterRig(const isa::Program& prog)
+      : backend(mp),
+        chip(0, core::arch_preset(core::ArchKind::kFa1), mp, backend),
+        group(prog, memory, 1, 0) {
+    chip.attach_thread(&group.thread(0));
+  }
+  core::Cluster& cluster() { return chip.cluster(0); }
+  std::vector<exec::ThreadContext*> by_tid() { return {&group.thread(0)}; }
+
+  mem::PagedMemory memory;
+  cache::MemSysParams mp;
+  cache::LocalMemoryBackend backend;
+  core::Chip chip;
+  exec::ThreadGroup group;
+};
+
+/// Reads "<key>=<unsigned>" out of Cluster::debug_dump text.
+unsigned dump_field(const std::string& dump, const char* key) {
+  const std::size_t at = dump.find(key);
+  EXPECT_NE(at, std::string::npos) << key;
+  return at == std::string::npos
+             ? 0u
+             : static_cast<unsigned>(
+                   std::stoul(dump.substr(at + std::strlen(key))));
+}
+
+TEST(CkptComponents, ClusterRejectsOutOfRangeIqIndex) {
+  const isa::Program prog = div_chain_program();
+  ClusterRig a(prog);
+  const std::uint64_t rob = a.chip.config().cluster.rob_entries;
+  // Stop mid-fill: some uops waiting in the IQ, the window not yet full.
+  unsigned iq_n = 0, win = 0;
+  for (Cycle now = 0; now < 1000 && (iq_n < 8 || win >= rob); ++now) {
+    a.chip.tick(now);
+    const std::string dump = a.cluster().debug_dump(now);
+    iq_n = dump_field(dump, "iq=");
+    win = dump_field(dump, "win=");
+  }
+  ASSERT_GE(iq_n, 8u);
+  ASSERT_LT(win, rob);
+
+  Serializer save;
+  a.cluster().serialize(save, a.by_tid());
+  ASSERT_TRUE(save.ok());
+  std::vector<std::uint8_t> payload = save.take_payload();
+
+  // The IQ follows the free list, one u64 word per field: [free count]
+  // [free slots][iq count][iq slots], every slot distinct and below
+  // rob_entries. That run must occur exactly once.
+  const std::uint64_t free_n = rob - win;
+  const std::size_t words = payload.size() / 8;
+  const auto word = [&payload](std::size_t i) {
+    std::uint64_t v;
+    std::memcpy(&v, payload.data() + 8 * i, 8);
+    return v;
+  };
+  std::vector<std::size_t> iq_at;
+  for (std::size_t i = 0; i + 2 + free_n + iq_n <= words; ++i) {
+    if (word(i) != free_n || word(i + 1 + free_n) != iq_n) continue;
+    std::vector<bool> used(rob, false);
+    bool run = true;
+    for (std::size_t k = 0; k < free_n + iq_n && run; ++k) {
+      const std::uint64_t v = word(i + 1 + k + (k >= free_n ? 1 : 0));
+      run = v < rob && !used[v];
+      if (run) used[v] = true;
+    }
+    if (run) iq_at.push_back(i + 2 + free_n);
+  }
+  ASSERT_EQ(iq_at.size(), 1u);
+
+  {
+    ClusterRig b(prog);
+    Serializer load(payload);
+    b.cluster().serialize(load, b.by_tid());
+    EXPECT_TRUE(load.ok()) << load.error();
+  }
+  // One IQ entry patched to rob_entries: refused, never dereferenced.
+  std::memcpy(payload.data() + 8 * iq_at[0], &rob, 8);
+  ClusterRig c(prog);
+  Serializer load(payload);
+  c.cluster().serialize(load, c.by_tid());
+  EXPECT_FALSE(load.ok());
+  EXPECT_NE(load.error().find("slot index"), std::string::npos)
+      << load.error();
 }
 
 // --- file layer ----------------------------------------------------------

@@ -191,10 +191,10 @@ TEST(PhaseProfiler, SelfTimeAttribution) {
   volatile std::uint64_t sink = 0;
   {
     obs::ScopedPhase issue(&prof, obs::Phase::kIssue);
-    for (int i = 0; i < 50'000; ++i) sink += i;
+    for (int i = 0; i < 50'000; ++i) sink = sink + i;
     {
       obs::ScopedPhase mem(&prof, obs::Phase::kMemory);
-      for (int i = 0; i < 50'000; ++i) sink += i;
+      for (int i = 0; i < 50'000; ++i) sink = sink + i;
     }
   }
   double total = 0;

@@ -115,47 +115,12 @@ AccessResult MemSys::access(Addr addr, Cycle arrival, bool is_store,
     mshr_.expire(t);
 
     // Secondary miss to a line already in flight: piggyback on that fetch.
-    if (deferred_) {
-      // Deferred mode (DESIGN.md §13) sees pending entries too: a fetch
-      // posted at the chip boundary this cycle is mergeable, but its
-      // completion is only known at the drain — the merge rides along.
-      const MshrFile::Lookup hit = mshr_.find(line);
-      if (hit.found) {
-        mshr_.note_merge();
-        if (is_store && !is_atomic) {
-          return accept(t + 1, ServiceLevel::kMergedMshr);
-        }
-        if (hit.ready != kNeverCycle) {
-          return accept(std::max(hit.ready, t + 1),
-                        ServiceLevel::kMergedMshr);
-        }
-        std::uint32_t primary = 0;
-        for (std::uint32_t i = 0;
-             i < static_cast<std::uint32_t>(pending_.size()); ++i) {
-          const DeferredAccess& p = pending_[i];
-          if (p.line == line && (p.kind == DeferredAccess::Kind::kFetch ||
-                                 p.kind == DeferredAccess::Kind::kUpgradeL1 ||
-                                 p.kind == DeferredAccess::Kind::kUpgradeL2)) {
-            primary = i;
-          }
-        }
-        DeferredAccess rec;
-        rec.kind = DeferredAccess::Kind::kMerge;
-        rec.line = line;
-        rec.t_base = t + 1;
-        rec.merge_primary = primary;
-        AccessResult r = accept(kNeverCycle, ServiceLevel::kMergedMshr);
-        r.pending = push_deferred(rec);
-        return r;
-      }
-    } else {
-      const Cycle outstanding = mshr_.outstanding(line);
-      if (outstanding != kNeverCycle) {
-        mshr_.note_merge();
-        Cycle done = std::max(outstanding, t + 1);
-        if (is_store && !is_atomic) done = t + 1;  // drains via the write buffer
-        return accept(done, ServiceLevel::kMergedMshr);
-      }
+    const Cycle outstanding = mshr_.outstanding(line);
+    if (outstanding != kNeverCycle) {
+      mshr_.note_merge();
+      Cycle done = std::max(outstanding, t + 1);
+      if (is_store && !is_atomic) done = t + 1;  // drains via the write buffer
+      return accept(done, ServiceLevel::kMergedMshr);
     }
 
     // L1 bank arbitration: the access queues at the bank (bounded queue);
@@ -173,13 +138,6 @@ AccessResult MemSys::access(Addr addr, Cycle arrival, bool is_store,
     if (!ev.valid || !ev.dirty) return;
     if (CacheLine* l2line = l2_.probe(ev.line_addr)) {
       l2line->dirty = true;
-    } else if (deferred_) {
-      // No L2 copy: the writeback crosses the chip boundary — post it.
-      DeferredAccess rec;
-      rec.kind = DeferredAccess::Kind::kWriteback;
-      rec.line = ev.line_addr;
-      rec.t_request = t;
-      push_deferred(rec);
     } else {
       backend_.writeback_line(chip_, ev.line_addr, t);
     }
@@ -193,25 +151,6 @@ AccessResult MemSys::access(Addr addr, Cycle arrival, bool is_store,
       // Store to a Shared line: upgrade through the backend (invalidates
       // remote sharers). The upgrade occupies an MSHR until granted.
       if (mshr_.full()) return reject_mshr();
-      if (deferred_) {
-        // Local state flips now; the grant cycle resolves at the drain.
-        DeferredAccess rec;
-        rec.kind = DeferredAccess::Kind::kUpgradeL1;
-        rec.line = line;
-        rec.t_request = t + 1;
-        rec.t_base = t + 1;
-        rec.mshr_slot = mshr_.allocate_pending(line);
-        ++stats_.upgrades;
-        line1->state = LineState::kExclusive;
-        line1->dirty = true;
-        if (CacheLine* line2 = l2_.probe(line)) {
-          line2->state = LineState::kExclusive;
-        }
-        AccessResult r = accept(is_atomic ? kNeverCycle : t + 1,
-                                ServiceLevel::kL1);
-        r.pending = push_deferred(rec);
-        return r;
-      }
       const Cycle extra = backend_.upgrade_line(chip_, line, t + 1);
       const Cycle granted = t + 1 + extra;
       mshr_.allocate(line, granted);
@@ -258,24 +197,6 @@ AccessResult MemSys::access(Addr addr, Cycle arrival, bool is_store,
 
   if (line2) {
     // Present in L2 but Shared and a store wants it: upgrade, no data moves.
-    if (deferred_) {
-      DeferredAccess rec;
-      rec.kind = DeferredAccess::Kind::kUpgradeL2;
-      rec.line = line;
-      rec.t_request = t_request;
-      rec.t_base = t + params_.l2.latency + l1_queue + l2_queue;
-      rec.mshr_slot = mshr_.allocate_pending(line);
-      line2->state = LineState::kExclusive;
-      line2->dirty = true;
-      const CacheArray::Eviction ev =
-          l1.insert(addr, LineState::kExclusive, /*dirty=*/true);
-      handle_l1_eviction(ev);
-      ++stats_.upgrades;
-      AccessResult r = accept(is_atomic ? kNeverCycle : t + 1,
-                              ServiceLevel::kL2);
-      r.pending = push_deferred(rec);
-      return r;
-    }
     const Cycle extra = backend_.upgrade_line(chip_, line, t_request);
     const Cycle done = t + params_.l2.latency + l1_queue + l2_queue + extra;
     line2->state = LineState::kExclusive;
@@ -292,48 +213,6 @@ AccessResult MemSys::access(Addr addr, Cycle arrival, bool is_store,
   // bank occupancy is likewise charged at request time.
   if (trace_) trace_->instant(track_, "l2_miss", arrival);
   l2_bank_busy_[b2] = t2 + params_.l2.fill_time;
-
-  if (deferred_) {
-    // The fetch crosses the chip boundary: record it and fill L1/L2 with an
-    // Exclusive placeholder (resolve_deferred fixes the grant by re-probing;
-    // a placeholder evicted within the same cycle is simply left alone).
-    // The record is pushed *before* any victim writeback records so the
-    // drain replays the immediate (non-deferred) path's backend call order.
-    DeferredAccess rec;
-    rec.kind = DeferredAccess::Kind::kFetch;
-    rec.line = line;
-    rec.want_excl = want_excl;
-    rec.is_store = is_store;
-    rec.t_request = t_request;
-    rec.t_base = t + l1_queue + l2_queue;
-    rec.port = port % static_cast<unsigned>(l1s_.size());
-    const std::uint32_t idx = push_deferred(rec);
-
-    CacheArray::Eviction ev2 =
-        l2_.insert(addr, LineState::kExclusive, /*dirty=*/is_store);
-    if (ev2.valid) {
-      for (CacheArray& other : l1s_) {
-        bool l1_dirty = false;
-        if (other.invalidate(ev2.line_addr, &l1_dirty) && l1_dirty) {
-          ev2.dirty = true;
-        }
-      }
-      if (ev2.dirty) {
-        pending_[idx].has_victim = true;
-        pending_[idx].victim_line = ev2.line_addr;
-      }
-    }
-    const CacheArray::Eviction ev1 =
-        l1.insert(addr, LineState::kExclusive, is_store);
-    handle_l1_eviction(ev1);
-    pending_[idx].mshr_slot = mshr_.allocate_pending(line);
-
-    (is_store ? stats_.stores : stats_.loads)++;  // by_level waits for the
-                                                  // drain's service level
-    AccessResult r{true, is_store && !is_atomic ? t + 1 : kNeverCycle,
-                   ServiceLevel::kLocalMemory, RejectReason::kNone, idx};
-    return r;
-  }
 
   const MemoryBackend::FetchResult res =
       backend_.fetch_line(chip_, line, want_excl, t_request);
@@ -355,50 +234,6 @@ AccessResult MemSys::access(Addr addr, Cycle arrival, bool is_store,
   handle_l1_eviction(ev1);
   mshr_.allocate(line, done);
   return accept(is_store && !is_atomic ? t + 1 : done, res.level);
-}
-
-void MemSys::resolve_deferred() {
-  if (pending_.empty()) return;
-  obs::ScopedPhase phase(prof_, obs::Phase::kMemory);
-  horizon_dirty_ = true;  // resolutions move the MSHR horizon
-  for (DeferredAccess& rec : pending_) {
-    switch (rec.kind) {
-      case DeferredAccess::Kind::kFetch: {
-        const MemoryBackend::FetchResult res =
-            backend_.fetch_line(chip_, rec.line, rec.want_excl,
-                                rec.t_request);
-        rec.done = rec.t_base + res.base_latency + res.extra_delay;
-        ++stats_.by_level[level_index(res.level)];
-        if (rec.has_victim) {
-          backend_.writeback_line(chip_, rec.victim_line, rec.done);
-        }
-        // Fix the placeholder grant; a probe miss means the placeholder was
-        // evicted within the cycle — nothing to fix.
-        if (CacheLine* l2line = l2_.probe(rec.line)) l2line->state = res.grant;
-        if (CacheLine* l1line = l1s_[rec.port].probe(rec.line)) {
-          l1line->state = res.grant;
-        }
-        mshr_.resolve(rec.mshr_slot, rec.done);
-        break;
-      }
-      case DeferredAccess::Kind::kMerge:
-        rec.done = std::max(pending_[rec.merge_primary].done, rec.t_base);
-        break;
-      case DeferredAccess::Kind::kUpgradeL1:
-      case DeferredAccess::Kind::kUpgradeL2: {
-        const Cycle extra =
-            backend_.upgrade_line(chip_, rec.line, rec.t_request);
-        rec.done = rec.t_base + extra;
-        mshr_.resolve(rec.mshr_slot, rec.done);
-        break;
-      }
-      case DeferredAccess::Kind::kWriteback:
-        backend_.writeback_line(chip_, rec.line, rec.t_request);
-        break;
-    }
-    if (rec.complete_at) *rec.complete_at = rec.done;
-  }
-  pending_.clear();
 }
 
 bool MemSys::coherence_invalidate(Addr line_addr, bool* was_dirty) {

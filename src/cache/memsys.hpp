@@ -36,19 +36,11 @@ enum class RejectReason : std::uint8_t {
   kMshrFull,
 };
 
-/// "No deferred record" sentinel for AccessResult::pending.
-inline constexpr std::uint32_t kNoPendingAccess = 0xffffffffu;
-
 struct AccessResult {
   bool accepted = false;
   Cycle done = 0;                ///< data-available cycle (loads) / drain (stores)
   ServiceLevel level = ServiceLevel::kL1;
   RejectReason reject = RejectReason::kNone;
-  /// Deferred-mode ticket (DESIGN.md §13): when != kNoPendingAccess the
-  /// access crossed the chip boundary and its completion cycle resolves at
-  /// the end-of-cycle drain. `done` is then a placeholder (kNeverCycle for
-  /// loads/atomics); the core binds its completion slot via bind_pending().
-  std::uint32_t pending = kNoPendingAccess;
 };
 
 struct MemSysStats {
@@ -134,34 +126,6 @@ class MemSys {
   /// True if the chip's L2 currently holds the line (directory sanity checks).
   bool holds_line(Addr line_addr) { return l2_.probe(line_addr) != nullptr; }
 
-  // --- chip-domain boundary (deferred mode, DESIGN.md §13) ---
-
-  /// Arms deferred mode: every access that would reach through the backend
-  /// (the only cross-chip state) is recorded instead and resolved by
-  /// resolve_deferred() at the end-of-cycle barrier, in chip order. Purely
-  /// within-chip paths (L1/L2 hits, merges with resolved entries) are
-  /// untouched. Armed on every multi-chip machine: it defines the v5
-  /// multi-chip timing.
-  void set_deferred(bool on) { deferred_ = on; }
-  bool deferred() const { return deferred_; }
-
-  /// Binds the core-side completion slot of a pending access: when the
-  /// record resolves, *complete_at is overwritten with the true done cycle.
-  /// The pointer must stay valid until resolve_deferred() runs (same cycle).
-  void bind_pending(std::uint32_t ticket, Cycle* complete_at) {
-    pending_[ticket].complete_at = complete_at;
-  }
-
-  /// Drains the deferred-access records in issue order: performs the backend
-  /// calls (fetches, upgrades, writebacks), fixes up the placeholder line
-  /// states, resolves the pending MSHR entries, and publishes completion
-  /// cycles into the bound core slots. Called once per simulated cycle at
-  /// the barrier, serialized across chips in chip order.
-  void resolve_deferred();
-
-  /// True when accesses this cycle posted boundary work (tests).
-  bool has_deferred() const { return !pending_.empty(); }
-
   /// Attaches observability hooks (nullptr = off). Miss/rejection events
   /// land on the chip's memsys track; host time is charged to Phase::kMemory.
   void set_obs(obs::TraceSink* trace, obs::PhaseProfiler* prof) {
@@ -218,37 +182,6 @@ class MemSys {
   /// flushing dirty data into the (inclusive) L2 copy.
   void cross_invalidate(unsigned port, Addr line_addr);
 
-  /// One boundary-crossing access awaiting the end-of-cycle drain.
-  struct DeferredAccess {
-    enum class Kind : std::uint8_t {
-      kFetch,      ///< L2 miss: backend fetch (+ optional L2-victim writeback)
-      kMerge,      ///< secondary miss merged with a pending fetch
-      kUpgradeL1,  ///< store to an L1-resident Shared line
-      kUpgradeL2,  ///< store to an L2-resident Shared line
-      kWriteback,  ///< dirty L1 victim with no L2 copy
-    };
-    Kind kind = Kind::kFetch;
-    Addr line = 0;             ///< line address (victim address for kWriteback)
-    bool want_excl = false;
-    bool is_store = false;
-    Cycle t_request = 0;       ///< when the request leaves the chip
-    Cycle t_base = 0;          ///< done = t_base + base_latency + extra (kFetch)
-                               ///< done = t_base + extra (upgrades)
-                               ///< done = max(primary done, t_base) (kMerge)
-    unsigned port = 0;         ///< requesting L1 (placeholder fix-up)
-    unsigned mshr_slot = 0;
-    std::uint32_t merge_primary = 0;  ///< kMerge: index of the primary record
-    bool has_victim = false;   ///< kFetch: dirty L2 victim awaits writeback
-    Addr victim_line = 0;
-    Cycle* complete_at = nullptr;  ///< core-side completion slot, or null
-    Cycle done = 0;            ///< resolved completion cycle
-  };
-
-  std::uint32_t push_deferred(const DeferredAccess& rec) {
-    pending_.push_back(rec);
-    return static_cast<std::uint32_t>(pending_.size() - 1);
-  }
-
   ChipId chip_;
   MemSysParams params_;
   MemoryBackend& backend_;
@@ -263,8 +196,6 @@ class MemSys {
   Cycle l1_reject_window_ = 0;
   mutable Cycle horizon_cache_ = 0;   ///< last next_event() result
   mutable bool horizon_dirty_ = true; ///< an access may have moved the horizon
-  bool deferred_ = false;             ///< chip-domain boundary armed
-  std::vector<DeferredAccess> pending_;  ///< this cycle's boundary records
   MemSysStats stats_;
   obs::TraceSink* trace_ = nullptr;
   obs::PhaseProfiler* prof_ = nullptr;

@@ -12,7 +12,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "common/assert.hpp"
 #include "common/types.hpp"
 
 namespace csmt::cache {
@@ -69,21 +68,6 @@ class MshrFile {
     return ev;
   }
 
-  /// Merge probe that also sees *pending* entries (deferred-mode memsys,
-  /// DESIGN.md §13): an entry whose fetch has been posted to the chip
-  /// boundary but not yet resolved reports ready == kNeverCycle.
-  struct Lookup {
-    bool found = false;
-    Cycle ready = kNeverCycle;
-  };
-  Lookup find(Addr line_addr) const {
-    if (count_ == 0) return {};
-    for (const auto& e : slots_) {
-      if (e.valid && e.line == line_addr) return {true, e.ready};
-    }
-    return {};
-  }
-
   /// Records a merge with an existing entry (statistics only).
   void note_merge() { ++stats_.merges; }
 
@@ -103,35 +87,6 @@ class MshrFile {
     slots_.push_back({line_addr, ready, true});
   }
 
-  /// Allocates an entry whose completion cycle is not yet known (the fetch
-  /// resolves at the chip boundary, deferred mode only). Returns the slot
-  /// index for resolve(); the entry counts against capacity immediately but
-  /// never expires or feeds min_ready_ until resolved.
-  unsigned allocate_pending(Addr line_addr) {
-    ++count_;
-    ++stats_.allocations;
-    unsigned i = 0;
-    for (auto& e : slots_) {
-      if (!e.valid) {
-        e = {line_addr, kNeverCycle, true};
-        return i;
-      }
-      ++i;
-    }
-    slots_.push_back({line_addr, kNeverCycle, true});
-    return static_cast<unsigned>(slots_.size() - 1);
-  }
-
-  /// Resolves a pending entry: the fetch posted at the boundary came back
-  /// with completion cycle `ready`. The slot index is the allocate_pending
-  /// return value; pending entries are resolved within the same simulated
-  /// cycle, so the slot cannot have been recycled in between.
-  void resolve(unsigned slot, Cycle ready) {
-    Entry& e = slots_[slot];
-    e.ready = ready;
-    if (ready < min_ready_) min_ready_ = ready;
-  }
-
   void note_full_rejection() { ++stats_.full_rejections; }
 
   unsigned in_flight() const { return count_; }
@@ -139,22 +94,19 @@ class MshrFile {
   const MshrStats& stats() const { return stats_; }
 
   /// Checkpoint visitor (ckpt::Serializer). Entries travel field by field
-  /// (never as raw structs — padding bytes are not deterministic).
+  /// (never as raw structs — padding bytes are not deterministic). Loads
+  /// fail closed: no more slots than entries, every valid entry completes
+  /// at a real cycle, and the live count and minimum ready cycle must be
+  /// exactly those of the valid entries, since expire(), full() and
+  /// next_ready() trust them.
   template <class Serializer>
   void serialize(Serializer& s) {
-    if (s.saving()) {
-      // Checkpoints are taken at the run-loop header, after the barrier
-      // drain — a pending entry here would never resolve after a restore.
-      for (const auto& e : slots_) {
-        CSMT_ASSERT_MSG(!e.valid || e.ready != kNeverCycle,
-                        "pending MSHR entry at checkpoint time");
-      }
-    }
     s.check(entries_, "mshr entries");
     std::uint64_t n = slots_.size();
     s.io(n);
     if (s.loading()) {
-      if (!s.bounded_count(n)) {
+      if (n > entries_) s.fail("mshr slots exceed entries");
+      if (!s.bounded_count(n)) {  // false once the load has failed
         slots_.clear();
         return;
       }
@@ -170,6 +122,18 @@ class MshrFile {
     s.io(stats_.allocations);
     s.io(stats_.merges);
     s.io(stats_.full_rejections);
+    if (s.loading()) {
+      unsigned live = 0;
+      Cycle min = kNeverCycle;
+      for (const auto& e : slots_) {
+        if (!e.valid) continue;
+        if (e.ready == kNeverCycle) s.fail("mshr entry never completes");
+        ++live;
+        if (e.ready < min) min = e.ready;
+      }
+      if (count_ != live) s.fail("mshr count disagrees with its entries");
+      if (min_ready_ != min) s.fail("mshr minimum disagrees with its entries");
+    }
   }
 
  private:

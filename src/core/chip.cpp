@@ -138,8 +138,8 @@ void Chip::signal_wake(Cluster* c) {
     // The release lands mid-tick and the baseline's id-ordered loop would
     // tick `c` later this same cycle with the release visible: wake it in
     // place and splice it in after the current node so the loop reaches
-    // it. (Only single-chip mode takes this path — with chips > 1 all sync
-    // effects defer to the barrier drain, where ticking_ is false.)
+    // it. (Only a release from this chip's own tick takes this path;
+    // ticking_ is false while any other chip ticks.)
     c->wake(tick_now_);
     CSMT_ASSERT(asleep_n_ > 0);
     --asleep_n_;
@@ -150,10 +150,11 @@ void Chip::signal_wake(Cluster* c) {
     c->next_active_ = p->next_active_;
     p->next_active_ = c;
   } else {
-    // Queue for the top of the next tick — exactly when the baseline's
-    // order first lets the target observe the release (an earlier-id
-    // cluster already ticked this cycle; a barrier-drain release happens
-    // after every cluster ticked).
+    // Queue for the top of this chip's next tick — exactly when the
+    // baseline's order first lets the target observe the release. On this
+    // chip, an earlier-id target already ticked this cycle. From another
+    // chip, chips tick in index order: a later chip has not ticked yet and
+    // processes the wake this cycle, an earlier one next cycle.
     c->wake_queued_ = true;
     wake_pending_.push_back(c);
   }

@@ -9,7 +9,6 @@
 #include "cache/memsys.hpp"
 #include "core/arch_config.hpp"
 #include "core/cluster.hpp"
-#include "exec/defer.hpp"
 
 namespace csmt::core {
 
@@ -33,20 +32,6 @@ class Chip {
   /// Binds a thread to the next cluster with a free hardware context.
   /// Threads are block-assigned: contexts of cluster 0 fill first.
   void attach_thread(exec::ThreadContext* tc);
-
-  /// Switches this chip into deferred mode (multi-chip machines, DESIGN.md
-  /// §13): cross-chip-visible side effects — backend fetches, atomics, sync
-  /// primitives — are queued during tick() and drained in chip order at the
-  /// Machine's cycle barrier, so cross-chip resolution is a function of
-  /// (cycle, chip index) alone.
-  void arm_deferred() {
-    memsys_.set_deferred(true);
-    for (auto& cl : clusters_) cl->set_defer_queue(&defer_);
-  }
-
-  /// Drains the queued functional side effects (barrier time only).
-  void drain_exec() { defer_.drain(); }
-  bool has_deferred_exec() const { return !defer_.empty(); }
 
   /// Advances the chip by one cycle. With lazy mode on (DESIGN.md §14) only
   /// the clusters on the intrusive active list take a full tick; a cluster
@@ -82,12 +67,12 @@ class Chip {
   void settle(Cycle upto);
 
   /// Wake request from a cluster's unblock hook. Mid-tick wakes of a
-  /// higher-id cluster happen in place (the baseline would tick it later
-  /// this same cycle, after the release); everything else queues for the
-  /// top of the next tick, matching when the baseline's tick order lets
-  /// the target observe the release. In deferred (multi-chip) mode hooks
-  /// only fire at the cycle-barrier drain, so wakes always land in
-  /// wake_pending_.
+  /// higher-id cluster on this chip happen in place (the baseline would
+  /// tick it later this same cycle, after the release); everything else
+  /// queues for the top of this chip's next tick, matching when the
+  /// baseline's tick order lets the target observe the release. A release
+  /// from another chip always queues: this chip processes it this cycle
+  /// if it has not ticked yet, next cycle if it has.
   void signal_wake(Cluster* c);
 
   /// A cluster woke itself outside tick() (freeze/detach/attach settling):
@@ -128,7 +113,6 @@ class Chip {
   ChipId id_;
   ArchConfig cfg_;
   cache::MemSys memsys_;
-  exec::DeferQueue defer_;
   std::vector<std::unique_ptr<Cluster>> clusters_;
 
   // Cluster-level quiescence state (DESIGN.md §14); all transient.

@@ -44,7 +44,6 @@ Cluster::Cluster(ClusterId id, const ClusterConfig& cfg, FetchPolicy policy,
   wheel_.assign(kWheelSlots, kNoSrc);
   far_.reserve(2 * std::size_t{cfg.rob_entries});
   ready_.reserve(cfg.iq_entries);
-  unbound_.reserve(cfg.rob_entries);
   threads_.reserve(cfg.threads);
   if (trace_) {
     trace_->name_track(track_, "cluster " + std::to_string(id_) + " pipeline");
@@ -276,12 +275,11 @@ Cycle Cluster::next_event(Cycle now) {
     // it, so this thread contributes no horizon of its own.
   }
   // The issue stage, in O(1): a ready uop issues or charges a slot next
-  // cycle, and so does a fill the barrier bound this cycle (its consumers
-  // are released then). Otherwise the earliest source event ends the span
-  // — every event flips a readiness bit and, with it, the stall histogram,
-  // even when the uop still cannot issue. A source whose producer has not
-  // issued has no cycle of its own: the producer's issue comes first.
-  if (!ready_.empty() || !unbound_.empty()) return next;
+  // cycle. Otherwise the earliest source event ends the span — every event
+  // flips a readiness bit and, with it, the stall histogram, even when the
+  // uop still cannot issue. A source whose producer has not issued has no
+  // cycle of its own: the producer's issue comes first.
+  if (!ready_.empty()) return next;
   consider(earliest_event(now));
   if (ev > next) prime_quiet_plan(now);
   return ev;
@@ -507,15 +505,14 @@ void Cluster::link_src(std::uint16_t idx, unsigned s, Cycle now) {
   // A dead or recycled slot means the producer already committed.
   if (!p.live || p.gen != dep.gen) return;
   const std::uint32_t src = 2u * idx + s;
-  if (p.issued && p.complete_at != kNeverCycle) {
+  if (p.issued) {
     // Already complete: ready at the first issue stage this uop sees.
     if (p.complete_at <= now) return;
     u.pending |= static_cast<std::uint8_t>(1u << s);
     schedule(src, p.complete_at, now);
     return;
   }
-  // Unissued, or issued this cycle into a fill the barrier has yet to
-  // bind: wait on the producer's consumer list.
+  // Unissued: wait on the producer's consumer list.
   u.pending |= static_cast<std::uint8_t>(1u << s);
   u.src_next[s] = p.consumers;
   p.consumers = src;
@@ -603,9 +600,6 @@ void Cluster::fire_events(Cycle now) {
       src = next;
     }
   }
-  // Fills issued last cycle were bound at the barrier since.
-  for (const std::uint16_t idx : unbound_) release_consumers(idx, now);
-  unbound_.clear();
 }
 
 Cycle Cluster::earliest_event(Cycle now) const {
@@ -690,13 +684,6 @@ void Cluster::issue(Cycle now) {
         }
         u.complete_at =
             u.is_store && !u.is_atomic ? now + u.latency : r.done;
-        if (r.pending != cache::kNoPendingAccess &&
-            u.complete_at == kNeverCycle) {
-          // Deferred fetch: the completion cycle is computed at the cycle
-          // barrier. slots_ never reallocates, so the pointer is stable for
-          // the (same-cycle) lifetime of the pending record.
-          memsys_.bind_pending(r.pending, &u.complete_at);
-        }
       } else {
         u.complete_at = now + u.latency;
       }
@@ -706,14 +693,11 @@ void Cluster::issue(Cycle now) {
     }
 
     // No consumer can issue in its producer's cycle, so releasing the
-    // consumers below never touches ready_ mid-walk.
-    CSMT_ASSERT(u.complete_at > now);
+    // consumers below never touches ready_ mid-walk. Every completion is
+    // known at issue, which is what lets link_src schedule on it.
+    CSMT_ASSERT(u.complete_at > now && u.complete_at != kNeverCycle);
     u.issued = true;
-    if (u.complete_at == kNeverCycle) {
-      unbound_.push_back(idx);  // released at the next tick's top
-    } else {
-      release_consumers(idx, now);
-    }
+    release_consumers(idx, now);
     ++width_used;
     ++stats_.issued;
     if (u.sync) {
@@ -808,7 +792,6 @@ void Cluster::fetch(Cycle now) {
 
   ThreadSlot& t = threads_[static_cast<unsigned>(chosen)];
   exec::ThreadContext& tc = *t.tc;
-  tc.set_defer(defer_);
 
   for (unsigned i = 0; i < cfg_.width; ++i) {
     if (tc.done()) break;
@@ -897,7 +880,6 @@ void Cluster::fetch(Cycle now) {
     }
     if (oi.is_halt) break;
     if (tc.sync_blocked()) break;  // entered a sync primitive and blocked
-    if (tc.defer_break()) break;   // deferred op: result lands at the barrier
   }
 }
 
@@ -1006,7 +988,6 @@ void Cluster::restore_issue_stage(ckpt::Serializer& s,
   far_.clear();
   far_min_ = kNeverCycle;
   ready_.clear();
-  unbound_.clear();
   for (auto& w : waiting_) w = 0;
   next_age_ = 0;
   for (Uop& u : slots_) {

@@ -162,12 +162,6 @@ class Cluster {
   /// `cfg.threads` threads per cluster (Table 2).
   void attach_thread(exec::ThreadContext* tc);
 
-  /// Deferred-mode hookup (multi-chip machines, DESIGN.md §13): the owning
-  /// chip's queue for cross-chip-visible functional side effects. The fetch
-  /// stage rebinds it on every packet, so threads migrating between chips
-  /// always post into the chip that is fetching them.
-  void set_defer_queue(exec::DeferQueue* q) { defer_ = q; }
-
   // --- dynamic allocation surface (csmt::alloc, DESIGN.md §11) ---
   //
   // A migration is freeze -> drain -> detach -> attach_migrated: the
@@ -348,9 +342,8 @@ class Cluster {
   // --- event-driven issue stage (DESIGN.md §9) ---
   //
   // Every unready source of a waiting uop sits in exactly one place: on its
-  // producer's consumer list while the producer's completion cycle is
-  // unknown (not issued yet, or issued into a deferred fill that the cycle
-  // barrier binds), or in the timing wheel once it is known. A source
+  // producer's consumer list while the producer has not issued, or in the
+  // timing wheel once it has (its completion cycle is then known). A source
   // event fires at the top of the issue stage of its cycle — always a full
   // tick, because next_event() reports the earliest event — and a uop
   // whose last source fires joins the age-ordered ready list. Per-class
@@ -432,7 +425,6 @@ class Cluster {
   ClusterConfig cfg_;
   FetchPolicy policy_;
   cache::MemSys& memsys_;
-  exec::DeferQueue* defer_ = nullptr;  ///< owning chip's barrier queue
   branch::BranchPredictor predictor_;
   obs::TraceSink* trace_ = nullptr;
   obs::PhaseProfiler* prof_ = nullptr;
@@ -455,8 +447,7 @@ class Cluster {
   unsigned wheel_events_ = 0;
   std::vector<FarEvent> far_;         ///< events beyond the wheel's reach
   Cycle far_min_ = kNeverCycle;
-  std::vector<std::uint16_t> ready_;    ///< all sources ready, oldest first
-  std::vector<std::uint16_t> unbound_;  ///< issued into an unbound fill
+  std::vector<std::uint16_t> ready_;  ///< all sources ready, oldest first
   std::uint32_t waiting_[kNumSlots] = {};  ///< unready uops by hazard
   std::uint32_t next_age_ = 0;
   unsigned int_rename_used_ = 0;

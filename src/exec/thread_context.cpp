@@ -3,7 +3,6 @@
 #include <cmath>
 
 #include "common/assert.hpp"
-#include "exec/defer.hpp"
 #include "exec/sync.hpp"
 
 namespace csmt::exec {
@@ -22,7 +21,6 @@ ThreadContext::ThreadContext(ThreadId tid, const isa::Program& program,
 }
 
 bool ThreadContext::step(DynInst& out) {
-  defer_break_ = false;
   if (done_) return false;
   CSMT_ASSERT_MSG(pc_ < program_.size(), "PC ran off the end of the program");
 
@@ -102,61 +100,29 @@ bool ThreadContext::step(DynInst& out) {
       break;
     case Op::kAmoSwap:
       out.mem_addr = a;
-      if (defer_) {
-        // The swapped-out value lands in rd at the barrier; the packet must
-        // end here so no dependent reads a stale register this cycle.
-        defer_->push({DeferredThreadOp::Kind::kAmoSwap, this, a, b, in.rd});
-        defer_break_ = true;
-      } else {
-        wr(mem_.amo_swap(a, b));
-      }
+      wr(mem_.amo_swap(a, b));
       break;
     case Op::kAmoAdd:
       out.mem_addr = a;
-      if (defer_) {
-        defer_->push({DeferredThreadOp::Kind::kAmoAdd, this, a, b, in.rd});
-        defer_break_ = true;
-      } else {
-        wr(mem_.amo_add(a, b));
-      }
+      wr(mem_.amo_add(a, b));
       break;
     case Op::kSyncBarrier:
       CSMT_ASSERT_MSG(sync_ != nullptr, "sync primitive without SyncManager");
       out.mem_addr = a;
-      if (defer_) {
-        // Block eagerly (whether this is the releasing arrival is unknown
-        // until the barrier drain, which unblocks the last arriver).
-        sync_blocked_ = true;
-        defer_->push({DeferredThreadOp::Kind::kBarrier, this, a, b, 0});
-      } else {
-        mem_.amo_add(a, 1);  // arrival tally, for debugging only
-        sync_->barrier_arrive(a, this, b);
-      }
+      mem_.amo_add(a, 1);  // arrival tally, for debugging only
+      sync_->barrier_arrive(a, this, b);
       break;
     case Op::kSyncLockAcq:
       CSMT_ASSERT_MSG(sync_ != nullptr, "sync primitive without SyncManager");
       out.mem_addr = a;
-      if (defer_) {
-        sync_blocked_ = true;  // the drain unblocks a successful acquirer
-        defer_->push({DeferredThreadOp::Kind::kLockAcq, this, a, 0, 0});
-      } else {
-        mem_.amo_swap(a, 1);
-        sync_->lock_acquire(a, this);
-      }
+      mem_.amo_swap(a, 1);
+      sync_->lock_acquire(a, this);
       break;
     case Op::kSyncLockRel:
       CSMT_ASSERT_MSG(sync_ != nullptr, "sync primitive without SyncManager");
       out.mem_addr = a;
-      if (defer_) {
-        // Releasing wakes waiters on other chips: barrier-drain territory.
-        // Later instructions in this packet could otherwise observe the
-        // release before remote spinners do, so end the packet.
-        defer_->push({DeferredThreadOp::Kind::kLockRel, this, a, 0, 0});
-        defer_break_ = true;
-      } else {
-        mem_.write(a, 0);
-        sync_->lock_release(a, this);
-      }
+      mem_.write(a, 0);
+      sync_->lock_release(a, this);
       break;
     case Op::kFadd: wrf(fa + fb); break;
     case Op::kFsub: wrf(fa - fb); break;
@@ -191,39 +157,6 @@ bool ThreadContext::step(DynInst& out) {
   out.next_pc = next;
   if (!done_ && pc_ >= program_.size()) done_ = true;
   return true;
-}
-
-void ThreadContext::apply_deferred(const DeferredThreadOp& op) {
-  switch (op.kind) {
-    case DeferredThreadOp::Kind::kAmoSwap:
-      set_ireg(op.rd, mem_.amo_swap(op.addr, op.operand));
-      break;
-    case DeferredThreadOp::Kind::kAmoAdd:
-      set_ireg(op.rd, mem_.amo_add(op.addr, op.operand));
-      break;
-    case DeferredThreadOp::Kind::kBarrier:
-      mem_.amo_add(op.addr, 1);  // arrival tally, for debugging only
-      // barrier_arrive unblocks the *waiters*, not the arriver itself —
-      // step() blocked this thread eagerly, so the last arriver (which the
-      // eager kernel never blocks) must be unblocked here by hand.
-      if (sync_->barrier_arrive(op.addr, this, op.operand)) {
-        set_sync_blocked(false);
-      }
-      break;
-    case DeferredThreadOp::Kind::kLockAcq:
-      mem_.amo_swap(op.addr, 1);
-      if (sync_->lock_acquire(op.addr, this)) set_sync_blocked(false);
-      break;
-    case DeferredThreadOp::Kind::kLockRel:
-      mem_.write(op.addr, 0);
-      sync_->lock_release(op.addr, this);
-      break;
-  }
-}
-
-void DeferQueue::drain() {
-  for (const DeferredThreadOp& op : ops_) op.tc->apply_deferred(op);
-  ops_.clear();
 }
 
 }  // namespace csmt::exec

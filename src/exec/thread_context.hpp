@@ -16,8 +16,6 @@
 
 namespace csmt::exec {
 class SyncManager;
-class DeferQueue;
-struct DeferredThreadOp;
 }
 
 namespace csmt::exec {
@@ -62,18 +60,6 @@ class ThreadContext {
   /// execution is unaffected — each job has its own PagedMemory.
   Addr timing_addr_offset() const { return timing_addr_offset_; }
   void set_timing_addr_offset(Addr off) { timing_addr_offset_ = off; }
-
-  /// Deferred-mode hookup (multi-chip machines, DESIGN.md §13): when a
-  /// queue is bound, atomics and sync primitives postpone their functional
-  /// side effects to the cycle barrier instead of applying them at fetch
-  /// time. `defer_break()` reports that the *last* step() deferred a
-  /// register-producing or ordering-sensitive op, so the fetch stage must
-  /// stop the packet (dependents would read a stale register).
-  void set_defer(DeferQueue* q) { defer_ = q; }
-  bool defer_break() const { return defer_break_; }
-
-  /// Applies one deferred operation at the barrier (single-threaded).
-  void apply_deferred(const DeferredThreadOp& op);
 
   ThreadId tid() const { return tid_; }
   std::uint64_t pc() const { return pc_; }
@@ -124,8 +110,6 @@ class ThreadContext {
   const isa::Program& program_;
   mem::PagedMemory& mem_;
   SyncManager* sync_;
-  DeferQueue* defer_ = nullptr;  ///< not state: rebound at construction
-  bool defer_break_ = false;     ///< valid only until the next step()
   UnblockHook unblock_hook_ = nullptr;  ///< not state: rebound at attach
   void* unblock_ctx_ = nullptr;
   std::uint64_t pc_ = 0;

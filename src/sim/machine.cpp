@@ -18,11 +18,6 @@ Machine::Machine(const MachineConfig& cfg) : cfg_(cfg) {
     // high-end one (Table 3 scale).
     cfg_.arch.cluster.sync_wake_latency = cfg_.chips > 1 ? 40 : 15;
   }
-  // Cross-chip side effects (backend fetches, atomics, sync ops) go through
-  // the end-of-cycle barrier drain whenever more than one chip exists
-  // (deferred mode, DESIGN.md §13).
-  deferred_mode_ = cfg_.chips > 1;
-
   cache::MemoryBackend* backend = nullptr;
   if (cfg_.chips == 1) {
     local_backend_ = std::make_unique<cache::LocalMemoryBackend>(cfg_.mem);
@@ -44,7 +39,6 @@ Machine::Machine(const MachineConfig& cfg) : cfg_(cfg) {
         static_cast<ChipId>(c), cfg_.arch, cfg_.mem, *backend, cfg_.trace,
         cfg_.profiler));
     if (dash_) dash_->attach_chip(&chips_.back()->memsys());
-    if (deferred_mode_) chips_.back()->arm_deferred();
   }
   // Cluster-level sleep (DESIGN.md §14): off under --no-skip (ground-truth
   // per-cycle kernel) and under tracing, where wake-time replay would emit
@@ -366,27 +360,13 @@ bool Machine::all_finished() const {
 }
 
 bool Machine::tick_chips(Cycle now) {
+  // Chips tick in index order; cross-chip traffic (DASH requests, atomics,
+  // sync hand-offs) takes effect inside the tick, in call order (DESIGN.md
+  // §13).
   bool active = false;
   for (auto& chip : chips_) {
     chip->tick(now);
     active |= chip->active_last_tick();
-  }
-  // Cycle barrier (deferred mode, DESIGN.md §13), in chip order:
-  //   1. memory systems resolve their posted boundary traffic (backend
-  //      fetches, upgrades, writebacks) — DASH sees chip-major order;
-  //   2. deferred thread ops (atomics, sync primitives) apply against the
-  //      shared functional state.
-  // Deferred work only exists when some cluster was active this cycle, so
-  // `active` already covers it and the skip path can never skip past it.
-  // The O(1) has_deferred gates keep a mostly-idle chip's barrier cost at
-  // two flag reads instead of two calls per cycle (DESIGN.md §14).
-  if (deferred_mode_) {
-    for (auto& chip : chips_) {
-      if (chip->memsys().has_deferred()) chip->memsys().resolve_deferred();
-    }
-    for (auto& chip : chips_) {
-      if (chip->has_deferred_exec()) chip->drain_exec();
-    }
   }
   return active;
 }

@@ -239,7 +239,6 @@ class Machine {
   std::unique_ptr<cache::LocalMemoryBackend> local_backend_;
   std::unique_ptr<noc::DashInterconnect> dash_;
   std::vector<std::unique_ptr<core::Chip>> chips_;
-  bool deferred_mode_ = false;  ///< multi-chip: barrier-drain cross-chip work
   Cycle quiet_cycles_ = 0;
   Cycle resumed_from_cycle_ = 0;
   /// Live only while run() executes a dynamic-allocation mix; all_finished

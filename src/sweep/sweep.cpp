@@ -30,10 +30,12 @@ namespace fs = std::filesystem;
 /// metrics_interval.
 /// v3: specs carry the allocation policy and epoch (csmt::alloc).
 /// v4: results schema v3 (derived sim_speed.regime tag, DESIGN.md §12).
-/// v5: multi-chip timing — cross-chip traffic resolves at the cycle
-/// barrier (deferred mode, DESIGN.md §13), shifting multi-chip counters
-/// relative to v4 entries.
-constexpr const char* kCacheKeyVersion = "csmt-sweep-v5";
+/// v5: multi-chip timing — cross-chip traffic resolved at an end-of-cycle
+/// barrier (deferred mode), shifting multi-chip counters relative to v4.
+/// v6: deferred mode removed — cross-chip traffic resolves inside the tick
+/// in call order again (DESIGN.md §13), moving every multi-chip counter
+/// back off the v5 values.
+constexpr const char* kCacheKeyVersion = "csmt-sweep-v6";
 
 /// Progress rendering picks between two stderr styles: a `\r`-rewritten
 /// status line on a terminal, whole newline-terminated (and throttled)

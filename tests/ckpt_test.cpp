@@ -251,6 +251,47 @@ TEST(CkptComponents, MshrFileResumesInFlightMisses) {
   EXPECT_EQ(a.in_flight(), 0u);
 }
 
+TEST(CkptComponents, MshrFileRejectsInconsistentEntries) {
+  cache::MshrFile a(4);
+  a.allocate(0x1000, 50);
+  a.allocate(0x2000, 30);
+  a.allocate(0x3000, 90);
+  a.expire(30);  // slot 1 retired: two live entries, minimum ready 50
+
+  Serializer save;
+  a.serialize(save);
+  const std::vector<std::uint8_t> good = save.take_payload();
+  // One u64 word per field: [entries][slot count], then (line, ready,
+  // valid) per slot, then [count][min ready] and the three stats.
+  constexpr std::size_t kSlots = 1, kCount = 2 + 3 * 3, kMin = kCount + 1;
+  const auto word = [&good](std::size_t i) {
+    std::uint64_t v;
+    std::memcpy(&v, good.data() + 8 * i, 8);
+    return v;
+  };
+  ASSERT_EQ(word(kSlots), 3u);
+  ASSERT_EQ(word(2 + 3 * 2 + 1), 90u);  // slot 2's ready cycle
+  ASSERT_EQ(word(kCount), 2u);
+  ASSERT_EQ(word(kMin), 50u);
+
+  const auto load_patched = [&good](std::size_t at, std::uint64_t v) {
+    std::vector<std::uint8_t> payload = good;
+    std::memcpy(payload.data() + 8 * at, &v, 8);
+    cache::MshrFile b(4);
+    Serializer load(payload);
+    b.serialize(load);
+    return load.ok();
+  };
+  EXPECT_TRUE(load_patched(kCount, 2));
+  EXPECT_FALSE(load_patched(kSlots, 5));       // more slots than entries
+  EXPECT_FALSE(load_patched(kCount, 1000));    // count beyond the entries
+  EXPECT_FALSE(load_patched(kCount, 1));       // count below them
+  EXPECT_FALSE(load_patched(kMin, 90));        // not the live minimum
+  EXPECT_FALSE(load_patched(kMin, kNeverCycle));
+  // A live entry that never completes would hold its slot forever.
+  EXPECT_FALSE(load_patched(2 + 3 * 2 + 1, kNeverCycle));
+}
+
 TEST(CkptComponents, CacheArrayResumesTagsAndLru) {
   const cache::CacheLevelParams params{4096, 64, 2, 8, 7, 1, 1};
   cache::CacheArray a(params);

@@ -157,7 +157,8 @@ std::string stats_digest(const ExperimentResult& r) {
 TEST(GoldenStats, PaperGridFingerprints) {
   // Every workload on the paper's seven organizations and both machines.
   // The 4-chip half exercises DASH remote fetches, interventions and
-  // invalidations, deferred mode, the quiet path, and lazy replay.
+  // invalidations, cross-chip sync releases inside the tick, the quiet
+  // path, and lazy replay.
   const std::vector<core::ArchKind> archs = {
       core::ArchKind::kFa1,  core::ArchKind::kFa2,  core::ArchKind::kFa4,
       core::ArchKind::kFa8,  core::ArchKind::kSmt1, core::ArchKind::kSmt2,

@@ -190,13 +190,15 @@ TEST(KernelEquivalence, RunJobsTracesRunningThreadsLikeRun) {
   EXPECT_EQ(from_run, from_jobs);
 }
 
-TEST(KernelEquivalence, AsymmetricMixSleepsClustersBitIdentically) {
-  // The component-granular quiescence target (DESIGN.md §14): one
-  // long-running thread keeps the machine busy while the other seven —
-  // each alone on its own FA2 cluster across four chips — sit blocked at a
-  // barrier. Machine-level skip never fires on such a span (some cluster is
-  // always active); per-cluster sleep must, and every artifact must stay
-  // bit-identical across skip and no-skip and through a kill-and-resume.
+/// The component-granular quiescence target (DESIGN.md §14): one
+/// long-running thread, `busy_tid`, keeps the machine busy while the other
+/// seven — each alone on its own FA2 cluster across four chips — sit
+/// blocked at a barrier. Machine-level skip never fires on such a span
+/// (some cluster is always active); per-cluster sleep must, and every
+/// artifact must stay bit-identical across skip and no-skip and through a
+/// kill-and-resume. The busy thread's final arrival releases the sleepers
+/// inside its chip's tick, so where it runs picks the wake order.
+void check_asymmetric_mix(std::uint64_t busy_tid) {
   constexpr unsigned kChips = 4;
   MachineConfig base;
   base.arch = core::arch_preset(core::ArchKind::kFa2);
@@ -205,11 +207,12 @@ TEST(KernelEquivalence, AsymmetricMixSleepsClustersBitIdentically) {
 
   ProgramBuilder b("asym");
   isa::Reg bar = b.ireg(), n = b.ireg(), r = b.ireg(), i = b.ireg(),
-           cnt = b.ireg();
+           cnt = b.ireg(), busy = b.ireg();
   const isa::Label join = b.new_label();
   b.li(bar, 64);
   b.li(n, base.total_threads());
-  b.bne(b.tid(), b.zero(), join);  // tids 1..7: straight to the barrier
+  b.li(busy, static_cast<std::int64_t>(busy_tid));
+  b.bne(b.tid(), busy, join);  // every other tid: straight to the barrier
   b.li(r, 1);
   b.li(cnt, 600);
   b.for_range(i, 0, cnt, 1, [&] { b.add(r, r, r); });
@@ -277,6 +280,19 @@ TEST(KernelEquivalence, AsymmetricMixSleepsClustersBitIdentically) {
   const auto from_slow = counter_lines(slow_path, "running_threads");
   EXPECT_FALSE(from_skip.empty());
   EXPECT_EQ(from_skip, from_slow);
+}
+
+TEST(KernelEquivalence, AsymmetricMixSleepsClustersBitIdentically) {
+  // Busy tid 0 (chip 0): its release wakes sleepers on chips 1-3 in the
+  // same cycle and its chip-0 neighbour in place.
+  check_asymmetric_mix(0);
+}
+
+TEST(KernelEquivalence, AsymmetricMixLastChipReleaseWakesNextCycle) {
+  // Busy tid 7 (chip 3, the last cluster): every sleeper ticked before the
+  // release, on an earlier chip or an earlier cluster, so all of them wake
+  // at the top of the next cycle.
+  check_asymmetric_mix(7);
 }
 
 TEST(Scheduler, QuietCyclesEngageOnSyncHeavyPoints) {

@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Check EXPERIMENTS.md's figure tables against the bench binaries.
+"""Check EXPERIMENTS.md's figure and E1 tables against the bench binaries.
 
 Usage:  python3 bench/check_experiments.py ROOT BINDIR
 
@@ -8,9 +8,11 @@ bench binaries (e.g. build/bench). Runs fig4, fig5, fig7 and fig8 at their
 default scale with a fresh, temporary result cache, parses each printed
 "Normalized execution time" table, and compares every cell whose column is
 an architecture name (FA8, SMT2, ...) with the same cell of that figure's
-table in EXPERIMENTS.md (bold markers stripped). Prints one line per
-mismatch, `Figure N workload/ARCH: doc X, bench Y`, and exits 1 if there
-is any; exits 0 when every documented cell matches.
+table in EXPERIMENTS.md (bold markers stripped). Then runs ext_multiprogram
+and compares the makespan of each printed `mix: a + b` table with the E1
+table (commas and bold stripped). Prints one line per mismatch,
+`Figure N workload/ARCH: doc X, bench Y` or `E1 mix/ARCH: doc X, bench Y`,
+and exits 1 if there is any; exits 0 when every documented cell matches.
 """
 import os
 import re
@@ -25,13 +27,13 @@ FIGURES = {
     8: "fig8_highend_smt",
 }
 ARCH = re.compile(r"^(FA|SMT)\d+$")
+MIX = re.compile(r"^mix: (\S+ \+ \S+)$")
 
 
-def doc_table(text, fig):
-    """{workload: {column: cell}} of the first table under '## Figure N'."""
+def doc_table(text, heading):
+    """{row: {column: cell}} of the first table under `heading`."""
     lines = text.splitlines()
-    start = next(i for i, l in enumerate(lines)
-                 if l.startswith("## Figure %d " % fig))
+    start = next(i for i, l in enumerate(lines) if l.startswith(heading))
     rows = []
     for line in lines[start + 1:]:
         if line.startswith("## "):
@@ -60,11 +62,46 @@ def bench_table(stdout):
     return table
 
 
+def mix_makespans(stdout):
+    """{"a + b": {arch: makespan}} of the printed E1 pair tables."""
+    lines = stdout.splitlines()
+    table = {}
+    for i, line in enumerate(lines):
+        m = MIX.match(line)
+        if not m:
+            continue
+        header = lines[i + 1]
+        # Columns are padded to a common width, and a finish cell may carry
+        # an "(INVALID)" marker, so cut the makespan column by position.
+        lo, hi = header.index("makespan"), header.index("useful%")
+        rows = table.setdefault(m.group(1), {})
+        for row in lines[i + 3:]:
+            if not row.strip():
+                break
+            rows[row.split()[0]] = row[lo:hi].strip()
+    return table
+
+
 def same(doc, bench):
     try:
-        return float(doc) == float(bench)
+        return float(doc.replace(",", "")) == float(bench.replace(",", ""))
     except ValueError:
         return False
+
+
+def compare(label, bench, doc):
+    """Prints each documented ARCH cell the bench disagrees with."""
+    mismatches = 0
+    for row, cols in doc.items():
+        for arch, want in cols.items():
+            if not ARCH.match(arch):
+                continue
+            got = bench.get(row, {}).get(arch, "missing")
+            if not same(want, got):
+                print("%s %s/%s: doc %s, bench %s" % (label, row, arch, want,
+                                                      got))
+                mismatches += 1
+    return mismatches
 
 
 def main():
@@ -80,21 +117,18 @@ def main():
         env = {k: v for k, v in os.environ.items()
                if not k.startswith("CSMT_")}
         env["CSMT_CACHE_DIR"] = cache
+
+        def run(binary):
+            return subprocess.run([os.path.join(bindir, binary)], env=env,
+                                  stdout=subprocess.PIPE,
+                                  stderr=subprocess.DEVNULL, text=True,
+                                  check=True).stdout
+
         for fig, binary in FIGURES.items():
-            out = subprocess.run([os.path.join(bindir, binary)], env=env,
-                                 stdout=subprocess.PIPE,
-                                 stderr=subprocess.DEVNULL, text=True,
-                                 check=True).stdout
-            bench = bench_table(out)
-            for workload, cols in doc_table(text, fig).items():
-                for arch, want in cols.items():
-                    if not ARCH.match(arch):
-                        continue
-                    got = bench.get(workload, {}).get(arch, "missing")
-                    if not same(want, got):
-                        print("Figure %d %s/%s: doc %s, bench %s"
-                              % (fig, workload, arch, want, got))
-                        mismatches += 1
+            mismatches += compare("Figure %d" % fig, bench_table(run(binary)),
+                                  doc_table(text, "## Figure %d " % fig))
+        mismatches += compare("E1", mix_makespans(run("ext_multiprogram")),
+                              doc_table(text, "## Extension E1 "))
     return 1 if mismatches else 0
 
 

@@ -38,8 +38,9 @@ constexpr alloc::PolicyKind kPolicies[] = {
     alloc::PolicyKind::kIpcMigrate,
 };
 
-/// A policy-sweep mix: jobs with per-job context shares in eighths of the
-/// machine (all the paper's organizations have 8 contexts per chip).
+/// A mix: jobs with per-job context shares in eighths of the machine.
+/// Every share must be a whole number of contexts on each organization it
+/// runs on (FA2 has 2 contexts, so only halves split there).
 struct ShareMix {
   const char* name;
   std::vector<std::pair<const char*, unsigned>> jobs;  ///< (workload, 8ths)
@@ -66,21 +67,28 @@ struct BuiltJob {
   unsigned threads = 0;
 };
 
-/// Runs a mix whose jobs split the machine's contexts in eighths.
+/// Runs a mix whose jobs split the machine's contexts in eighths. A share
+/// that is not a whole, nonzero number of contexts exits 1: a row must
+/// never vanish from the table.
 MixRun run_mix(const ShareMix& mix, core::ArchKind arch, unsigned scale,
                const alloc::AllocConfig& cfg_alloc) {
   sim::MachineConfig mc;
   mc.arch = core::arch_preset(arch);
   mc.alloc = cfg_alloc;
   const unsigned total = mc.total_threads();
-  if (total % 8 != 0) return {};
 
   std::vector<BuiltJob> built;
   std::vector<sim::Job> jobs;
   for (const auto& [name, eighths] : mix.jobs) {
     BuiltJob j;
-    j.threads = total / 8 * eighths;
-    if (j.threads == 0) return {};
+    j.threads = total * eighths / 8;
+    if (total * eighths % 8 != 0 || j.threads == 0) {
+      std::fprintf(stderr,
+                   "\ncsmt: mix %s on %s cannot run: %s's %u/8 share of %u "
+                   "contexts is not a whole, nonzero number of contexts\n",
+                   mix.name, core::arch_name(arch), name, eighths, total);
+      std::exit(1);
+    }
     j.wl = workloads::make_workload(name);
     j.memory = std::make_unique<mem::PagedMemory>();
     j.build = j.wl->build(*j.memory, j.threads, scale);
@@ -118,9 +126,9 @@ int main(int argc, char** argv) {
     for (const core::ArchKind arch :
          {core::ArchKind::kFa8, core::ArchKind::kFa2, core::ArchKind::kSmt2,
           core::ArchKind::kSmt1}) {
-      const ShareMix mix{"", {{a, 4}, {b, 4}}};
+      const std::string name = std::string(a) + "+" + b;
+      const ShareMix mix{name.c_str(), {{a, 4}, {b, 4}}};
       const MixRun r = run_mix(mix, arch, scale, alloc::AllocConfig{});
-      if (r.stats.job_finish.empty()) continue;
       t.row({core::arch_name(arch),
              format_count(r.stats.job_finish[0]) + (r.valid ? "" : " (INVALID)"),
              format_count(r.stats.job_finish[1]),
@@ -165,7 +173,6 @@ int main(int argc, char** argv) {
         alloc::AllocConfig cfg = base;
         cfg.policy = policy;
         const MixRun r = run_mix(mix, arch, scale, cfg);
-        if (r.stats.job_finish.empty()) continue;
         const sim::RunStats& c = r.stats.combined;
         const double ipc =
             c.cycles ? static_cast<double>(c.committed_useful) / c.cycles : 0.0;

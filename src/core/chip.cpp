@@ -85,7 +85,7 @@ void Chip::tick(Cycle now) {
 }
 
 Cycle Chip::next_event(Cycle now) {
-  // Every awake cluster's next_event must run (it primes the quiet-tick
+  // Every awake cluster's next_event must run (it primes the quiet replay
   // plan), so no early-out on a now+1 horizon. Sleepers keep the horizon
   // captured at sleep time: re-probing would trip the already-primed-plan
   // assertion, and nothing internal changed, so the stored answer is
@@ -99,9 +99,9 @@ Cycle Chip::next_event(Cycle now) {
   return ev;
 }
 
-void Chip::quiet_tick(Cycle now) {
+void Chip::quiet_span(Cycle from, Cycle n) {
   for (Cluster* c = active_head_; c != nullptr; c = c->next_active_) {
-    c->quiet_tick(now);
+    c->quiet_span(from, n);
   }
 }
 

@@ -46,16 +46,17 @@ class Chip {
   /// Earliest cycle > `now` at which a full tick could change observable
   /// state: the minimum of the clusters' horizons and the memory system's
   /// earliest in-flight completion. See Cluster::next_event for the
-  /// contract; like it, this primes the awake clusters' quiet-tick plans.
+  /// contract; like it, this primes the awake clusters' quiet plans.
   /// Sleeping clusters contribute the horizon captured when they fell
   /// asleep — never a re-probe, which would re-prime an already-primed
   /// plan (and nothing internal changed, so the stored answer is exact).
   Cycle next_event(Cycle now);
 
-  /// Replays per-cycle accounting on every *awake* cluster for one cycle of
-  /// a machine-wide quiescent span. Sleeping clusters' span cycles are
-  /// replayed once, at wake time, by Cluster::settle — never twice.
-  void quiet_tick(Cycle now);
+  /// Replays the per-cycle accounting of the `n` cycles starting at `from`
+  /// of a machine-wide quiescent span on every *awake* cluster. Sleeping
+  /// clusters' span cycles are replayed once, at wake time, by
+  /// Cluster::settle — never twice.
+  void quiet_span(Cycle from, Cycle n);
 
   /// Enables cluster-level sleep (off under --no-skip and under tracing,
   /// where lazy replay would emit events out of timestamp order).

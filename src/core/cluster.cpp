@@ -5,6 +5,7 @@
 
 #include "ckpt/serializer.hpp"
 #include "common/assert.hpp"
+#include "common/repeat_add.hpp"
 #include "core/chip.hpp"
 
 namespace csmt::core {
@@ -364,7 +365,31 @@ void Cluster::quiet_tick(Cycle now) {
   for (std::size_t i = 0; i < kNumSlots; ++i) stats_.slots.slots[i] += d[i];
   if (stalled) ++stats_.dispatch_stall_cycles;
   ++stats_.cycles;
-  if (trace_ && stalled) trace_->instant(track_, "dispatch_stall", now);
+  if (trace_) {
+    if (stalled) trace_->instant(track_, "dispatch_stall", now);
+    trace_thread_states(now);
+  }
+}
+
+void Cluster::quiet_span(Cycle from, Cycle n) {
+  // Strict RR moves the fetch pointer, and with it the stall check, every
+  // cycle; tracing emits per-cycle events. Both replay cycle by cycle.
+  if (policy_ == FetchPolicy::kRoundRobin || trace_) {
+    for (Cycle c = from; c < from + n; ++c) quiet_tick(c);
+    return;
+  }
+  // Every other policy repeats one identical cycle: the fetch pointer only
+  // moves on a fetch, commit's start pointer advances, and each slot
+  // accumulator receives the same delta, which repeat_add applies n times
+  // bit for bit.
+  if (!threads_.empty()) commit_rr_ += static_cast<unsigned>(n);
+  const bool stalled = quiet_fallback_stall_;
+  const double* d = quiet_delta_[stalled ? 1 : 0];
+  for (std::size_t i = 0; i < kNumSlots; ++i) {
+    stats_.slots.slots[i] = repeat_add(stats_.slots.slots[i], d[i], n);
+  }
+  if (stalled) stats_.dispatch_stall_cycles += n;
+  stats_.cycles += n;
 }
 
 bool Cluster::try_sleep(Cycle now) {
@@ -391,14 +416,11 @@ bool Cluster::try_sleep(Cycle now) {
 }
 
 void Cluster::settle(Cycle upto) {
-  // Per-cycle replay, never closed form: the slot accumulators are doubles
-  // and bit-identity requires the exact same sequence of additions the
-  // per-cycle kernel performs.
-  while (quiet_from_ < upto) {
-    quiet_tick(quiet_from_);
-    ++quiet_from_;
-    ++lazy_replayed_;
-  }
+  if (quiet_from_ >= upto) return;
+  const Cycle n = upto - quiet_from_;
+  quiet_span(quiet_from_, n);
+  quiet_from_ = upto;
+  lazy_replayed_ += n;
 }
 
 void Cluster::wake(Cycle now) {
@@ -444,9 +466,12 @@ void Cluster::trace_cycle(Cycle now, std::uint64_t committed_before,
                     static_cast<std::int64_t>(committed));
   }
   if (dispatch_stalled_) trace_->instant(track_, "dispatch_stall", now);
+  trace_thread_states(now);
+}
 
-  // Per-thread run/sync/stall/halt slices: emit the previous slice when the
-  // state changes (so an unchanged state costs one compare per thread).
+void Cluster::trace_thread_states(Cycle now) {
+  // Emit the previous slice when the state changes (so an unchanged state
+  // costs one compare per thread).
   for (ThreadSlot& t : threads_) {
     const std::uint8_t st = thread_state(t, now);
     if (st == t.obs_state) continue;

@@ -221,16 +221,19 @@ class Cluster {
   /// every full tick, so such wakes are always observed). kNeverCycle when
   /// nothing in flight can ever make progress on its own. Must be called
   /// right after tick(now); when the horizon is beyond now+1 this also
-  /// primes the quiet-tick replay plan for the span (now, horizon).
+  /// primes the quiet replay plan for the span (now, horizon).
   Cycle next_event(Cycle now);
 
-  /// Replays the per-cycle accounting of tick(now) for a cycle inside a
-  /// quiescent span: the commit/fetch round-robin pointers advance and the
-  /// slot/stat accumulators receive bit-identical increments, but no
-  /// pipeline work is attempted (none is possible, by construction of
-  /// next_event()). Valid only for cycles strictly before the horizon the
-  /// last next_event() call returned.
-  void quiet_tick(Cycle now);
+  /// Replays the per-cycle accounting of tick() for the `n` cycles
+  /// starting at `from` inside a quiescent span: the commit/fetch
+  /// round-robin pointers advance and the slot/stat accumulators receive
+  /// bit-identical increments, but no pipeline work is attempted (none is
+  /// possible, by construction of next_event()). Valid only for cycles
+  /// strictly before the horizon the last next_event() call returned.
+  /// Outside strict round-robin fetch and tracing every cycle of the span
+  /// is identical, so the whole span costs one repeat_add per slot
+  /// accumulator (DESIGN.md §8).
+  void quiet_span(Cycle from, Cycle n);
 
   /// True when every attached thread has halted and the pipeline is empty.
   bool finished() const;
@@ -241,10 +244,11 @@ class Cluster {
   // chip unlinks it from the per-chip active list and stops ticking it.
   // While asleep the primed quiet plan stays valid (nothing internal can
   // change, and the one external input — a sync unblock — wakes it through
-  // the ThreadContext unblock hook), so the skipped cycles are replayed
-  // per-cycle by settle() when the cluster next wakes or a stats consumer
-  // needs them. Sleep state is transient and never checkpointed: settle()
-  // runs before every save, and a restored cluster simply starts awake.
+  // the ThreadContext unblock hook), so the skipped cycles are replayed as
+  // one quiet_span() by settle() when the cluster next wakes or a stats
+  // consumer needs them. Sleep state is transient and never checkpointed:
+  // settle() runs before every save, and a restored cluster simply starts
+  // awake.
 
   /// Binds the owning chip for wake notifications (called at chip setup).
   void set_chip(Chip* chip) { chip_ = chip; }
@@ -254,7 +258,7 @@ class Cluster {
   /// and falls asleep when it is beyond now+1. Returns true when asleep.
   bool try_sleep(Cycle now);
 
-  /// Replays quiet-tick accounting for all skipped cycles < `upto`. Keeps
+  /// Replays quiet accounting for all skipped cycles < `upto`. Keeps
   /// the cluster asleep; wake() is settle() plus rejoining the awake world.
   void settle(Cycle upto);
 
@@ -332,11 +336,19 @@ class Cluster {
   void fetch(Cycle now);
   void account(Cycle now);
 
+  /// One cycle of quiet_span(), for the spans that replay cycle by cycle.
+  /// With a trace sink attached it also emits the cycle's dispatch-stall
+  /// instant and thread-state slices.
+  void quiet_tick(Cycle now);
+
   /// Per-cycle trace emission (only called when a sink is attached):
   /// fetch/issue/commit instants on the cluster pipeline track plus
   /// run/sync/stall/halt state slices on each thread's track.
   void trace_cycle(Cycle now, std::uint64_t committed_before,
                    std::uint64_t fetched_before);
+  /// The run/sync/stall/halt slices of trace_cycle(), shared with
+  /// quiet_tick() so a state that flips inside a quiet span is not lost.
+  void trace_thread_states(Cycle now);
   std::uint8_t thread_state(const ThreadSlot& t, Cycle now) const;
 
   // --- event-driven issue stage (DESIGN.md §9) ---
@@ -409,7 +421,7 @@ class Cluster {
   /// quiescent span starting at now+1: the per-slot wasted-issue deltas
   /// (with and without a dispatch stall) and the fetch-stage stall
   /// bookkeeping. Every input to these expressions is constant across the
-  /// span, so quiet_tick() can replay them bit-identically.
+  /// span, so quiet_span() can replay them bit-identically.
   void prime_quiet_plan(Cycle now);
 
   /// Settles and wakes a sleeping cluster before external mutation
@@ -467,7 +479,7 @@ class Cluster {
   bool dispatch_stalled_ = false;
 
   // Quiescence state: activity flag maintained by tick(), and the replay
-  // plan primed by next_event() for quiet_tick() (see prime_quiet_plan).
+  // plan primed by next_event() for quiet_span() (see prime_quiet_plan).
   bool active_ = true;
   double quiet_delta_[2][kNumSlots] = {};  ///< [dispatch_stalled][slot]
   bool quiet_fallback_stall_ = false;      ///< fetch()'s chosen<0 stall scan

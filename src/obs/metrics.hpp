@@ -119,8 +119,16 @@ class EpochSampler {
   bool enabled() const { return interval_ != 0; }
   Cycle interval() const { return interval_; }
 
-  /// Accumulates this cycle's running-thread count into the open epoch.
-  void note_running(unsigned running) { running_accum_ += running; }
+  /// Accumulates `cycles` cycles of `running` running threads into the
+  /// open epoch. The accumulator holds an integer far below 2^53, so one
+  /// addition equals `cycles` additions of `running` exactly.
+  void note_running(unsigned running, Cycle cycles = 1) {
+    running_accum_ += static_cast<double>(running * cycles);
+  }
+
+  /// First cycle past the open epoch: a quiet span must stop here so the
+  /// epoch closes on its boundary.
+  Cycle epoch_end() const { return epoch_begin_ + interval_; }
 
   /// True when `cycles_done` completed cycles reach the open epoch's end.
   bool due(Cycle cycles_done) const {

@@ -390,8 +390,14 @@ void Machine::settle_chips(Cycle upto) {
   for (auto& chip : chips_) chip->settle(upto);
 }
 
-void Machine::quiet_tick_chips(Cycle now) {
-  for (auto& chip : chips_) chip->quiet_tick(now);
+void Machine::quiet_span_chips(Cycle from, Cycle n) {
+  if (cfg_.trace) {
+    for (Cycle c = from; c < from + n; ++c) {
+      for (auto& chip : chips_) chip->quiet_span(c, 1);
+    }
+    return;
+  }
+  for (auto& chip : chips_) chip->quiet_span(from, n);
 }
 
 RunStats Machine::collect_stats(Cycle now, double running_accum,

@@ -222,7 +222,11 @@ class Machine {
   /// Machine-wide horizon: min over chips and the interconnect. `now` is
   /// the cycle of the tick just executed.
   Cycle next_event(Cycle now);
-  void quiet_tick_chips(Cycle now);
+  /// Replays the `n` cycles of a machine-wide quiescent span starting at
+  /// `from` on every awake cluster. Untraced, each cluster replays the
+  /// span at once; traced, cycle by cycle with every chip inside each
+  /// cycle, so the trace file's event order is the per-cycle kernel's.
+  void quiet_span_chips(Cycle from, Cycle n);
   /// Replays sleeping clusters' skipped cycles < `upto` (DESIGN.md §14);
   /// required before any external read of cluster stats (ckpt saves, epoch
   /// closes, end of run).

@@ -1,5 +1,7 @@
 #include "sim/scheduler.hpp"
 
+#include <algorithm>
+
 #include "ckpt/serializer.hpp"
 #include "sim/machine.hpp"
 
@@ -128,12 +130,18 @@ Scheduler::Result Scheduler::run(
     }
     inactive_streak_ = 0;
     while (now_ < stop) {
-      m_.quiet_tick_chips(now_);
-      running_accum_ += running;
-      ++quiet_cycles_;
-      ++now_;
+      // The span is replayed in one piece per epoch: a sample must close on
+      // its boundary cycle.
+      const Cycle end =
+          sampler_.enabled() ? std::min(stop, sampler_.epoch_end()) : stop;
+      const Cycle n = end - now_;
+      m_.quiet_span_chips(now_, n);
+      // An integer-valued accumulator far below 2^53: one exact addition.
+      running_accum_ += static_cast<double>(n * running);
+      quiet_cycles_ += n;
+      now_ = end;
       if (sampler_.enabled()) {
-        sampler_.note_running(running);
+        sampler_.note_running(running, n);
         if (sampler_.due(now_)) {
           m_.settle_chips(now_);
           sampler_.close(now_, m_.snapshot_counters());

@@ -7,11 +7,12 @@
 // (no fetch/issue/commit/memory access/wake anywhere), asks every
 // component for the next cycle at which it could make progress
 // (`next_event(now)`) and replays the in-between cycles through the
-// components' quiet-tick paths — which reproduce the round-robin pointer
-// rotation and the per-cycle accounting bit for bit, at a fraction of the
-// cost. RunStats, epoch samples, and traces are therefore identical to the
-// per-cycle kernel; MachineConfig::no_skip forces the old stepping for A/B
-// verification.
+// components' quiet-span paths — which reproduce the round-robin pointer
+// rotation and the per-cycle accounting bit for bit, in closed form where
+// every cycle of the span is the same (repeat_add), so a span costs about
+// as much as one cycle. RunStats, epoch samples, and traces are therefore
+// identical to the per-cycle kernel; MachineConfig::no_skip forces the old
+// stepping for A/B verification.
 //
 // Horizon probes are amortized (DESIGN.md §9): a probe visits every
 // cluster's threads and every chip's memory system, so on busy workloads

@@ -6,8 +6,10 @@
 // full serialized precision.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -68,6 +70,39 @@ TEST(KernelEquivalence, WorkloadGridIsBitIdentical) {
         EXPECT_EQ(stats_json(fast), stats_json(slow))
             << wl << " " << core::arch_name(arch) << " chips=" << chips;
       }
+    }
+  }
+}
+
+TEST(KernelEquivalence, FetchPoliciesMatchPerCycleKernel) {
+  // The default rr-skip is covered above. Strict rr is the one policy whose
+  // quiet spans replay cycle by cycle (its stall check rotates with the
+  // fetch pointer); icount replays them in closed form like rr-skip.
+  const struct {
+    const char* workload;
+    unsigned chips;
+  } points[] = {{"swim", 1}, {"ocean", 4}};
+  for (const core::FetchPolicy policy :
+       {core::FetchPolicy::kRoundRobin, core::FetchPolicy::kIcount}) {
+    for (const auto& pt : points) {
+      ExperimentSpec spec;
+      spec.workload = pt.workload;
+      spec.arch = core::ArchKind::kSmt2;
+      spec.chips = pt.chips;
+      spec.scale = 1;
+      spec.fetch_policy = policy;
+      spec.metrics_interval = 128;
+
+      spec.no_skip = false;
+      const ExperimentResult fast = run_experiment(spec);
+      spec.no_skip = true;
+      const ExperimentResult slow = run_experiment(spec);
+
+      EXPECT_TRUE(fast.validated);
+      EXPECT_GT(fast.sim_speed.quiet_cycles, 0u);
+      EXPECT_EQ(stats_json(fast), stats_json(slow))
+          << pt.workload << " chips=" << pt.chips << " "
+          << core::fetch_policy_name(policy);
     }
   }
 }
@@ -143,6 +178,62 @@ std::vector<std::string> counter_lines(const std::string& path,
     out.push_back(line);
   }
   return out;
+}
+
+/// A whole file's bytes.
+std::string read_file(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
+}
+
+/// 1-based number of the first line where `a` and `b` differ (0 if equal).
+std::size_t first_diff_line(const std::string& a, const std::string& b) {
+  const auto [ia, ib] = std::mismatch(a.begin(), a.end(), b.begin(), b.end());
+  if (ia == a.end() && ib == b.end()) return 0;
+  return 1 + static_cast<std::size_t>(std::count(a.begin(), ia, '\n'));
+}
+
+TEST(KernelEquivalence, TracedPointsWriteIdenticalFiles) {
+  // The scale-1 paper-grid points where a thread's run/sync/stall/halt
+  // state flips on a cycle the skip kernel replays through the quiet path.
+  // The whole trace file, event order included, must be the per-cycle
+  // kernel's.
+  using core::ArchKind;
+  const struct {
+    const char* workload;
+    ArchKind arch;
+    unsigned chips;
+  } points[] = {
+      {"swim", ArchKind::kSmt2, 4},    {"swim", ArchKind::kSmt4, 4},
+      {"tomcatv", ArchKind::kSmt1, 4}, {"tomcatv", ArchKind::kSmt2, 4},
+      {"tomcatv", ArchKind::kSmt4, 4}, {"mgrid", ArchKind::kFa8, 1},
+      {"mgrid", ArchKind::kFa8, 4},    {"mgrid", ArchKind::kSmt4, 1},
+      {"ocean", ArchKind::kSmt1, 1},   {"ocean", ArchKind::kSmt1, 4},
+      {"ocean", ArchKind::kSmt2, 1},
+  };
+  const std::string skip_path = ::testing::TempDir() + "csmt_point_skip.json";
+  const std::string slow_path = ::testing::TempDir() + "csmt_point_slow.json";
+  for (const auto& pt : points) {
+    ExperimentSpec spec;
+    spec.workload = pt.workload;
+    spec.arch = pt.arch;
+    spec.chips = pt.chips;
+    spec.scale = 1;
+    spec.trace_path = skip_path;
+    const ExperimentResult fast = run_experiment(spec);
+    spec.trace_path = slow_path;
+    spec.no_skip = true;
+    run_experiment(spec);
+    EXPECT_GT(fast.sim_speed.quiet_cycles, 0u);
+
+    const std::string skip = read_file(skip_path);
+    const std::string slow = read_file(slow_path);
+    EXPECT_FALSE(skip.empty());
+    EXPECT_EQ(first_diff_line(skip, slow), 0u)
+        << pt.workload << "/" << core::arch_name(pt.arch) << "/x" << pt.chips;
+  }
+  std::remove(skip_path.c_str());
+  std::remove(slow_path.c_str());
 }
 
 TEST(KernelEquivalence, RunJobsTracesRunningThreadsLikeRun) {

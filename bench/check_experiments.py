@@ -1,18 +1,26 @@
 #!/usr/bin/env python3
-"""Check EXPERIMENTS.md's figure and E1 tables against the bench binaries.
+"""Check EXPERIMENTS.md's measured tables against the bench binaries.
 
 Usage:  python3 bench/check_experiments.py ROOT BINDIR
 
 ROOT is a checkout (holding EXPERIMENTS.md), BINDIR the directory with the
-bench binaries (e.g. build/bench). Runs fig4, fig5, fig7 and fig8 at their
-default scale with a fresh, temporary result cache, parses each printed
-"Normalized execution time" table, and compares every cell whose column is
-an architecture name (FA8, SMT2, ...) with the same cell of that figure's
-table in EXPERIMENTS.md (bold markers stripped). Then runs ext_multiprogram
-and compares the makespan of each printed `mix: a + b` table with the E1
-table (commas and bold stripped). Prints one line per mismatch,
-`Figure N workload/ARCH: doc X, bench Y` or `E1 mix/ARCH: doc X, bench Y`,
-and exits 1 if there is any; exits 0 when every documented cell matches.
+bench binaries (e.g. build/bench). Runs every bench at its default scale
+with a fresh, temporary result cache and compares:
+
+- Figures 4, 5, 7 and 8: every cell of the printed "Normalized execution
+  time" table whose column is an architecture name (FA8, SMT2, ...) with
+  the same cell of that figure's table (bold markers stripped), exactly.
+- Figure 6: the low-end and high-end measured `(threads, ILP)` columns with
+  the two printed tables. A cell matches when each coordinate is within
+  0.05 of the bench's two-decimal value.
+- Table 3: the `measured` column with the printed latencies, exactly.
+- E1: the makespan of each printed `mix: a + b` table (commas and bold
+  stripped), exactly.
+
+Prints one line per mismatch, `Figure N workload/ARCH: doc X, bench Y`,
+`Figure 6 workload/low-end: doc X, bench Y`, `Table 3 level: doc X,
+bench Y` or `E1 mix/ARCH: doc X, bench Y`, and exits 1 if there is any;
+exits 0 when every documented cell matches.
 """
 import os
 import re
@@ -28,6 +36,10 @@ FIGURES = {
 }
 ARCH = re.compile(r"^(FA|SMT)\d+$")
 MIX = re.compile(r"^mix: (\S+ \+ \S+)$")
+POINT = re.compile(r"\(([-\d.]+), ([-\d.]+)\)")
+# Figure 6 doc column -> index of the bench's table (low end prints first).
+FIG6_COLUMNS = {"low-end measured": 0, "high-end measured": 1}
+FIG6_TOLERANCE = 0.05
 
 
 def doc_table(text, heading):
@@ -82,6 +94,40 @@ def mix_makespans(stdout):
     return table
 
 
+def fig6_points(stdout):
+    """[{workload: "(threads, ilp)"}] of the printed low- and high-end
+    tables."""
+    lines = stdout.splitlines()
+    tables = []
+    for i, line in enumerate(lines):
+        if not line.startswith("workload  avg threads (FA8)"):
+            continue
+        table = {}
+        for row in lines[i + 2:]:
+            if not row.strip():
+                break
+            cells = row.split()
+            table[cells[0]] = "(%s, %s)" % (cells[1], cells[2])
+        tables.append(table)
+    return tables
+
+
+def table3_latencies(stdout):
+    """{level: measured} of the printed Table 3."""
+    lines = stdout.splitlines()
+    start = next(i for i, l in enumerate(lines) if l.startswith("level "))
+    header = lines[start]
+    # Level names hold spaces, so cut the columns by position.
+    name_end, lo, hi = (header.index("Table 3"), header.index("measured"),
+                        header.index("match"))
+    table = {}
+    for row in lines[start + 2:]:
+        if not row.strip():
+            break
+        table[row[:name_end].strip()] = row[lo:hi].strip()
+    return table
+
+
 def same(doc, bench):
     try:
         return float(doc.replace(",", "")) == float(bench.replace(",", ""))
@@ -101,6 +147,37 @@ def compare(label, bench, doc):
                 print("%s %s/%s: doc %s, bench %s" % (label, row, arch, want,
                                                       got))
                 mismatches += 1
+    return mismatches
+
+
+def compare_fig6(bench, doc):
+    """Prints each documented Figure 6 point off by more than the
+    tolerance."""
+    mismatches = 0
+    for workload, cols in doc.items():
+        for column, index in FIG6_COLUMNS.items():
+            want = POINT.search(cols.get(column, ""))
+            got = bench[index].get(workload, "missing")
+            have = POINT.search(got)
+            if not (want and have and all(
+                    abs(float(w) - float(h)) <= FIG6_TOLERANCE + 1e-9
+                    for w, h in zip(want.groups(), have.groups()))):
+                print("Figure 6 %s/%s: doc %s, bench %s" % (
+                    workload, column.split()[0],
+                    want.group(0) if want else cols.get(column), got))
+                mismatches += 1
+    return mismatches
+
+
+def compare_table3(bench, doc):
+    """Prints each documented Table 3 latency the bench disagrees with."""
+    mismatches = 0
+    for level, cols in doc.items():
+        got = bench.get(level, "missing")
+        if not same(cols["measured"], got):
+            print("Table 3 %s: doc %s, bench %s" % (level, cols["measured"],
+                                                    got))
+            mismatches += 1
     return mismatches
 
 
@@ -127,6 +204,12 @@ def main():
         for fig, binary in FIGURES.items():
             mismatches += compare("Figure %d" % fig, bench_table(run(binary)),
                                   doc_table(text, "## Figure %d " % fig))
+        mismatches += compare_fig6(
+            fig6_points(run("fig6_app_characterization")),
+            doc_table(text, "## Figure 6 "))
+        mismatches += compare_table3(
+            table3_latencies(run("table3_memory_latency")),
+            doc_table(text, "## Table 3 "))
         mismatches += compare("E1", mix_makespans(run("ext_multiprogram")),
                               doc_table(text, "## Extension E1 "))
     return 1 if mismatches else 0

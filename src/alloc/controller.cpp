@@ -8,7 +8,6 @@
 #include "core/cluster.hpp"
 #include "exec/thread_context.hpp"
 #include "obs/trace.hpp"
-#include "telemetry/registry.hpp"
 
 namespace csmt::alloc {
 
@@ -35,23 +34,6 @@ Controller::Controller(const MachineShape& shape, const AllocConfig& cfg,
   prev_l1_miss_.assign(clusters_.size(), 0);
   prev_tlb_hits_.assign(clusters_.size(), 0);
   prev_tlb_miss_.assign(clusters_.size(), 0);
-}
-
-// Final deltas (migrations that completed after the last epoch boundary)
-// still reach the registry when the run tears the controller down.
-Controller::~Controller() { publish_telemetry(); }
-
-void Controller::publish_telemetry() {
-  auto& reg = telemetry::Registry::global();
-  reg.counter("alloc.epochs").add(stats_.epochs - last_published_.epochs);
-  reg.counter("alloc.migrations")
-      .add(stats_.migrations - last_published_.migrations);
-  reg.counter("alloc.rejected").add(stats_.rejected - last_published_.rejected);
-  reg.counter("alloc.drain_cycles")
-      .add(stats_.drain_cycles - last_published_.drain_cycles);
-  reg.counter("alloc.stall_cycles")
-      .add(stats_.stall_cycles - last_published_.stall_cycles);
-  last_published_ = stats_;
 }
 
 void Controller::place_initial() {
@@ -214,8 +196,6 @@ void Controller::on_epoch(Cycle now) {
   // A context already drained at decision time detaches (and possibly
   // lands) in the same cycle: the cost model charges from `now` either way.
   if (!pending_.empty()) advance_pending(now);
-
-  publish_telemetry();
 }
 
 bool Controller::reclaim_done_context(unsigned c, Cycle now) {

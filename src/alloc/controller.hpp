@@ -49,7 +49,6 @@ class Controller {
              std::vector<const cache::MemSys*> memsys,
              std::vector<exec::ThreadContext*> threads,
              std::vector<unsigned> job_threads, obs::TraceSink* trace);
-  ~Controller();
 
   /// Computes the policy's initial placement and attaches every thread, in
   /// cluster order then placement order — the same fill order the machine
@@ -91,11 +90,6 @@ class Controller {
     bool in_sync = false;     ///< sync latch carried over from the source
   };
 
-  /// Publishes the delta of stats_ since the last publication into the
-  /// global telemetry registry (`alloc.*` counters). Epoch-grained and
-  /// write-only (registry atomics), per DESIGN.md §12.
-  void publish_telemetry();
-
   void advance_pending(Cycle now);
   /// Frees a context on cluster `c` by detaching a done, drained thread.
   /// Returns false when no such victim exists yet.
@@ -126,9 +120,6 @@ class Controller {
   std::vector<std::uint64_t> prev_tlb_miss_;
 
   AllocStats stats_;
-  /// stats_ as of the last publish_telemetry() — the registry counters get
-  /// deltas, so process-wide totals aggregate correctly across runs.
-  AllocStats last_published_;
 };
 
 }  // namespace csmt::alloc

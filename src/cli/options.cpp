@@ -55,18 +55,6 @@ Options parse_options(int argc, char** argv, unsigned default_scale) {
     } else if (const char* v = flag_value(argc, argv, i, "--ckpt-interval")) {
       opt.sweep.ckpt_interval =
           flag_u64(v, "--ckpt-interval", 1, "an integer >= 1");
-    } else if (const char* v =
-                   flag_value(argc, argv, i, "--serve-telemetry")) {
-      const std::uint64_t port =
-          flag_u64(v, "--serve-telemetry", 0, "a port, 0 = ephemeral");
-      if (port > 65535) {
-        std::fprintf(stderr,
-                     "csmt: --serve-telemetry wants a port <= 65535, got "
-                     "'%s'\n",
-                     v);
-        std::exit(2);
-      }
-      opt.sweep.serve_telemetry = static_cast<int>(port);
     } else if (const char* v = flag_value(argc, argv, i, "--alloc-policy")) {
       const auto kind = alloc::policy_from_name(v);
       if (!kind) {
@@ -87,12 +75,11 @@ Options parse_options(int argc, char** argv, unsigned default_scale) {
           stderr,
           "usage: %s [--scale N] [--jobs N] [--cache-dir PATH] "
           "[--json PATH] [--trace PATH] [--metrics-interval N] "
-          "[--ckpt-interval N] [--serve-telemetry PORT] [--no-skip] "
-          "[--alloc-policy NAME] [--alloc-epoch N]\n"
+          "[--ckpt-interval N] [--no-skip] [--alloc-policy NAME] "
+          "[--alloc-epoch N]\n"
           "  (env: CSMT_SCALE, CSMT_JOBS, CSMT_CACHE_DIR, CSMT_JSON, "
           "CSMT_TRACE, CSMT_METRICS_INTERVAL, CSMT_CKPT_INTERVAL, "
-          "CSMT_SERVE_TELEMETRY, CSMT_NO_SKIP, CSMT_ALLOC_POLICY, "
-          "CSMT_ALLOC_EPOCH)\n"
+          "CSMT_NO_SKIP, CSMT_ALLOC_POLICY, CSMT_ALLOC_EPOCH)\n"
           "  allocation policies: static, greedy-util, symbiosis, "
           "ipc-migrate\n",
           argv[0]);

@@ -34,16 +34,15 @@ struct Options {
   Cycle alloc_epoch = 0;
 
   /// Environment defaults only: CSMT_SCALE, CSMT_JOBS, CSMT_CACHE_DIR,
-  /// CSMT_CKPT_INTERVAL, CSMT_SERVE_TELEMETRY, CSMT_JSON, CSMT_TRACE,
-  /// CSMT_METRICS_INTERVAL, CSMT_NO_SKIP, CSMT_ALLOC_POLICY,
-  /// CSMT_ALLOC_EPOCH. Malformed values warn and keep the default.
+  /// CSMT_CKPT_INTERVAL, CSMT_JSON, CSMT_TRACE, CSMT_METRICS_INTERVAL,
+  /// CSMT_NO_SKIP, CSMT_ALLOC_POLICY, CSMT_ALLOC_EPOCH. Malformed values
+  /// warn and keep the default.
   static Options from_env(unsigned default_scale = 4);
 };
 
 /// from_env() overridden by flags: --scale N, --jobs N, --cache-dir PATH,
 /// --json PATH, --trace PATH, --metrics-interval N, --ckpt-interval N,
-/// --serve-telemetry PORT (0 = ephemeral; see DESIGN.md §12), --no-skip,
-/// --alloc-policy NAME, --alloc-epoch N (both "--flag value" and
+/// --no-skip, --alloc-policy NAME, --alloc-epoch N (both "--flag value" and
 /// "--flag=value"). Unknown arguments and malformed flag values abort with
 /// a usage message (exit 2) so typos don't silently run the wrong
 /// experiment.

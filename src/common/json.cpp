@@ -88,8 +88,17 @@ class Parser {
     skip_ws();
     if (pos_ >= s_.size()) return std::nullopt;
     switch (s_[pos_]) {
-      case '{': return object();
-      case '[': return array();
+      case '{':
+      case '[': {
+        // Bounded nesting: deeper input is rejected instead of recursing
+        // until the stack overflows. Everything csmt writes nests a
+        // handful of levels deep.
+        if (depth_ == kMaxDepth) return std::nullopt;
+        ++depth_;
+        auto nested = s_[pos_] == '{' ? object() : array();
+        --depth_;
+        return nested;
+      }
       case '"': {
         auto str = string();
         if (!str) return std::nullopt;
@@ -201,8 +210,11 @@ class Parser {
     }
   }
 
+  static constexpr int kMaxDepth = 256;
+
   std::string_view s_;
   std::size_t pos_ = 0;
+  int depth_ = 0;
 };
 
 }  // namespace
@@ -213,6 +225,14 @@ Value& Value::operator[](std::string_view key) {
   }
   obj_.emplace_back(std::string(key), Value());
   return obj_.back().second;
+}
+
+std::optional<std::uint64_t> Value::exact_u64() const {
+  // 2^64 is exact as a double; every integral double below it converts.
+  if (kind_ != Kind::kNumber || !std::isfinite(num_) || num_ < 0.0 ||
+      num_ >= 18446744073709551616.0 || num_ != std::floor(num_))
+    return std::nullopt;
+  return static_cast<std::uint64_t>(num_);
 }
 
 const Value* Value::find(std::string_view key) const {

@@ -4,6 +4,7 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -59,12 +60,18 @@ class Value {
   double as_number(double fallback = 0.0) const {
     return kind_ == Kind::kNumber ? num_ : fallback;
   }
+  /// The number as an exact unsigned integer: nullopt unless it is a
+  /// finite, non-negative integer below 2^64 (converting anything else is
+  /// undefined behavior).
+  std::optional<std::uint64_t> exact_u64() const;
   std::uint64_t as_u64(std::uint64_t fallback = 0) const {
-    return kind_ == Kind::kNumber ? static_cast<std::uint64_t>(num_)
-                                  : fallback;
+    return exact_u64().value_or(fallback);
   }
   unsigned as_unsigned(unsigned fallback = 0) const {
-    return kind_ == Kind::kNumber ? static_cast<unsigned>(num_) : fallback;
+    const auto u = exact_u64();
+    return u && *u <= std::numeric_limits<unsigned>::max()
+               ? static_cast<unsigned>(*u)
+               : fallback;
   }
   const std::string& as_string() const { return str_; }
 
@@ -85,7 +92,8 @@ class Value {
   std::string dump(int indent = -1) const;
 
   /// Strict-enough parser for the dialect dump() emits (plus standard JSON
-  /// escapes). Returns nullopt on malformed input or trailing garbage.
+  /// escapes). Returns nullopt on malformed input, trailing garbage, or
+  /// nesting deeper than 256 levels.
   static std::optional<Value> parse(std::string_view text);
 
  private:

@@ -1,40 +1,11 @@
 #include "sim/experiment.hpp"
 
 #include <cstdio>
-#include <memory>
 #include <thread>
 
 #include "obs/trace.hpp"
-#include "telemetry/probe.hpp"
-#include "telemetry/regime.hpp"
 
 namespace csmt::sim {
-namespace {
-
-/// Telemetry label of a point: "workload/arch/xCHIPS/sSCALE".
-std::string telemetry_label(const ExperimentSpec& spec) {
-  return spec.workload + "/" + core::arch_name(spec.arch) + "/x" +
-         std::to_string(spec.chips) + "/s" + std::to_string(spec.scale);
-}
-
-/// End-of-run aggregate publication: process-wide counters every run feeds
-/// regardless of per-run probes (they are a handful of relaxed atomic adds
-/// per *run*, not per cycle).
-void publish_run_totals(const ExperimentResult& r) {
-  auto& reg = telemetry::Registry::global();
-  reg.counter("sim.runs_completed").add();
-  reg.counter("sim.cycles_total").add(r.stats.cycles);
-  reg.counter("sim.quiet_cycles_total").add(r.sim_speed.quiet_cycles);
-  reg.counter("sim.committed_total").add(r.sim_speed.committed);
-  if (r.stats.timed_out) reg.counter("sim.runs_timed_out").add();
-  reg.counter(std::string("sim.regime.") +
-              telemetry::regime_name(
-                  telemetry::classify_regime(r.sim_speed.quiet_fraction())))
-      .add();
-  reg.gauge("sim.last_run_cycles_per_sec").set(r.sim_speed.cycles_per_sec());
-}
-
-}  // namespace
 
 ExperimentResult run_experiment(const ExperimentSpec& spec) {
   MachineConfig mc;
@@ -69,16 +40,6 @@ ExperimentResult run_experiment(const ExperimentSpec& spec) {
   }
   obs::PhaseProfiler profiler;
   if (spec.profile_phases) mc.profiler = &profiler;
-
-  telemetry::Registry::global().counter("sim.runs_started").add();
-  // Per-run probes (live gauges + epoch-IPC series) only exist while a
-  // telemetry consumer is attached; otherwise thousands of ctest/sweep runs
-  // would grow an unread run table in the registry.
-  std::unique_ptr<telemetry::RunProbe> probe;
-  if (telemetry::Registry::global().enabled()) {
-    probe = std::make_unique<telemetry::RunProbe>(telemetry_label(spec));
-    mc.probe = probe.get();
-  }
 
   Machine machine(mc);
 
@@ -122,13 +83,6 @@ ExperimentResult run_experiment(const ExperimentSpec& spec) {
   // The point is done with its address space: hand the pages back now so a
   // sweep's peak RSS tracks one point, not the whole grid (DESIGN.md §14).
   memory.release();
-
-  publish_run_totals(result);
-  if (probe) {
-    probe->finish(result.stats.cycles, result.sim_speed.quiet_fraction(),
-                  result.sim_speed.cycles_per_sec(), result.validated,
-                  result.stats.timed_out);
-  }
   return result;
 }
 

@@ -6,7 +6,6 @@
 #include "ckpt/serializer.hpp"
 #include "common/assert.hpp"
 #include "sim/scheduler.hpp"
-#include "telemetry/probe.hpp"
 
 namespace csmt::sim {
 
@@ -309,28 +308,15 @@ MultiRunStats Machine::run(const Mix& mix) {
   // to fetch a halt), so the hook sees every completion exactly when the
   // per-cycle kernel did. Single-job static mixes skip the hook entirely —
   // the hot path of the paper-grid runs stays untouched — and their one
-  // job's finish cycle is the makespan by definition. A telemetry probe
-  // also rides here (never on the probe-less hot path): it publishes
-  // registry atomics only, so the tick sequence and all stats are
-  // unchanged by its presence.
+  // job's finish cycle is the makespan by definition.
   const bool track_jobs = !single || dynamic;
   std::function<void(Cycle)> after_tick;
-  if (track_jobs || cfg_.probe) {
-    std::size_t epochs_pushed = 0;
-    after_tick = [&, track_jobs, epochs_pushed](Cycle now) mutable {
+  if (track_jobs) {
+    after_tick = [&](Cycle now) {
       if (dynamic) ctl.on_tick(now);
-      if (track_jobs) {
-        for (std::size_t j = 0; j < mix.jobs.size(); ++j) {
-          if (out.job_finish[j] == 0 && groups[j]->all_done()) {
-            out.job_finish[j] = now;
-          }
-        }
-      }
-      if (cfg_.probe && (now & telemetry::RunProbe::kLiveMask) == 0) {
-        cfg_.probe->publish_live(now, sched.quiet_cycles(), running_now());
-        const auto& samples = sampler.samples();
-        for (; epochs_pushed < samples.size(); ++epochs_pushed) {
-          cfg_.probe->push_epoch_ipc(samples[epochs_pushed].useful_ipc());
+      for (std::size_t j = 0; j < mix.jobs.size(); ++j) {
+        if (out.job_finish[j] == 0 && groups[j]->all_done()) {
+          out.job_finish[j] = now;
         }
       }
     };

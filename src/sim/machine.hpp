@@ -25,9 +25,6 @@ class Serializer;
 namespace csmt::alloc {
 class Controller;
 }
-namespace csmt::telemetry {
-class RunProbe;
-}
 
 namespace csmt::sim {
 
@@ -55,12 +52,6 @@ struct MachineConfig {
   obs::PhaseProfiler* profiler = nullptr;
   /// Epoch length for interval metrics, in cycles; 0 = no epochs.
   Cycle metrics_interval = 0;
-  /// Live-telemetry probe (DESIGN.md §12); not owned, must outlive the
-  /// machine. The run loop publishes the clock/quiet fraction every
-  /// RunProbe::kLiveMask+1 cycles and one series point per closed metrics
-  /// epoch. Publication writes only registry atomics, so RunStats stay
-  /// bit-identical with a probe attached or not.
-  telemetry::RunProbe* probe = nullptr;
 
   // --- checkpoint/restore (csmt::ckpt, DESIGN.md §10; off by default,
   // zero-cost when off: with interval 0 the run loop never tests the clock

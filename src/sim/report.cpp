@@ -1,12 +1,14 @@
 #include "sim/report.hpp"
 
 #include <algorithm>
+#include <limits>
 #include <map>
+#include <string_view>
 
 #include "common/stats.hpp"
 #include "common/table.hpp"
 #include "core/hazards.hpp"
-#include "telemetry/regime.hpp"
+#include "sim/regime.hpp"
 
 namespace csmt::sim {
 namespace {
@@ -121,8 +123,8 @@ std::string render_summary_table(
                format_percent(r.stats.slots.fraction(Slot::kMemory)),
                format_fixed(r.stats.avg_running_threads, 2),
                r.sim_speed.measured
-                   ? telemetry::regime_name(telemetry::classify_regime(
-                         r.sim_speed.quiet_fraction()))
+                   ? regime_name(
+                         classify_regime(r.sim_speed.quiet_fraction()))
                    : "-",
                r.stats.timed_out ? "TIMEOUT" : (r.validated ? "yes" : "NO")});
   }
@@ -179,6 +181,74 @@ json::Value spec_to_json(const ExperimentSpec& sp) {
   return spec;
 }
 
+/// Range-checked member reads for the decoders below. A missing member
+/// keeps the field's default (older artifacts omit some); a present one of
+/// the wrong kind or out of range marks the whole document bad, so a
+/// corrupted cache entry is a miss rather than a crash or a wrong answer.
+class FieldReader {
+ public:
+  bool ok() const { return ok_; }
+
+  /// Counter: a non-negative integer below 2^64.
+  void count(const json::Value* obj, std::string_view key,
+             std::uint64_t& out) {
+    if (const json::Value* v = member(obj, key)) {
+      const auto u = v->exact_u64();
+      if (u) {
+        out = *u;
+      } else {
+        ok_ = false;
+      }
+    }
+  }
+  void count(const json::Value* obj, std::string_view key, unsigned& out) {
+    std::uint64_t u = out;
+    count(obj, key, u);
+    if (u > std::numeric_limits<unsigned>::max()) {
+      ok_ = false;
+    } else {
+      out = static_cast<unsigned>(u);
+    }
+  }
+  /// Non-negative finite real: slot counts, thread averages, host seconds.
+  void amount(const json::Value* obj, std::string_view key, double& out) {
+    real(obj, key, std::numeric_limits<double>::max(), out);
+  }
+  /// Ratio in [0, 1]: miss rates.
+  void rate(const json::Value* obj, std::string_view key, double& out) {
+    real(obj, key, 1.0, out);
+  }
+  void flag(const json::Value* obj, std::string_view key, bool& out) {
+    if (const json::Value* v = member(obj, key)) {
+      if (v->is_bool()) {
+        out = v->as_bool();
+      } else {
+        ok_ = false;
+      }
+    }
+  }
+
+ private:
+  static const json::Value* member(const json::Value* obj,
+                                   std::string_view key) {
+    return obj ? obj->find(key) : nullptr;
+  }
+  void real(const json::Value* obj, std::string_view key, double max,
+            double& out) {
+    if (const json::Value* v = member(obj, key)) {
+      const double d = v->as_number(-1.0);
+      // The negated test also rejects NaN.
+      if (v->is_number() && d >= 0.0 && d <= max) {
+        out = d;
+      } else {
+        ok_ = false;
+      }
+    }
+  }
+
+  bool ok_ = true;
+};
+
 /// Rebuilds a spec from spec_to_json() output; nullopt when required fields
 /// are missing or malformed (unknown workload names are accepted here —
 /// run_experiment validates them — but unknown arch/policy names are not).
@@ -193,26 +263,32 @@ std::optional<ExperimentSpec> spec_from_json(const json::Value& v) {
   ExperimentSpec spec;
   spec.workload = workload->as_string();
   spec.arch = *kind;
-  if (const json::Value* c = v.find("chips")) spec.chips = c->as_unsigned(1);
-  if (const json::Value* s = v.find("scale")) spec.scale = s->as_unsigned(3);
-  if (const json::Value* f = v.find("fetch_policy")) {
-    const auto policy = core::fetch_policy_from_name(f->as_string());
+  FieldReader f;
+  f.count(&v, "chips", spec.chips);
+  f.count(&v, "scale", spec.scale);
+  if (const json::Value* fp = v.find("fetch_policy")) {
+    const auto policy = core::fetch_policy_from_name(fp->as_string());
     if (!policy) return std::nullopt;
     spec.fetch_policy = *policy;
   }
-  if (const json::Value* w = v.find("window_size"))
-    spec.window_size = w->as_unsigned();
-  if (const json::Value* p = v.find("l1_private"))
-    spec.l1_private = p->as_bool();
-  if (const json::Value* m = v.find("metrics_interval"))
-    spec.metrics_interval = m->as_u64();
+  if (v.find("window_size")) {
+    unsigned w = 0;
+    f.count(&v, "window_size", w);
+    spec.window_size = w;
+  }
+  if (v.find("l1_private")) {
+    bool p = false;
+    f.flag(&v, "l1_private", p);
+    spec.l1_private = p;
+  }
+  f.count(&v, "metrics_interval", spec.metrics_interval);
   if (const json::Value* a = v.find("alloc_policy")) {
     const auto kind_a = alloc::policy_from_name(a->as_string());
     if (!kind_a) return std::nullopt;
     spec.alloc_policy = *kind_a;
   }
-  if (const json::Value* a = v.find("alloc_epoch"))
-    spec.alloc_epoch = a->as_u64();
+  f.count(&v, "alloc_epoch", spec.alloc_epoch);
+  if (!f.ok()) return std::nullopt;
   return spec;
 }
 
@@ -329,8 +405,8 @@ json::Value to_json(const ExperimentResult& r) {
     // deterministic quiet/sim cycle counters, so cached v2 artifacts gain
     // it on re-render without invalidating anything. result_from_json
     // ignores it by construction (it re-derives from the counters).
-    speed["regime"] = telemetry::regime_name(
-        telemetry::classify_regime(r.sim_speed.quiet_fraction()));
+    speed["regime"] =
+        regime_name(classify_regime(r.sim_speed.quiet_fraction()));
     if (r.sim_speed.phases_measured) {
       json::Value phases = json::Value::object();
       for (std::size_t i = 0; i < obs::kNumPhases; ++i) {
@@ -349,161 +425,116 @@ std::optional<ExperimentResult> result_from_json(const json::Value& v) {
   const json::Value* stats = v.find("stats");
   const json::Value* validated = v.find("validated");
   if (!spec || !stats || !validated || !spec->is_object() ||
-      !stats->is_object())
+      !stats->is_object() || !validated->is_bool())
     return std::nullopt;
 
   ExperimentResult r;
   const auto decoded_spec = spec_from_json(*spec);
   if (!decoded_spec) return std::nullopt;
   r.spec = *decoded_spec;
+  r.validated = validated->as_bool();
 
+  FieldReader f;
   RunStats& s = r.stats;
-  const json::Value* cycles = stats->find("cycles");
-  if (!cycles || !cycles->is_number()) return std::nullopt;
-  s.cycles = cycles->as_u64();
-  if (const json::Value* slots = stats->find("slots")) {
-    for (std::size_t i = 0; i < core::kNumSlots; ++i) {
-      if (const json::Value* c =
-              slots->find(core::slot_name(static_cast<Slot>(i))))
-        s.slots.slots[i] = c->as_number();
-    }
+  if (!stats->find("cycles")) return std::nullopt;
+  f.count(stats, "cycles", s.cycles);
+  const json::Value* slots = stats->find("slots");
+  for (std::size_t i = 0; i < core::kNumSlots; ++i) {
+    f.amount(slots, core::slot_name(static_cast<Slot>(i)), s.slots.slots[i]);
   }
-  if (const json::Value* c = stats->find("committed_useful"))
-    s.committed_useful = c->as_u64();
-  if (const json::Value* c = stats->find("committed_sync"))
-    s.committed_sync = c->as_u64();
-  if (const json::Value* c = stats->find("fetched")) s.fetched = c->as_u64();
-  if (const json::Value* c = stats->find("timed_out"))
-    s.timed_out = c->as_bool();
-  if (const json::Value* c = stats->find("avg_running_threads"))
-    s.avg_running_threads = c->as_number();
-  if (const json::Value* p = stats->find("predictor")) {
-    if (const json::Value* c = p->find("cond_lookups"))
-      s.predictor.cond_lookups = c->as_u64();
-    if (const json::Value* c = p->find("cond_mispredicts"))
-      s.predictor.cond_mispredicts = c->as_u64();
-    if (const json::Value* c = p->find("btb_misses"))
-      s.predictor.btb_misses = c->as_u64();
-  }
+  f.count(stats, "committed_useful", s.committed_useful);
+  f.count(stats, "committed_sync", s.committed_sync);
+  f.count(stats, "fetched", s.fetched);
+  f.flag(stats, "timed_out", s.timed_out);
+  f.amount(stats, "avg_running_threads", s.avg_running_threads);
+  const json::Value* p = stats->find("predictor");
+  f.count(p, "cond_lookups", s.predictor.cond_lookups);
+  f.count(p, "cond_mispredicts", s.predictor.cond_mispredicts);
+  f.count(p, "btb_misses", s.predictor.btb_misses);
   if (const json::Value* m = stats->find("mem")) {
-    if (const json::Value* c = m->find("loads")) s.mem.loads = c->as_u64();
-    if (const json::Value* c = m->find("stores")) s.mem.stores = c->as_u64();
+    f.count(m, "loads", s.mem.loads);
+    f.count(m, "stores", s.mem.stores);
     if (const json::Value* levels = m->find("by_level")) {
       const json::Array& items = levels->items();
       for (std::size_t i = 0;
-           i < items.size() && i < s.mem.by_level.size(); ++i)
-        s.mem.by_level[i] = items[i].as_u64();
+           i < items.size() && i < s.mem.by_level.size(); ++i) {
+        const auto u = items[i].exact_u64();
+        if (!u) return std::nullopt;
+        s.mem.by_level[i] = *u;
+      }
     }
-    if (const json::Value* c = m->find("bank_rejections"))
-      s.mem.bank_rejections = c->as_u64();
-    if (const json::Value* c = m->find("mshr_rejections"))
-      s.mem.mshr_rejections = c->as_u64();
-    if (const json::Value* c = m->find("upgrades"))
-      s.mem.upgrades = c->as_u64();
-    if (const json::Value* c = m->find("l1_cross_invalidations"))
-      s.mem.l1_cross_invalidations = c->as_u64();
-    if (const json::Value* c = m->find("l1_miss_rate"))
-      s.mem.l1_miss_rate = c->as_number();
-    if (const json::Value* c = m->find("l2_miss_rate"))
-      s.mem.l2_miss_rate = c->as_number();
-    if (const json::Value* c = m->find("tlb_miss_rate"))
-      s.mem.tlb_miss_rate = c->as_number();
+    f.count(m, "bank_rejections", s.mem.bank_rejections);
+    f.count(m, "mshr_rejections", s.mem.mshr_rejections);
+    f.count(m, "upgrades", s.mem.upgrades);
+    f.count(m, "l1_cross_invalidations", s.mem.l1_cross_invalidations);
+    f.rate(m, "l1_miss_rate", s.mem.l1_miss_rate);
+    f.rate(m, "l2_miss_rate", s.mem.l2_miss_rate);
+    f.rate(m, "tlb_miss_rate", s.mem.tlb_miss_rate);
   }
   if (const json::Value* d = stats->find("dash")) {
     noc::DashStats dash;
-    if (const json::Value* c = d->find("fetches")) dash.fetches = c->as_u64();
-    if (const json::Value* c = d->find("remote_fetches"))
-      dash.remote_fetches = c->as_u64();
-    if (const json::Value* c = d->find("interventions"))
-      dash.interventions = c->as_u64();
-    if (const json::Value* c = d->find("dirty_remote_supplies"))
-      dash.dirty_remote_supplies = c->as_u64();
-    if (const json::Value* c = d->find("invalidations_sent"))
-      dash.invalidations_sent = c->as_u64();
-    if (const json::Value* c = d->find("upgrades")) dash.upgrades = c->as_u64();
-    if (const json::Value* c = d->find("writebacks"))
-      dash.writebacks = c->as_u64();
+    f.count(d, "fetches", dash.fetches);
+    f.count(d, "remote_fetches", dash.remote_fetches);
+    f.count(d, "interventions", dash.interventions);
+    f.count(d, "dirty_remote_supplies", dash.dirty_remote_supplies);
+    f.count(d, "invalidations_sent", dash.invalidations_sent);
+    f.count(d, "upgrades", dash.upgrades);
+    f.count(d, "writebacks", dash.writebacks);
     s.dash = dash;
   }
-  if (const json::Value* a = stats->find("alloc")) {
-    if (const json::Value* c = a->find("epochs")) s.alloc.epochs = c->as_u64();
-    if (const json::Value* c = a->find("migrations"))
-      s.alloc.migrations = c->as_u64();
-    if (const json::Value* c = a->find("rejected"))
-      s.alloc.rejected = c->as_u64();
-    if (const json::Value* c = a->find("drain_cycles"))
-      s.alloc.drain_cycles = c->as_u64();
-    if (const json::Value* c = a->find("stall_cycles"))
-      s.alloc.stall_cycles = c->as_u64();
-  }
+  const json::Value* a = stats->find("alloc");
+  f.count(a, "epochs", s.alloc.epochs);
+  f.count(a, "migrations", s.alloc.migrations);
+  f.count(a, "rejected", s.alloc.rejected);
+  f.count(a, "drain_cycles", s.alloc.drain_cycles);
+  f.count(a, "stall_cycles", s.alloc.stall_cycles);
   if (const json::Value* epochs = stats->find("epochs")) {
     for (const json::Value& ev : epochs->items()) {
       obs::EpochSample e;
-      if (const json::Value* c = ev.find("begin")) e.begin = c->as_u64();
-      if (const json::Value* c = ev.find("end")) e.end = c->as_u64();
-      if (const json::Value* c = ev.find("avg_running_threads"))
-        e.avg_running_threads = c->as_number();
-      if (const json::Value* c = ev.find("committed_useful"))
-        e.counters.committed_useful = c->as_u64();
-      if (const json::Value* c = ev.find("committed_sync"))
-        e.counters.committed_sync = c->as_u64();
-      if (const json::Value* c = ev.find("fetched"))
-        e.counters.fetched = c->as_u64();
-      if (const json::Value* slots_ep = ev.find("slots")) {
-        for (std::size_t i = 0; i < core::kNumSlots; ++i) {
-          if (const json::Value* c =
-                  slots_ep->find(core::slot_name(static_cast<Slot>(i))))
-            e.counters.slots.slots[i] = c->as_number();
-        }
+      f.count(&ev, "begin", e.begin);
+      f.count(&ev, "end", e.end);
+      f.amount(&ev, "avg_running_threads", e.avg_running_threads);
+      f.count(&ev, "committed_useful", e.counters.committed_useful);
+      f.count(&ev, "committed_sync", e.counters.committed_sync);
+      f.count(&ev, "fetched", e.counters.fetched);
+      const json::Value* slots_ep = ev.find("slots");
+      for (std::size_t i = 0; i < core::kNumSlots; ++i) {
+        f.amount(slots_ep, core::slot_name(static_cast<Slot>(i)),
+                 e.counters.slots.slots[i]);
       }
-      if (const json::Value* c = ev.find("loads"))
-        e.counters.loads = c->as_u64();
-      if (const json::Value* c = ev.find("stores"))
-        e.counters.stores = c->as_u64();
-      if (const json::Value* c = ev.find("l1_misses"))
-        e.counters.l1_misses = c->as_u64();
-      if (const json::Value* c = ev.find("l2_misses"))
-        e.counters.l2_misses = c->as_u64();
-      if (const json::Value* c = ev.find("tlb_misses"))
-        e.counters.tlb_misses = c->as_u64();
-      if (const json::Value* c = ev.find("bank_rejections"))
-        e.counters.bank_rejections = c->as_u64();
-      if (const json::Value* c = ev.find("mshr_rejections"))
-        e.counters.mshr_rejections = c->as_u64();
+      f.count(&ev, "loads", e.counters.loads);
+      f.count(&ev, "stores", e.counters.stores);
+      f.count(&ev, "l1_misses", e.counters.l1_misses);
+      f.count(&ev, "l2_misses", e.counters.l2_misses);
+      f.count(&ev, "tlb_misses", e.counters.tlb_misses);
+      f.count(&ev, "bank_rejections", e.counters.bank_rejections);
+      f.count(&ev, "mshr_rejections", e.counters.mshr_rejections);
       s.epochs.push_back(e);
     }
   }
   if (const json::Value* speed = v.find("sim_speed")) {
     r.sim_speed.measured = true;
-    if (const json::Value* c = speed->find("wall_seconds"))
-      r.sim_speed.wall_seconds = c->as_number();
-    if (const json::Value* c = speed->find("sim_cycles"))
-      r.sim_speed.sim_cycles = c->as_u64();
+    f.amount(speed, "wall_seconds", r.sim_speed.wall_seconds);
+    f.count(speed, "sim_cycles", r.sim_speed.sim_cycles);
     // Absent in artifacts written before the quiescence kernel: keep 0.
-    if (const json::Value* c = speed->find("quiet_cycles"))
-      r.sim_speed.quiet_cycles = c->as_u64();
+    f.count(speed, "quiet_cycles", r.sim_speed.quiet_cycles);
     // Absent before component-granular quiescence (DESIGN.md §14): keep 0.
-    if (const json::Value* c = speed->find("cluster_quiet_cycles"))
-      r.sim_speed.cluster_quiet_cycles = c->as_u64();
-    if (const json::Value* c = speed->find("committed"))
-      r.sim_speed.committed = c->as_u64();
-    if (const json::Value* c = speed->find("host_threads"))
-      r.sim_speed.host_threads = static_cast<std::uint32_t>(c->as_u64());
+    f.count(speed, "cluster_quiet_cycles", r.sim_speed.cluster_quiet_cycles);
+    f.count(speed, "committed", r.sim_speed.committed);
+    unsigned host_threads = 0;
+    f.count(speed, "host_threads", host_threads);
+    r.sim_speed.host_threads = host_threads;
     if (const json::Value* phases = speed->find("phase_seconds")) {
       r.sim_speed.phases_measured = true;
       for (std::size_t i = 0; i < obs::kNumPhases; ++i) {
-        if (const json::Value* c =
-                phases->find(obs::phase_name(static_cast<obs::Phase>(i))))
-          r.sim_speed.phase_seconds[i] = c->as_number();
+        f.amount(phases, obs::phase_name(static_cast<obs::Phase>(i)),
+                 r.sim_speed.phase_seconds[i]);
       }
     }
   }
-
-  r.validated = validated->as_bool();
   // Optional (absent in documents written before csmt::ckpt existed).
-  if (const json::Value* res = v.find("resumed_from_cycle")) {
-    r.resumed_from_cycle = res->as_u64();
-  }
+  f.count(&v, "resumed_from_cycle", r.resumed_from_cycle);
+  if (!f.ok()) return std::nullopt;
   return r;
 }
 

@@ -15,9 +15,8 @@
 #include "cli/parse.hpp"
 #include "common/thread_pool.hpp"
 #include "obs/profile.hpp"
+#include "sim/regime.hpp"
 #include "sim/report.hpp"
-#include "telemetry/regime.hpp"
-#include "telemetry/server.hpp"
 
 namespace csmt::sweep {
 namespace {
@@ -48,13 +47,24 @@ bool stderr_is_tty() {
 #endif
 }
 
-std::uint64_t fnv1a(std::string_view bytes) {
-  std::uint64_t h = 1469598103934665603ull;
+/// FNV-1a from offset basis `h`. The stats digest starts from the standard
+/// basis, like the fingerprints; the spec hash has always started from a
+/// shorter constant, kept because it names every existing cache entry.
+constexpr std::uint64_t kFnvOffsetBasis = 14695981039346656037ull;
+constexpr std::uint64_t kSpecHashBasis = 1469598103934665603ull;
+
+std::uint64_t fnv1a(std::string_view bytes, std::uint64_t h) {
   for (const char c : bytes) {
     h ^= static_cast<unsigned char>(c);
     h *= 1099511628211ull;
   }
   return h;
+}
+
+std::string hex16(std::uint64_t v) {
+  char buf[20];
+  std::snprintf(buf, sizeof buf, "%016llx", static_cast<unsigned long long>(v));
+  return buf;
 }
 
 /// Canonical text encoding of a point. Includes the resolved Table 2
@@ -131,31 +141,23 @@ SweepOptions SweepOptions::from_env() {
   options.cache_dir = cli::env_string("CSMT_CACHE_DIR");
   options.ckpt_interval =
       cli::env_u64("CSMT_CKPT_INTERVAL", 0, 1, "a cycle count >= 1");
-  // Set-but-empty and "0" both mean "serve on an ephemeral port": unlike
-  // the knobs above, the interesting default (off) is not a valid port.
-  if (const char* s = std::getenv("CSMT_SERVE_TELEMETRY")) {
-    const auto port = *s ? cli::parse_u64(s) : std::optional<std::uint64_t>(0);
-    if (port && *port <= 65535) {
-      options.serve_telemetry = static_cast<int>(*port);
-    } else {
-      std::fprintf(stderr,
-                   "csmt: ignoring invalid CSMT_SERVE_TELEMETRY='%s' "
-                   "(want a port, 0 = ephemeral)\n",
-                   s);
-    }
-  }
   return options;
 }
 
 std::uint64_t spec_hash(const sim::ExperimentSpec& spec) {
-  return fnv1a(canonical_encoding(spec));
+  return fnv1a(canonical_encoding(spec), kSpecHashBasis);
 }
 
 std::string cache_entry_name(const sim::ExperimentSpec& spec) {
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "csmt-%016llx.json",
-                static_cast<unsigned long long>(spec_hash(spec)));
-  return buf;
+  return "csmt-" + hex16(spec_hash(spec)) + ".json";
+}
+
+std::uint64_t stats_digest(const json::Value& stats) {
+  return fnv1a(stats.dump(), kFnvOffsetBasis);
+}
+
+std::uint64_t stats_digest(const sim::ExperimentResult& result) {
+  return stats_digest(*sim::to_json(result).find("stats"));
 }
 
 SweepRunner::SweepRunner(SweepOptions options) : options_(std::move(options)) {
@@ -180,19 +182,6 @@ std::vector<sim::ExperimentResult> SweepRunner::run(
     const std::vector<sim::ExperimentSpec>& points) {
   std::vector<sim::ExperimentResult> results(points.size());
 
-  // Live endpoint: started (process-wide, once) before any point runs so
-  // the console can watch the sweep from its first cycle. Serving flips
-  // the registry's enabled gate, which is what makes run_experiment attach
-  // per-run probes.
-  if (options_.serve_telemetry >= 0) {
-    telemetry::serve_global(
-        static_cast<std::uint16_t>(options_.serve_telemetry));
-  }
-  auto& registry = telemetry::Registry::global();
-  registry.gauge("sweep.points_total")
-      .set(static_cast<double>(points.size()));
-  registry.gauge("sweep.points_done").set(0.0);
-
   // Progress: stderr only (stdout belongs to JSON artifacts, which must
   // never interleave with progress text). On a terminal the line is
   // rewritten in place with `\r`; piped, it becomes whole
@@ -204,7 +193,7 @@ std::vector<sim::ExperimentResult> SweepRunner::run(
   std::atomic<std::uint64_t> done{0};
   std::atomic<std::uint64_t> hits{0};
   std::atomic<std::uint64_t> resumed{0};
-  // Per-sweep regime tally, indexed by telemetry::Regime.
+  // Per-sweep regime tally, indexed by sim::Regime.
   std::array<std::atomic<std::uint64_t>, 3> regimes{};
   std::atomic<std::int64_t> last_emit_ms{-1000};
   auto emit_progress = [&](bool final_line) {
@@ -225,27 +214,22 @@ std::vector<sim::ExperimentResult> SweepRunner::run(
         points.size(), static_cast<unsigned long long>(resumed.load()),
         static_cast<unsigned long long>(hits.load()),
         static_cast<unsigned long long>(
-            regimes[static_cast<int>(telemetry::Regime::kBusy)].load()),
+            regimes[static_cast<int>(sim::Regime::kBusy)].load()),
         static_cast<unsigned long long>(
-            regimes[static_cast<int>(telemetry::Regime::kMixed)].load()),
+            regimes[static_cast<int>(sim::Regime::kMixed)].load()),
         static_cast<unsigned long long>(
-            regimes[static_cast<int>(telemetry::Regime::kIdle)].load()),
+            regimes[static_cast<int>(sim::Regime::kIdle)].load()),
         sweep_timer.elapsed_seconds(), (!tty || final_line) ? "\n" : "");
     std::fflush(stderr);
   };
   // Every completed point (cache hit or simulated) passes through here:
-  // tally its regime and refresh the sweep gauges the endpoint serves.
+  // tally its regime for the progress line.
   auto note_point = [&](const sim::ExperimentResult& r) {
     ++done;
     if (r.sim_speed.measured) {
       ++regimes[static_cast<int>(
-          telemetry::classify_regime(r.sim_speed.quiet_fraction()))];
+          sim::classify_regime(r.sim_speed.quiet_fraction()))];
     }
-    registry.gauge("sweep.points_done")
-        .set(static_cast<double>(done.load()));
-    registry.gauge("sweep.cache_hits").set(static_cast<double>(hits.load()));
-    registry.gauge("sweep.resumed").set(static_cast<double>(resumed.load()));
-    registry.gauge("sweep.elapsed_seconds").set(sweep_timer.elapsed_seconds());
   };
 
   // Checkpointing needs a durable directory to park snapshots in, so it
@@ -323,8 +307,13 @@ std::optional<sim::ExperimentResult> cache_probe(
   if (!doc) return std::nullopt;
   auto result = sim::result_from_json(*doc);
   // A hash collision or hand-edited entry for a different point must not
-  // masquerade as this one.
-  if (result && !(result->spec == spec)) return std::nullopt;
+  // masquerade as this one, and the counters served must be the ones the
+  // entry was sealed with: the digest is recomputed from the decoded
+  // result, so an edit that stays in range still misses.
+  const json::Value* digest = doc->find("stats_digest");
+  if (!result || !(result->spec == spec) || !digest || !digest->is_string() ||
+      digest->as_string() != hex16(stats_digest(*result)))
+    return std::nullopt;
   return result;
 }
 
@@ -346,7 +335,11 @@ void cache_publish(const std::string& cache_dir,
   {
     std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
     if (!out) return;
-    out << sim::to_json(result).dump(2) << '\n';
+    // The --json artifact is to_json alone; only cache entries carry the
+    // digest cache_probe checks.
+    json::Value entry = sim::to_json(result);
+    entry["stats_digest"] = hex16(stats_digest(*entry.find("stats")));
+    out << entry.dump(2) << '\n';
   }
   std::error_code ec;
   fs::rename(tmp, path, ec);

@@ -12,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "common/json.hpp"
 #include "core/arch_config.hpp"
 #include "sim/experiment.hpp"
 
@@ -57,18 +58,14 @@ struct SweepOptions {
   /// checkpoint once the point completes (the result cache then serves it).
   /// 0 = off; requires a cache_dir.
   Cycle ckpt_interval = 0;
-  /// Live telemetry (csmt::telemetry, DESIGN.md §12): when >= 0, run()
-  /// starts the process-wide HTTP endpoint on 127.0.0.1:<port> before
-  /// executing (0 = kernel-assigned ephemeral port) and publishes sweep
-  /// progress gauges into the registry. -1 = off. Serving samples only
-  /// registry atomics on its own threads, so a serving sweep's results and
-  /// artifacts are byte-identical to a non-serving one.
+  /// Unread: live telemetry serving was removed. The field stays because
+  /// perfbench/csmt_perfbench.cpp still assigns it, and that benchmark is
+  /// kept unchanged so its runs compare across commits.
   int serve_telemetry = -1;
 
   /// Environment defaults: CSMT_JOBS (count, or 0 for hardware width),
-  /// CSMT_CACHE_DIR (directory path), CSMT_CKPT_INTERVAL (cycles between
-  /// checkpoints, >= 1), and CSMT_SERVE_TELEMETRY (port, 0 = ephemeral).
-  /// Malformed values warn and are ignored.
+  /// CSMT_CACHE_DIR (directory path), and CSMT_CKPT_INTERVAL (cycles
+  /// between checkpoints, >= 1). Malformed values warn and are ignored.
   static SweepOptions from_env();
 };
 
@@ -88,9 +85,20 @@ std::uint64_t spec_hash(const sim::ExperimentSpec& spec);
 /// File name ("csmt-<16 hex digits>.json") of a point's cache entry.
 std::string cache_entry_name(const sim::ExperimentSpec& spec);
 
+/// RunStats digest: FNV-1a over the compact dump of the "stats" object
+/// that sim::to_json writes (host timing, sim_speed, lies outside it). The
+/// paper-grid fingerprints pin this digest, and every cache entry carries
+/// it as "stats_digest" (16 hex digits).
+std::uint64_t stats_digest(const sim::ExperimentResult& result);
+/// The same digest of an already-built "stats" object.
+std::uint64_t stats_digest(const json::Value& stats);
+
 /// Single-entry cache probe: the cached result for `spec` in `cache_dir`,
-/// or nullopt on a miss/mismatched entry. Safe against concurrent writers
-/// (entries are only ever renamed into place, never written in place).
+/// or nullopt on a miss. Entries fail closed: a missing or unparsable
+/// file, a spec mismatch, any field the decoder rejects, and a digest that
+/// does not match the decoded result are all misses, which the runner
+/// recomputes and overwrites. Safe against concurrent writers (entries are
+/// only ever renamed into place, never written in place).
 std::optional<sim::ExperimentResult> cache_probe(
     const std::string& cache_dir, const sim::ExperimentSpec& spec);
 

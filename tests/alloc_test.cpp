@@ -1,8 +1,9 @@
 // csmt::alloc conformance suite (DESIGN.md §11): the policy interface's
 // determinism contract, the `static` policy's bit-identity with the
 // pre-API machine behavior, the dynamic policies' end-to-end runs under
-// both simulation kernels, the migration cost-model accounting, and
-// checkpoint kill-and-resume through in-flight migrations.
+// both simulation kernels, the migration cost-model accounting,
+// checkpoint kill-and-resume through in-flight migrations, and the bench
+// CLI's flag parsing.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -299,6 +300,14 @@ TEST(AllocPolicy, EnvAndFlagParsing) {
   opt = cli::parse_options(4, const_cast<char**>(argv));
   EXPECT_EQ(opt.alloc_policy, alloc::PolicyKind::kIpcMigrate);
   EXPECT_EQ(opt.alloc_epoch, 4096u);
+}
+
+TEST(CliOptionsDeathTest, ServeTelemetryIsAnUnknownFlag) {
+  // Live telemetry serving was removed, so its flag is an unknown argument
+  // like any typo: usage line, exit 2.
+  const char* argv[] = {"csmt", "--serve-telemetry", "0"};
+  EXPECT_EXIT(cli::parse_options(3, const_cast<char**>(argv)),
+              ::testing::ExitedWithCode(2), "usage: csmt ");
 }
 
 TEST(AllocPolicy, JsonRoundTripCarriesAllocFields) {

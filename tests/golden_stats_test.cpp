@@ -24,6 +24,7 @@
 #include "sim/experiment.hpp"
 #include "sim/machine.hpp"
 #include "sim/report.hpp"
+#include "sweep/sweep.hpp"
 
 namespace csmt::sim {
 namespace {
@@ -139,18 +140,14 @@ TEST(GoldenStats, PaperGridMatchesNoSkipFieldByField) {
   }
 }
 
-/// FNV-1a over the serialized "stats" object of to_json (RunStats and the
-/// epoch series; the host-dependent sim_speed block lives outside it) —
-/// the same per-point digest perfbench prints.
-std::string stats_digest(const ExperimentResult& r) {
-  std::uint64_t h = 14695981039346656037ull;
-  for (const unsigned char c : to_json(r).find("stats")->dump()) {
-    h ^= c;
-    h *= 1099511628211ull;
-  }
+/// sweep::stats_digest in hex: FNV-1a over the serialized "stats" object
+/// of to_json (RunStats and the epoch series; the host-dependent sim_speed
+/// block lives outside it) — the same per-point digest perfbench prints and
+/// every result-cache entry carries.
+std::string hex_digest(const ExperimentResult& r) {
   char hex[17];
   std::snprintf(hex, sizeof hex, "%016llx",
-                static_cast<unsigned long long>(h));
+                static_cast<unsigned long long>(sweep::stats_digest(r)));
   return hex;
 }
 
@@ -176,7 +173,7 @@ TEST(GoldenStats, PaperGridFingerprints) {
         spec.metrics_interval = 128;
         const std::string name = wl + "/" + core::arch_name(arch) + "/x" +
                                  std::to_string(chips);
-        const std::string digest = stats_digest(run_experiment(spec));
+        const std::string digest = hex_digest(run_experiment(spec));
         regenerated += name + " " + digest + "\n";
         points.emplace_back(name, digest);
       }

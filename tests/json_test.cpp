@@ -2,6 +2,11 @@
 // the sweep result cache and the --json artifacts depend on.
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <limits>
+#include <string>
+#include <vector>
+
 #include "common/json.hpp"
 #include "sim/report.hpp"
 
@@ -53,6 +58,32 @@ TEST(Json, MalformedInputsRejected) {
         "{\"a\" 1}", "[1 2]"}) {
     EXPECT_FALSE(json::Value::parse(text).has_value()) << text;
   }
+}
+
+TEST(Json, NestingIsBounded) {
+  const auto nest = [](int depth) {
+    return std::string(depth, '[') + std::string(depth, ']');
+  };
+  EXPECT_TRUE(json::Value::parse(nest(256)).has_value());
+  EXPECT_FALSE(json::Value::parse(nest(257)).has_value());
+  // Far past the bound: rejected, not a stack overflow.
+  EXPECT_FALSE(json::Value::parse(std::string(1 << 20, '[')).has_value());
+}
+
+TEST(Json, ExactU64RejectsWhatACastCannotHold) {
+  EXPECT_EQ(json::Value(0.0).exact_u64(), 0u);
+  EXPECT_EQ(json::Value(9007199254740992.0).exact_u64(), 9007199254740992u);
+  EXPECT_EQ(json::Value(18446744073709549568.0).exact_u64(),
+            18446744073709549568u);  // the largest double below 2^64
+  for (const double bad : {-1.0, 1.5, 18446744073709551616.0, 1e300,
+                           std::numeric_limits<double>::infinity(),
+                           std::numeric_limits<double>::quiet_NaN()}) {
+    EXPECT_FALSE(json::Value(bad).exact_u64().has_value()) << bad;
+    EXPECT_EQ(json::Value(bad).as_u64(7), 7u) << bad;
+  }
+  EXPECT_FALSE(json::Value("12").exact_u64().has_value());
+  EXPECT_EQ(json::Value(4294967296.0).as_unsigned(3), 3u);
+  EXPECT_EQ(json::Value(4294967295.0).as_unsigned(3), 4294967295u);
 }
 
 TEST(Json, NumberPrecisionSurvives) {
@@ -180,6 +211,34 @@ TEST(ResultJson, MissingRequiredFieldsRejected) {
   json::Value bad_arch = doc;
   bad_arch["spec"]["arch"] = "FA99";
   EXPECT_FALSE(sim::result_from_json(bad_arch).has_value());
+}
+
+TEST(ResultJson, OutOfRangeFieldsRejected) {
+  const json::Value good = sim::to_json(full_result());
+  ASSERT_TRUE(sim::result_from_json(good).has_value());
+  const std::vector<std::function<void(json::Value&)>> corruptions = {
+      [](json::Value& d) { d["stats"]["cycles"] = -1; },
+      [](json::Value& d) { d["stats"]["cycles"] = 1.5; },
+      [](json::Value& d) { d["stats"]["cycles"] = 1e20; },
+      [](json::Value& d) { d["stats"]["cycles"] = "many"; },
+      [](json::Value& d) { d["stats"]["fetched"] = nullptr; },
+      [](json::Value& d) { d["stats"]["slots"]["memory"] = -0.5; },
+      [](json::Value& d) { d["stats"]["avg_running_threads"] = -1.0; },
+      [](json::Value& d) { d["stats"]["mem"]["l1_miss_rate"] = 1.5; },
+      [](json::Value& d) { d["stats"]["mem"]["tlb_miss_rate"] = -0.1; },
+      [](json::Value& d) { d["stats"]["mem"]["by_level"].items()[2] = -3; },
+      [](json::Value& d) { d["stats"]["dash"]["fetches"] = -1; },
+      [](json::Value& d) { d["stats"]["timed_out"] = 0; },
+      [](json::Value& d) { d["validated"] = 1; },
+      [](json::Value& d) { d["spec"]["chips"] = 4294967296.0; },
+      [](json::Value& d) { d["resumed_from_cycle"] = -5; },
+  };
+  for (std::size_t i = 0; i < corruptions.size(); ++i) {
+    json::Value doc = good;
+    corruptions[i](doc);
+    EXPECT_FALSE(sim::result_from_json(doc).has_value())
+        << "corruption " << i;
+  }
 }
 
 TEST(ResultJson, RenderJsonIsParsableDocument) {

@@ -1,7 +1,7 @@
 // Unit tests for csmt::obs: Chrome trace writer output stability, the
-// epoch sampler, phase profiling, sparklines, the null-sink fast path
-// (tracing off must not perturb RunStats), and the JSON round trip of the
-// new observability fields.
+// epoch sampler, phase profiling, sparklines, the no-perturbation contract
+// (tracing, the phase profiler and epoch metrics must not change RunStats),
+// and the JSON round trip of the new observability fields.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -14,6 +14,7 @@
 #include "obs/metrics.hpp"
 #include "obs/profile.hpp"
 #include "obs/trace.hpp"
+#include "sim/experiment.hpp"
 #include "sim/machine.hpp"
 #include "sim/report.hpp"
 
@@ -208,6 +209,22 @@ TEST(PhaseProfiler, SelfTimeAttribution) {
   // issue, so both buckets are populated independently.
   EXPECT_GT(prof.seconds(obs::Phase::kIssue), 0.0);
   EXPECT_GT(prof.seconds(obs::Phase::kMemory), 0.0);
+}
+
+TEST(PhaseProfiler, ProfiledRunHasIdenticalStats) {
+  sim::ExperimentSpec spec;
+  spec.workload = "ocean";
+  spec.arch = core::ArchKind::kSmt2;
+  spec.chips = 4;
+  spec.scale = 1;
+  spec.metrics_interval = 128;
+  const sim::ExperimentResult plain = sim::run_experiment(spec);
+  spec.profile_phases = true;
+  const sim::ExperimentResult profiled = sim::run_experiment(spec);
+  EXPECT_TRUE(profiled.sim_speed.phases_measured);
+  // Every RunStats counter and the epoch series, compared as serialized.
+  EXPECT_EQ(sim::to_json(profiled).find("stats")->dump(),
+            sim::to_json(plain).find("stats")->dump());
 }
 
 TEST(PhaseProfiler, NullScopeIsNoop) {

@@ -1,6 +1,8 @@
-// Tests for the figure-rendering layer used by the bench binaries.
+// Tests for the figure-rendering layer used by the bench binaries, and for
+// the run-regime classifier its summary table and JSON tag use.
 #include <gtest/gtest.h>
 
+#include "sim/regime.hpp"
 #include "sim/report.hpp"
 
 namespace csmt::sim {
@@ -74,6 +76,48 @@ TEST(Report, SummaryTableShowsValidationState) {
   const std::string table = render_summary_table({ok, bad});
   EXPECT_NE(table.find("yes"), std::string::npos);
   EXPECT_NE(table.find("NO"), std::string::npos);
+}
+
+// Regime classifier: deterministic thresholds on the quiet-cycle fraction.
+
+TEST(RegimeTest, ThresholdBoundaries) {
+  EXPECT_EQ(classify_regime(0.0), Regime::kBusy);
+  EXPECT_EQ(classify_regime(0.2499), Regime::kBusy);
+  EXPECT_EQ(classify_regime(kBusyCeiling), Regime::kMixed);
+  EXPECT_EQ(classify_regime(0.5), Regime::kMixed);
+  EXPECT_EQ(classify_regime(0.7499), Regime::kMixed);
+  EXPECT_EQ(classify_regime(kIdleFloor), Regime::kIdle);
+  EXPECT_EQ(classify_regime(1.0), Regime::kIdle);
+}
+
+TEST(RegimeTest, SyntheticQuietFractionProfiles) {
+  // Profiles as (quiet_cycles, sim_cycles) counter pairs, the way the
+  // fraction is actually derived in SimSpeed::quiet_fraction().
+  struct Profile {
+    std::uint64_t quiet, total;
+    Regime want;
+  };
+  const Profile profiles[] = {
+      {0, 1000, Regime::kBusy},       // --no-skip: all full ticks
+      {249, 1000, Regime::kBusy},     // just under the busy ceiling
+      {250, 1000, Regime::kMixed},    // exactly at the ceiling
+      {500, 1000, Regime::kMixed},
+      {749, 1000, Regime::kMixed},    // just under the idle floor
+      {750, 1000, Regime::kIdle},     // exactly at the floor
+      {1000, 1000, Regime::kIdle},    // fully quiescent
+  };
+  for (const Profile& p : profiles) {
+    const double f =
+        static_cast<double>(p.quiet) / static_cast<double>(p.total);
+    EXPECT_EQ(classify_regime(f), p.want)
+        << p.quiet << "/" << p.total << " -> " << regime_name(p.want);
+  }
+}
+
+TEST(RegimeTest, Names) {
+  EXPECT_STREQ(regime_name(Regime::kBusy), "busy");
+  EXPECT_STREQ(regime_name(Regime::kIdle), "idle");
+  EXPECT_STREQ(regime_name(Regime::kMixed), "mixed");
 }
 
 }  // namespace

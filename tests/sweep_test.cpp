@@ -1,9 +1,12 @@
 // Tests for the sweep subsystem: grid expansion, parallel determinism
-// (jobs=1 and jobs=4 must be bit-identical) and the on-disk result cache.
+// (jobs=1 and jobs=4 must be bit-identical) and the on-disk result cache,
+// whose entries fail closed: a corrupted entry is recomputed, never served.
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <sstream>
 #include <vector>
 
@@ -75,6 +78,28 @@ fs::path scratch_dir(const std::string& name) {
          ("csmt_" + name + "_" + std::to_string(::getpid()));
 }
 
+json::Value read_json(const fs::path& path) {
+  std::ifstream in(path);
+  std::ostringstream text;
+  text << in.rdbuf();
+  auto doc = json::Value::parse(text.str());
+  EXPECT_TRUE(doc.has_value()) << path;
+  return doc ? std::move(*doc) : json::Value();
+}
+
+void write_json(const fs::path& path, const json::Value& doc) {
+  std::ofstream out(path, std::ios::trunc);
+  out << doc.dump(2);
+}
+
+/// The "stats_digest" string a cache entry with this "stats" object carries.
+std::string digest_hex(const json::Value& stats) {
+  char hex[17];
+  std::snprintf(hex, sizeof hex, "%016llx",
+                static_cast<unsigned long long>(stats_digest(stats)));
+  return hex;
+}
+
 TEST(SweepSpec, ExpandsWorkloadMajor) {
   SweepSpec spec = small_grid();
   spec.chips = {1, 4};
@@ -131,8 +156,9 @@ TEST(SweepRunner, CacheHitSkipsSimulation) {
 }
 
 TEST(SweepRunner, CachedResultIsReturnedWithoutRerun) {
-  // Tamper with a cached entry; the runner must hand back the tampered
-  // value — direct proof the simulation was not re-run.
+  // Replace a cached entry with a validly sealed one for a different
+  // cycle count; the runner must hand back that value — direct proof the
+  // simulation was not re-run.
   const fs::path dir = scratch_dir("sweep_tamper");
   fs::remove_all(dir);
 
@@ -143,21 +169,11 @@ TEST(SweepRunner, CachedResultIsReturnedWithoutRerun) {
   const auto a = first.run(grid);
   ASSERT_EQ(a.size(), 1u);
 
-  const fs::path entry = dir / cache_entry_name(a[0].spec);
-  ASSERT_TRUE(fs::exists(entry));
-  std::ostringstream text;
-  {
-    std::ifstream in(entry);
-    text << in.rdbuf();
-  }
-  auto doc = json::Value::parse(text.str());
-  ASSERT_TRUE(doc.has_value());
+  ASSERT_TRUE(fs::exists(dir / cache_entry_name(a[0].spec)));
   const std::uint64_t tampered = a[0].stats.cycles + 777;
-  (*doc)["stats"]["cycles"] = tampered;
-  {
-    std::ofstream out(entry, std::ios::trunc);
-    out << doc->dump(2);
-  }
+  sim::ExperimentResult sealed = a[0];
+  sealed.stats.cycles = tampered;
+  cache_publish(dir.string(), sealed);
 
   SweepRunner second(quiet(1, dir.string()));
   const auto b = second.run(grid);
@@ -191,6 +207,108 @@ TEST(SweepRunner, CorruptCacheEntryFallsBackToSimulation) {
   EXPECT_GT(results[0].stats.cycles, 0u);
 
   fs::remove_all(dir);
+}
+
+/// Runs the one-point `grid` into a fresh cache, applies `corrupt` to the
+/// entry's JSON and runs it again. The entry must be a miss, the recomputed
+/// result must equal the clean one, and the entry must have been rewritten
+/// clean. With `reseal`, the corrupted entry gets the digest its corrupted
+/// "stats" object hashes to, so only the decoder's range checks stand
+/// between the corruption and a served hit.
+void expect_recomputed(const std::string& name, const SweepSpec& grid,
+                       const std::function<void(json::Value&)>& corrupt,
+                       bool reseal) {
+  const fs::path dir = scratch_dir(name);
+  fs::remove_all(dir);
+  SweepRunner first(quiet(1, dir.string()));
+  const auto clean = first.run(grid);
+  ASSERT_EQ(clean.size(), 1u);
+
+  const fs::path entry = dir / cache_entry_name(clean[0].spec);
+  json::Value doc = read_json(entry);
+  // Resealing reproduces the writer's digest exactly, so a resealed entry
+  // differs from a genuine one only in the corrupted field.
+  ASSERT_EQ(doc["stats_digest"].as_string(), digest_hex(doc["stats"]));
+  corrupt(doc);
+  if (reseal) doc["stats_digest"] = digest_hex(doc["stats"]);
+  write_json(entry, doc);
+
+  SweepRunner second(quiet(1, dir.string()));
+  const auto again = second.run(grid);
+  EXPECT_EQ(second.counters().cache_hits, 0u);
+  EXPECT_EQ(second.counters().executed, 1u);
+  ASSERT_EQ(again.size(), 1u);
+  expect_identical(again[0], clean[0]);
+  EXPECT_EQ(stats_digest(again[0]), stats_digest(clean[0]));
+
+  const auto rewritten = cache_probe(dir.string(), clean[0].spec);
+  ASSERT_TRUE(rewritten) << "corrupted entry was not rewritten";
+  EXPECT_EQ(stats_digest(*rewritten), stats_digest(clean[0]));
+  fs::remove_all(dir);
+}
+
+SweepSpec one_point(unsigned chips, Cycle metrics_interval = 0) {
+  SweepSpec grid = small_grid();
+  grid.workloads = {"swim"};
+  grid.archs = {core::ArchKind::kSmt2};
+  grid.chips = {chips};
+  grid.metrics_interval = metrics_interval;
+  return grid;
+}
+
+TEST(SweepCacheCorruption, NegativeCounterIsRecomputed) {
+  expect_recomputed("corrupt_counter", one_point(1), [](json::Value& doc) {
+    json::Value& cycles = doc["stats"]["cycles"];
+    cycles = -cycles.as_number();
+  }, true);
+}
+
+TEST(SweepCacheCorruption, NegativeSlotIsRecomputed) {
+  expect_recomputed("corrupt_slot", one_point(1), [](json::Value& doc) {
+    doc["stats"]["slots"]["memory"] = -5.0;
+  }, true);
+}
+
+TEST(SweepCacheCorruption, MissRateAboveOneIsRecomputed) {
+  expect_recomputed("corrupt_rate", one_point(1), [](json::Value& doc) {
+    doc["stats"]["mem"]["l2_miss_rate"] = 1.5;
+  }, true);
+}
+
+TEST(SweepCacheCorruption, FractionalDashCounterIsRecomputed) {
+  expect_recomputed("corrupt_dash", one_point(4), [](json::Value& doc) {
+    json::Value& fetches = doc["stats"]["dash"]["remote_fetches"];
+    ASSERT_TRUE(fetches.is_number());
+    fetches = fetches.as_number() + 0.5;
+  }, true);
+}
+
+TEST(SweepCacheCorruption, OutOfRangeEpochFieldIsRecomputed) {
+  expect_recomputed("corrupt_epoch", one_point(1, 128), [](json::Value& doc) {
+    json::Array& epochs = doc["stats"]["epochs"].items();
+    ASSERT_GE(epochs.size(), 2u);
+    epochs[1]["l1_misses"] = 1e20;  // above 2^64
+  }, true);
+}
+
+TEST(SweepCacheCorruption, DigestMismatchIsRecomputed) {
+  // In range, so only the digest catches it.
+  expect_recomputed("corrupt_digest", one_point(1), [](json::Value& doc) {
+    json::Value& cycles = doc["stats"]["cycles"];
+    cycles = 2 * cycles.as_number();
+  }, false);
+}
+
+TEST(SweepCacheCorruption, MissingDigestIsRecomputed) {
+  // Also what an entry written before entries carried digests looks like,
+  // so caches from older builds are recomputed rather than trusted.
+  expect_recomputed("corrupt_unsealed", one_point(1), [](json::Value& doc) {
+    json::Value unsealed = json::Value::object();
+    for (const auto& [key, value] : doc.members()) {
+      if (key != "stats_digest") unsealed[key] = value;
+    }
+    doc = std::move(unsealed);
+  }, false);
 }
 
 TEST(SweepHash, DistinguishesEveryAxis) {

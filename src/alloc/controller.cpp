@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "cache/memsys.hpp"
-#include "ckpt/serializer.hpp"
 #include "common/assert.hpp"
 #include "core/cluster.hpp"
 #include "exec/thread_context.hpp"
@@ -254,65 +253,6 @@ void Controller::advance_pending(Cycle now) {
       }
       pending_.erase(pending_.begin() + static_cast<std::ptrdiff_t>(k));
       progress = true;
-    }
-  }
-}
-
-void Controller::rebuild_locations() {
-  loc_.assign(threads_.size(), Location{});
-  for (unsigned c = 0; c < clusters_.size(); ++c) {
-    const core::Cluster& cl = *clusters_[c];
-    for (unsigned i = 0; i < cl.attached_threads(); ++i) {
-      const exec::ThreadContext* tc = cl.context_thread(i);
-      if (tc) loc_[mix_index_of(tc)] = {c, i};
-    }
-  }
-}
-
-void Controller::serialize(ckpt::Serializer& s) {
-  s.io_vec(prev_instret_);
-  s.io_vec(prev_issued_);
-  s.io_vec(prev_l1_hits_);
-  s.io_vec(prev_l1_miss_);
-  s.io_vec(prev_tlb_hits_);
-  s.io_vec(prev_tlb_miss_);
-  s.io(stats_.epochs);
-  s.io(stats_.migrations);
-  s.io(stats_.rejected);
-  s.io(stats_.drain_cycles);
-  s.io(stats_.stall_cycles);
-  {
-    std::uint64_t n = pending_.size();
-    s.io(n);
-    if (s.loading()) {
-      if (!s.bounded_count(n) || n > threads_.size()) {
-        s.fail("more in-flight migrations than threads");
-        n = 0;
-      }
-      pending_.assign(static_cast<std::size_t>(n), PendingMove{});
-    }
-    for (auto& m : pending_) {
-      s.io(m.mix_thread);
-      s.io(m.to_cluster);
-      s.io(m.decided_at);
-      s.io(m.in_transit);
-      s.io(m.resume_floor);
-      s.io(m.in_sync);
-      if (s.loading() &&
-          (m.mix_thread >= threads_.size() ||
-           m.to_cluster >= clusters_.size())) {
-        s.fail("in-flight migration references an unknown thread or cluster");
-      }
-    }
-  }
-  policy_->serialize(s);
-  if (s.loading() && s.ok()) {
-    // Thread locations derive from the restored cluster layouts; the ckpt
-    // visits clusters before the alloc section, so they are current here.
-    rebuild_locations();
-    if (prev_instret_.size() != threads_.size() ||
-        prev_issued_.size() != clusters_.size()) {
-      s.fail("alloc telemetry baselines have the wrong shape");
     }
   }
 }

@@ -10,9 +10,9 @@
 //   -> detach (rename state flushed) -> attach (fetch resumes no earlier
 //   than detach + migration_cost).
 //
-// Epoch boundaries fire from the scheduler loop top (like checkpoints);
-// drain completion is observed from the per-tick hook. Both run between
-// full ticks, so the whole protocol is deterministic and ckpt-exact.
+// Epoch boundaries fire from the scheduler loop top; drain completion is
+// observed from the per-tick hook. Both run between full ticks, so the
+// whole protocol is deterministic.
 #pragma once
 
 #include <memory>
@@ -32,9 +32,6 @@ class ThreadContext;
 }
 namespace csmt::obs {
 class TraceSink;
-}
-namespace csmt::ckpt {
-class Serializer;
 }
 
 namespace csmt::alloc {
@@ -71,11 +68,6 @@ class Controller {
 
   const AllocStats& stats() const { return stats_; }
 
-  /// Checkpoint visitor: telemetry baselines, counters, in-flight moves,
-  /// and the policy's own state. Thread locations are rebuilt by scanning
-  /// the (already restored) clusters, not stored.
-  void serialize(ckpt::Serializer& s);
-
  private:
   struct Location {
     unsigned cluster = kNoCluster;
@@ -96,7 +88,6 @@ class Controller {
   bool reclaim_done_context(unsigned c, Cycle now);
   /// Mix index of the thread bound to cluster `c`, slot `i`.
   unsigned mix_index_of(const exec::ThreadContext* tc) const;
-  void rebuild_locations();
   bool move_pending(unsigned mix_thread) const;
 
   MachineShape shape_;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "ckpt/serializer.hpp"
 #include "common/assert.hpp"
 
 namespace csmt::alloc {
@@ -123,11 +122,6 @@ class SymbiosisPolicy final : public AllocationPolicy {
     }
   }
 
-  void serialize(ckpt::Serializer& s) override {
-    s.io(epoch_index_);
-    s.io_vec(last_moved_);
-  }
-
  private:
   std::uint64_t epoch_index_ = 0;
   std::vector<std::uint64_t> last_moved_;  ///< epoch a thread last migrated
@@ -184,13 +178,6 @@ class IpcMigratePolicy final : public AllocationPolicy {
       --live[src];
       ++live[dst];
     }
-  }
-
-  void serialize(ckpt::Serializer& s) override {
-    s.io(epoch_index_);
-    s.io_vec(ewma_);
-    s.io_vec(seen_);
-    s.io_vec(last_moved_);
   }
 
  private:
@@ -250,8 +237,6 @@ Placement AllocationPolicy::initial_placement(
   }
   return p;
 }
-
-void AllocationPolicy::serialize(ckpt::Serializer&) {}
 
 std::unique_ptr<AllocationPolicy> make_policy(const AllocConfig& cfg) {
   switch (cfg.policy) {

@@ -26,10 +26,6 @@
 
 #include "common/types.hpp"
 
-namespace csmt::ckpt {
-class Serializer;
-}
-
 namespace csmt::alloc {
 
 enum class PolicyKind : std::uint8_t {
@@ -145,13 +141,9 @@ class AllocationPolicy {
 
   /// Epoch boundary: append proposed migrations to `out` (at most
   /// cfg.max_moves_per_epoch; the controller re-checks feasibility). Must
-  /// be a pure function of `view` and serialized policy state.
+  /// be a pure function of `view` and the policy's own state.
   virtual void plan_epoch(const EpochView& view,
                           std::vector<Migration>& out) = 0;
-
-  /// Checkpoint visitor for policy-internal state (EWMA tables, hysteresis
-  /// clocks). Stateless policies serialize nothing.
-  virtual void serialize(ckpt::Serializer& s);
 
  protected:
   AllocationPolicy(PolicyKind kind, const AllocConfig& cfg)

@@ -43,21 +43,6 @@ class BranchPredictor {
   const PredictorStats& stats() const { return stats_; }
   void reset_stats() { stats_ = {}; }
 
-  /// Checkpoint visitor (ckpt::Serializer): counter table, BTB, counters.
-  template <class Serializer>
-  void serialize(Serializer& s) {
-    s.check(counters_.size(), "predictor entries");
-    s.check(btb_.size(), "btb entries");
-    for (auto& c : counters_) s.io(c);
-    for (auto& e : btb_) {
-      s.io(e.tag);
-      s.io(e.target);
-    }
-    s.io(stats_.cond_lookups);
-    s.io(stats_.cond_mispredicts);
-    s.io(stats_.btb_misses);
-  }
-
  private:
   std::vector<std::uint8_t> counters_;  ///< 2-bit saturating, init weakly-taken
   struct BtbEntry {

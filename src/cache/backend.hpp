@@ -67,18 +67,6 @@ class LocalMemoryBackend final : public MemoryBackend {
 
   std::uint64_t writebacks() const { return writebacks_; }
 
-  /// Checkpoint visitor (ckpt::Serializer): the controller's occupancy
-  /// horizon is timing state — a snapshot taken while the channel is backed
-  /// up must restore the backlog, or post-resume misses complete early and
-  /// the run diverges from the uninterrupted one.
-  template <class Serializer>
-  void serialize(Serializer& s) {
-    s.check(latency_, "memory latency");
-    s.check(occupancy_, "memory occupancy");
-    s.io(busy_until_);
-    s.io(writebacks_);
-  }
-
  private:
   unsigned latency_;
   unsigned occupancy_;

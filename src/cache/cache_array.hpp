@@ -79,27 +79,6 @@ class CacheArray {
   const CacheArrayStats& stats() const { return stats_; }
   const CacheLevelParams& params() const { return params_; }
 
-  /// Checkpoint visitor (ckpt::Serializer). Geometry (sets x assoc) is
-  /// config and only checked; tags, states, dirty bits, and the LRU clock
-  /// are restored so replacement decisions resume bit-identically.
-  template <class Serializer>
-  void serialize(Serializer& s) {
-    s.check(sets_, "cache sets");
-    s.check(lines_.size(), "cache line count");
-    for (auto& l : lines_) {
-      s.io(l.tag);
-      s.io(l.state);
-      s.io(l.dirty);
-      s.io(l.lru);
-    }
-    s.io(lru_clock_);
-    s.io(stats_.hits);
-    s.io(stats_.misses);
-    s.io(stats_.evictions);
-    s.io(stats_.dirty_evictions);
-    s.io(stats_.invalidations);
-  }
-
   /// Bank servicing byte address `addr` (line-interleaved across banks).
   unsigned bank_of(Addr addr) const {
     return static_cast<unsigned>((addr / params_.line_bytes) % params_.banks);

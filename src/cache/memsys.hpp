@@ -135,36 +135,6 @@ class MemSys {
     if (trace_) trace_->name_track(track_, "memsys");
   }
 
-  /// Checkpoint visitor (ckpt::Serializer): caches, TLB, MSHRs, bank
-  /// occupancies, and counters. The memoized horizon is NOT serialized —
-  /// it is re-derived from the restored occupancies, which produces the
-  /// same value, so the dirty flag is simply raised on load.
-  template <class Serializer>
-  void serialize(Serializer& s) {
-    s.check(l1s_.size(), "l1 count");
-    for (auto& l1 : l1s_) l1.serialize(s);
-    l2_.serialize(s);
-    tlb_.serialize(s);
-    mshr_.serialize(s);
-    s.check(l1_bank_busy_.size(), "l1 bank groups");
-    for (auto& banks : l1_bank_busy_) {
-      s.check(banks.size(), "l1 banks");
-      for (auto& b : banks) s.io(b);
-    }
-    s.check(l2_bank_busy_.size(), "l2 banks");
-    for (auto& b : l2_bank_busy_) s.io(b);
-    s.io(stats_.loads);
-    s.io(stats_.stores);
-    for (auto& v : stats_.by_level) s.io(v);
-    s.io(stats_.bank_rejections);
-    s.io(stats_.mshr_rejections);
-    s.io(stats_.upgrades);
-    s.io(stats_.coherence_invalidations);
-    s.io(stats_.coherence_downgrades);
-    s.io(stats_.l1_cross_invalidations);
-    if (s.loading()) horizon_dirty_ = true;
-  }
-
   const MemSysStats& stats() const { return stats_; }
   /// Aggregated over all L1s (one with the paper's shared configuration).
   CacheArrayStats l1_stats() const;

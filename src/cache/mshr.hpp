@@ -93,49 +93,6 @@ class MshrFile {
 
   const MshrStats& stats() const { return stats_; }
 
-  /// Checkpoint visitor (ckpt::Serializer). Entries travel field by field
-  /// (never as raw structs — padding bytes are not deterministic). Loads
-  /// fail closed: no more slots than entries, every valid entry completes
-  /// at a real cycle, and the live count and minimum ready cycle must be
-  /// exactly those of the valid entries, since expire(), full() and
-  /// next_ready() trust them.
-  template <class Serializer>
-  void serialize(Serializer& s) {
-    s.check(entries_, "mshr entries");
-    std::uint64_t n = slots_.size();
-    s.io(n);
-    if (s.loading()) {
-      if (n > entries_) s.fail("mshr slots exceed entries");
-      if (!s.bounded_count(n)) {  // false once the load has failed
-        slots_.clear();
-        return;
-      }
-      slots_.resize(static_cast<std::size_t>(n));
-    }
-    for (auto& e : slots_) {
-      s.io(e.line);
-      s.io(e.ready);
-      s.io(e.valid);
-    }
-    s.io(count_);
-    s.io(min_ready_);
-    s.io(stats_.allocations);
-    s.io(stats_.merges);
-    s.io(stats_.full_rejections);
-    if (s.loading()) {
-      unsigned live = 0;
-      Cycle min = kNeverCycle;
-      for (const auto& e : slots_) {
-        if (!e.valid) continue;
-        if (e.ready == kNeverCycle) s.fail("mshr entry never completes");
-        ++live;
-        if (e.ready < min) min = e.ready;
-      }
-      if (count_ != live) s.fail("mshr count disagrees with its entries");
-      if (min_ready_ != min) s.fail("mshr minimum disagrees with its entries");
-    }
-  }
-
  private:
   struct Entry {
     Addr line = 0;

@@ -76,25 +76,6 @@ class Tlb {
   const TlbStats& stats() const { return stats_; }
   std::size_t resident() const { return slots_.size(); }
 
-  /// Checkpoint visitor (ckpt::Serializer). The probe table is serialized
-  /// verbatim (its layout depends on insertion/eviction history, and the
-  /// bit-identity contract forbids rebuilding it differently); capacity and
-  /// table geometry are config, so they are checked, not restored.
-  template <class Serializer>
-  void serialize(Serializer& s) {
-    s.check(capacity_, "tlb capacity");
-    s.check(table_.size(), "tlb table size");
-    rng_.serialize(s);
-    s.io_vec(slots_);
-    s.io_vec(table_);
-    s.io(stats_.hits);
-    s.io(stats_.misses);
-    if (s.loading() && slots_.size() > capacity_) {
-      s.fail("tlb resident count exceeds capacity");
-      slots_.clear();
-    }
-  }
-
  private:
   static constexpr std::uint16_t kEmptySlot = 0xFFFF;
   static constexpr std::size_t kNotFound = static_cast<std::size_t>(-1);

@@ -52,9 +52,6 @@ Options parse_options(int argc, char** argv, unsigned default_scale) {
                    flag_value(argc, argv, i, "--metrics-interval")) {
       opt.metrics_interval =
           flag_u64(v, "--metrics-interval", 0, "a cycle count");
-    } else if (const char* v = flag_value(argc, argv, i, "--ckpt-interval")) {
-      opt.sweep.ckpt_interval =
-          flag_u64(v, "--ckpt-interval", 1, "an integer >= 1");
     } else if (const char* v = flag_value(argc, argv, i, "--alloc-policy")) {
       const auto kind = alloc::policy_from_name(v);
       if (!kind) {
@@ -75,11 +72,10 @@ Options parse_options(int argc, char** argv, unsigned default_scale) {
           stderr,
           "usage: %s [--scale N] [--jobs N] [--cache-dir PATH] "
           "[--json PATH] [--trace PATH] [--metrics-interval N] "
-          "[--ckpt-interval N] [--no-skip] [--alloc-policy NAME] "
-          "[--alloc-epoch N]\n"
+          "[--no-skip] [--alloc-policy NAME] [--alloc-epoch N]\n"
           "  (env: CSMT_SCALE, CSMT_JOBS, CSMT_CACHE_DIR, CSMT_JSON, "
-          "CSMT_TRACE, CSMT_METRICS_INTERVAL, CSMT_CKPT_INTERVAL, "
-          "CSMT_NO_SKIP, CSMT_ALLOC_POLICY, CSMT_ALLOC_EPOCH)\n"
+          "CSMT_TRACE, CSMT_METRICS_INTERVAL, CSMT_NO_SKIP, "
+          "CSMT_ALLOC_POLICY, CSMT_ALLOC_EPOCH)\n"
           "  allocation policies: static, greedy-util, symbiosis, "
           "ipc-migrate\n",
           argv[0]);

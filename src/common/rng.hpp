@@ -47,13 +47,6 @@ class Rng {
     return static_cast<double>(next() >> 11) * 0x1.0p-53;
   }
 
-  /// Checkpoint visitor (ckpt::Serializer): the four state words are the
-  /// RNG's entire mutable state, so a restored stream continues exactly.
-  template <class Serializer>
-  void serialize(Serializer& s) {
-    for (auto& w : state_) s.io(w);
-  }
-
  private:
   static std::uint64_t rotl(std::uint64_t x, int k) {
     return (x << k) | (x >> (64 - k));

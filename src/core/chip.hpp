@@ -63,8 +63,8 @@ class Chip {
   void set_lazy(bool lazy) { lazy_ = lazy; }
 
   /// Replays all sleeping clusters' skipped cycles < `upto` (they stay
-  /// asleep). Called before any external stats read: checkpoint saves,
-  /// epoch-sampler closes, end of run.
+  /// asleep). Called before any external stats read: epoch-sampler
+  /// closes and the end of the run.
   void settle(Cycle upto);
 
   /// Wake request from a cluster's unblock hook. Mid-tick wakes of a

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <bit>
 
-#include "ckpt/serializer.hpp"
 #include "common/assert.hpp"
 #include "common/repeat_add.hpp"
 #include "core/chip.hpp"
@@ -965,341 +964,5 @@ bool Cluster::finished() const {
 }
 
 unsigned Cluster::running_threads() const { return last_running_; }
-
-
-std::string Cluster::debug_dump(Cycle now) const {
-  std::string out = "cluster " + std::to_string(id_) + " iq=" +
-                    std::to_string(iq_size()) +
-                    " int_ren=" + std::to_string(int_rename_used_) +
-                    " fp_ren=" + std::to_string(fp_rename_used_) + "\n";
-  for (std::size_t i = 0; i < threads_.size(); ++i) {
-    const ThreadSlot& t = threads_[i];
-    out += "  t" + std::to_string(i) + " done=" +
-           std::to_string(t.tc ? t.tc->done() : -1) +
-           " pc=" + std::to_string(t.tc ? t.tc->pc() : 0) +
-           " win=" + std::to_string(t.window_count) +
-           " blocked=" + std::to_string(mispredict_blocked(t, now)) +
-           " insync=" + std::to_string(t.in_sync) + "\n";
-    if (!t.rob.empty()) {
-      const Uop& u = slots_[t.rob.front()];
-      out += "    rob-head: pc=" + std::to_string(u.dyn.pc) +
-             " op=" + std::string(isa::op_name(u.dyn.inst->op)) +
-             " issued=" + std::to_string(u.issued) +
-             " complete_at=" + std::to_string(u.complete_at) + "\n";
-    }
-  }
-  return out;
-}
-
-std::vector<std::uint16_t> Cluster::iq_in_age_order() const {
-  std::vector<std::uint16_t> iq;
-  iq.reserve(iq_size());
-  for (std::size_t i = 0; i < slots_.size(); ++i) {
-    if (slots_[i].live && !slots_[i].issued) {
-      iq.push_back(static_cast<std::uint16_t>(i));
-    }
-  }
-  std::sort(iq.begin(), iq.end(), [this](std::uint16_t a, std::uint16_t b) {
-    return older(a, b);
-  });
-  return iq;
-}
-
-void Cluster::restore_issue_stage(ckpt::Serializer& s,
-                                  const std::vector<std::uint16_t>& iq) {
-  std::fill(wheel_.begin(), wheel_.end(), kNoSrc);
-  for (auto& w : wheel_bits_) w = 0;
-  wheel_events_ = 0;
-  far_.clear();
-  far_min_ = kNeverCycle;
-  ready_.clear();
-  for (auto& w : waiting_) w = 0;
-  next_age_ = 0;
-  for (Uop& u : slots_) {
-    u.consumers = kNoSrc;
-    u.pending = 0;
-  }
-  if (!s.ok()) return;
-
-  // The slot bookkeeping must agree before anything is linked: every slot
-  // is free or in exactly one ROB window (of the thread that owns it), and
-  // the IQ is exactly the live, unissued uops, each once. Anything else
-  // would double-allocate a slot or strand a uop.
-  std::vector<std::uint8_t> seen(slots_.size(), 0);
-  for (const std::uint16_t v : free_slots_) {
-    if (slots_[v].live || seen[v]) {
-      s.fail("free list names a live or repeated slot");
-      return;
-    }
-    seen[v] = 1;
-  }
-  for (std::size_t ti = 0; ti < threads_.size(); ++ti) {
-    const ThreadSlot& t = threads_[ti];
-    if (t.rob.size() != t.window_count) {
-      s.fail("rob window disagrees with the thread's window count");
-      return;
-    }
-    for (std::size_t i = 0; i < t.rob.size(); ++i) {
-      const std::uint16_t v = t.rob.at(i);
-      if (!slots_[v].live || seen[v] || slots_[v].hw_thread != ti) {
-        s.fail("rob names a dead, foreign or repeated slot");
-        return;
-      }
-      seen[v] = 1;
-    }
-  }
-  if (std::find(seen.begin(), seen.end(), 0) != seen.end()) {
-    s.fail("slot neither free nor in a rob window");
-    return;
-  }
-  std::fill(seen.begin(), seen.end(), 0);
-  for (const std::uint16_t v : iq) {
-    if (!slots_[v].live || slots_[v].issued || seen[v]) {
-      s.fail("iq entry is not a live, unissued slot, or repeats one");
-      return;
-    }
-    seen[v] = 1;
-  }
-  const auto unissued = std::count_if(
-      slots_.begin(), slots_.end(),
-      [](const Uop& u) { return u.live && !u.issued; });
-  if (static_cast<std::size_t>(unissued) != iq.size()) {
-    s.fail("iq omits an unissued uop");
-    return;
-  }
-
-  next_age_ = static_cast<std::uint32_t>(iq.size());
-  for (std::size_t i = 0; i < iq.size(); ++i) {
-    slots_[iq[i]].age = static_cast<std::uint32_t>(i);
-  }
-  for (const std::uint16_t idx : iq) {
-    Uop& u = slots_[idx];
-    for (unsigned k = 0; k < 2; ++k) {
-      const SrcDep& dep = u.src[k];
-      if (dep.producer == kNoUop) continue;
-      Uop& p = slots_[dep.producer];
-      if (!p.live || p.gen != dep.gen) continue;
-      const std::uint32_t src = 2u * idx + k;
-      u.pending |= static_cast<std::uint8_t>(1u << k);
-      if (p.issued) {
-        far_.push_back({p.complete_at, src});
-        if (p.complete_at < far_min_) far_min_ = p.complete_at;
-      } else {
-        u.src_next[k] = p.consumers;
-        p.consumers = src;
-      }
-    }
-    if (u.pending == 0) {
-      ready_.push_back(idx);
-    } else {
-      ++waiting_[static_cast<std::size_t>(waiting_class(u))];
-    }
-  }
-}
-
-void Cluster::serialize(ckpt::Serializer& s,
-                        const std::vector<exec::ThreadContext*>& by_tid) {
-  // Shape first: a checkpoint for a differently configured cluster must be
-  // refused before any state is applied.
-  s.check(slots_.size(), "cluster rob entries");
-  // Slot references load fail-closed: an index past the slot array (other
-  // than kNoUop where "none" is legal) is refused, never dereferenced.
-  const auto slot_ref = [&s, this](std::uint16_t& v, bool none_ok) {
-    if (s.loading() && v >= slots_.size() && !(none_ok && v == kNoUop)) {
-      s.fail("cluster slot index out of range");
-      v = none_ok ? kNoUop : 0;
-    }
-  };
-
-  // Context layout travels as data, not shape: with dynamic allocation the
-  // saved slot count and thread bindings can differ from the startup
-  // placement, so the loader rebuilds the slot array from the file.
-  {
-    std::uint64_t n = threads_.size();
-    s.io(n);
-    if (s.loading()) {
-      if (!s.bounded_count(n) || n > cfg_.threads) {
-        s.fail("cluster context count exceeds hardware contexts");
-        n = 0;
-      }
-      threads_.assign(static_cast<std::size_t>(n), ThreadSlot{});
-      quiet_stall_if_selected_.reserve(threads_.size());
-    }
-  }
-
-  for (auto& t : threads_) {
-    // Binding: tid + 1, with 0 for an empty (detached) slot.
-    std::uint64_t tid1 = t.tc ? t.tc->tid() + 1ull : 0;
-    s.io(tid1);
-    if (s.loading()) {
-      t.tc = nullptr;
-      if (tid1 != 0) {
-        const std::uint64_t tid = tid1 - 1;
-        if (tid < by_tid.size() && by_tid[static_cast<std::size_t>(tid)]) {
-          t.tc = by_tid[static_cast<std::size_t>(tid)];
-          // Rebind the unblock hook to the restored layout (the startup
-          // binding from place_initial may point at a different cluster).
-          t.tc->set_unblock_hook(&Cluster::unblock_hook, this);
-        } else {
-          s.fail("cluster context bound to an unknown thread");
-        }
-      }
-      t.rob.init(cfg_.rob_entries);
-      if (trace_ && t.tc) {
-        t.obs_track = {track_.pid, obs::kThreadTidBase + t.tc->tid()};
-      }
-    }
-    s.io(t.blocked_on);
-    slot_ref(t.blocked_on, true);
-    s.io(t.blocked_gen);
-    s.io(t.blocked_sync);
-    s.io(t.was_sync_blocked);
-    s.io(t.wake_at);
-    s.io(t.frozen);
-    for (auto& e : t.int_map) {
-      s.io(e.producer);
-      slot_ref(e.producer, true);
-      s.io(e.gen);
-      s.io(e.is_load);
-    }
-    for (auto& e : t.fp_map) {
-      s.io(e.producer);
-      slot_ref(e.producer, true);
-      s.io(e.gen);
-      s.io(e.is_load);
-    }
-    s.io(t.window_count);
-    s.io(t.in_sync);
-    t.rob.serialize(s);
-    s.io(t.obs_state);
-    s.io(t.obs_since);
-  }
-
-  for (auto& u : slots_) {
-    // DynInst: every field but the static-instruction pointer, which is
-    // rebuilt below from the static index (dyn.pc) via the owning thread's
-    // program — pointers never touch the file.
-    s.io(u.dyn.seq);
-    s.io(u.dyn.tid);
-    s.io(u.dyn.pc);
-    s.io(u.dyn.next_pc);
-    s.io(u.dyn.mem_addr);
-    s.io(u.dyn.branch_taken);
-    s.io(u.gen);
-    s.io(u.hw_thread);
-    s.io(u.dispatched_at);
-    s.io(u.complete_at);
-    for (auto& d : u.src) {
-      s.io(d.producer);
-      slot_ref(d.producer, true);
-      s.io(d.gen);
-      s.io(d.producer_is_load);
-    }
-    s.io(u.fu);
-    s.io(u.latency);
-    s.io(u.is_load);
-    s.io(u.is_store);
-    s.io(u.is_atomic);
-    s.io(u.sync);
-    s.io(u.live);
-    s.io(u.issued);
-    s.io(u.holds_int_rename);
-    s.io(u.holds_fp_rename);
-    s.io(u.mispredicted);
-    if (s.loading()) {
-      u.dyn.inst = nullptr;
-      if (u.live) {
-        if (u.hw_thread >= threads_.size() || !threads_[u.hw_thread].tc) {
-          s.fail("uop bound to a missing hardware thread");
-        } else {
-          const isa::Program& prog = threads_[u.hw_thread].tc->program();
-          if (u.dyn.pc >= prog.size()) {
-            s.fail("in-flight uop pc beyond program end");
-            u.live = false;
-          } else {
-            u.dyn.inst = &prog.at(u.dyn.pc);
-          }
-        }
-      }
-    }
-  }
-
-  {
-    std::uint64_t n = free_slots_.size();
-    s.io(n);
-    if (s.loading()) {
-      if (!s.bounded_count(n) || n > slots_.size()) {
-        s.fail("free list larger than the slot array");
-        free_slots_.clear();
-      } else {
-        free_slots_.resize(static_cast<std::size_t>(n));
-      }
-    }
-    for (auto& v : free_slots_) {
-      s.io(v);
-      slot_ref(v, false);
-    }
-  }
-  {
-    // The IQ travels as the live unissued uops in age order; the issue
-    // stage's wheel, lists and counts are derived from it on load.
-    std::vector<std::uint16_t> iq;
-    if (s.saving()) iq = iq_in_age_order();
-    std::uint64_t n = iq.size();
-    s.io(n);
-    if (s.loading()) {
-      if (!s.bounded_count(n) || n > cfg_.iq_entries) {
-        s.fail("iq larger than configured");
-        n = 0;
-      }
-      iq.resize(static_cast<std::size_t>(n));
-    }
-    for (auto& v : iq) {
-      s.io(v);
-      slot_ref(v, false);
-    }
-    if (s.loading()) restore_issue_stage(s, iq);
-  }
-
-  s.io(int_rename_used_);
-  s.io(fp_rename_used_);
-  s.io(fetch_rr_);
-  s.io(commit_rr_);
-  s.io(last_running_);
-
-  for (auto& v : cycle_hist_) s.io(v);
-  s.io(issued_useful_);
-  s.io(issued_sync_);
-  s.io(dispatch_stalled_);
-
-  s.io(active_);
-  for (auto& row : quiet_delta_) {
-    for (auto& v : row) s.io(v);
-  }
-  s.io(quiet_fallback_stall_);
-  {
-    std::uint64_t n = quiet_stall_if_selected_.size();
-    s.io(n);
-    if (s.loading()) {
-      if (!s.bounded_count(n) || n > threads_.size()) {
-        s.fail("quiet plan larger than the thread count");
-        quiet_stall_if_selected_.clear();
-      } else {
-        quiet_stall_if_selected_.resize(static_cast<std::size_t>(n));
-      }
-    }
-    for (auto& v : quiet_stall_if_selected_) s.io(v);
-  }
-
-  stats_.slots.serialize(s);
-  s.io(stats_.cycles);
-  s.io(stats_.fetched);
-  s.io(stats_.issued);
-  s.io(stats_.committed_useful);
-  s.io(stats_.committed_sync);
-  s.io(stats_.mem_rejections);
-  s.io(stats_.dispatch_stall_cycles);
-  predictor_.serialize(s);
-}
 
 }  // namespace csmt::core

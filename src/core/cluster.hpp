@@ -24,10 +24,6 @@
 #include "obs/profile.hpp"
 #include "obs/trace.hpp"
 
-namespace csmt::ckpt {
-class Serializer;
-}
-
 namespace csmt::core {
 
 class Chip;
@@ -68,8 +64,7 @@ struct Uop {
   bool holds_fp_rename = false;
   bool mispredicted = false;
 
-  // Issue-stage links (DESIGN.md §9). Derived from the IQ, never
-  // checkpointed: a load rebuilds them.
+  // Issue-stage links (DESIGN.md §9), derived from the IQ.
   std::uint32_t age = 0;                         ///< dispatch order, see older()
   std::uint32_t consumers = kNoSrc;              ///< sources awaiting our issue
   std::uint32_t src_next[2] = {kNoSrc, kNoSrc};  ///< wheel bucket/consumer link
@@ -106,31 +101,6 @@ class UopFifo {
     ++head_;
     if (head_ == buf_.size()) head_ = 0;
     --count_;
-  }
-
-  /// Checkpoint visitor (ckpt::Serializer). The ring buffer travels
-  /// verbatim (including dead slots — init() zeroed them, so the bytes are
-  /// deterministic); capacity is config and only checked. Entries are slot
-  /// indices and the capacity is the slot count, so a load refuses any
-  /// entry at or beyond it.
-  template <class Serializer>
-  void serialize(Serializer& s) {
-    s.check(buf_.size(), "rob capacity");
-    for (auto& v : buf_) {
-      s.io(v);
-      if (s.loading() && v >= buf_.size()) {
-        s.fail("rob entry beyond the slot array");
-        v = 0;
-      }
-    }
-    s.io(head_);
-    s.io(count_);
-    if (s.loading() &&
-        (count_ > buf_.size() || (head_ >= buf_.size() && !buf_.empty()))) {
-      s.fail("rob cursor out of range");
-      head_ = 0;
-      count_ = 0;
-    }
   }
 
  private:
@@ -246,9 +216,7 @@ class Cluster {
   // change, and the one external input — a sync unblock — wakes it through
   // the ThreadContext unblock hook), so the skipped cycles are replayed as
   // one quiet_span() by settle() when the cluster next wakes or a stats
-  // consumer needs them. Sleep state is transient and never checkpointed:
-  // settle() runs before every save, and a restored cluster simply starts
-  // awake.
+  // consumer needs them.
 
   /// Binds the owning chip for wake notifications (called at chip setup).
   void set_chip(Chip* chip) { chip_ = chip; }
@@ -276,21 +244,8 @@ class Cluster {
   /// attached, not halted, and not inside a sync region.
   unsigned running_threads() const;
 
-  /// Human-readable snapshot of pipeline state (debugging aid).
-  std::string debug_dump(Cycle now) const;
-
   /// Closes the open per-thread state slices at end of run (tracing only).
   void trace_flush(Cycle end);
-
-  /// Checkpoint visitor (DESIGN.md §10): thread slots (rename maps, ROBs,
-  /// block/wake state), the in-flight uop array, IQ, free list, round-robin
-  /// pointers, quiescence replay plan, and statistics. Context bindings are
-  /// recorded as thread ids and rebuilt through `by_tid` on load (dynamic
-  /// allocation means the saved layout can differ from the startup one);
-  /// in-flight instruction pointers are rebuilt from static indices through
-  /// each thread's program.
-  void serialize(ckpt::Serializer& s,
-                 const std::vector<exec::ThreadContext*>& by_tid);
 
   const ClusterStats& stats() const { return stats_; }
   const branch::PredictorStats& predictor_stats() const {
@@ -391,14 +346,6 @@ class Cluster {
     return u.src[(u.pending & 1) ? 0 : 1].producer_is_load ? Slot::kMemory
                                                            : Slot::kData;
   }
-  /// Checkpoint load: validates the restored slot bookkeeping against the
-  /// saved IQ (fails `s` on any inconsistency) and rebuilds the issue
-  /// stage from it. Source events go to the far list, since the clock is
-  /// not known here; the first tick pulls them in.
-  void restore_issue_stage(ckpt::Serializer& s,
-                           const std::vector<std::uint16_t>& iq);
-  /// The IQ in age order: every live, unissued uop (checkpoint save).
-  std::vector<std::uint16_t> iq_in_age_order() const;
   /// IQ occupancy: every unissued uop is ready or waiting in one class.
   std::size_t iq_size() const {
     return ready_.size() + waiting_[static_cast<std::size_t>(Slot::kData)] +
@@ -446,8 +393,8 @@ class Cluster {
   std::vector<Uop> slots_;
   std::vector<std::uint16_t> free_slots_;
 
-  // Issue stage: all derived from the IQ and rebuilt on checkpoint load.
-  // Every container is sized at construction, so a tick never allocates.
+  // Issue stage: all derived from the IQ. Every container is sized at
+  // construction, so a tick never allocates.
   static constexpr std::size_t kWheelSlots = 1024;  ///< power of two
   static constexpr std::size_t kWheelWords = kWheelSlots / 64;
   struct FarEvent {
@@ -485,9 +432,7 @@ class Cluster {
   bool quiet_fallback_stall_ = false;      ///< fetch()'s chosen<0 stall scan
   std::vector<char> quiet_stall_if_selected_;  ///< per-thread RR stall check
 
-  // Cluster-level sleep state (DESIGN.md §14). All transient: none of it is
-  // checkpointed — settle() runs before every save and restored clusters
-  // start awake, which is stats-neutral because replay is exact.
+  // Cluster-level sleep state (DESIGN.md §14).
   Chip* chip_ = nullptr;          ///< wake notifications (not state)
   Cluster* next_active_ = nullptr;  ///< chip's intrusive active list
   bool asleep_ = false;

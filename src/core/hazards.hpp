@@ -51,13 +51,6 @@ struct SlotStats {
     for (std::size_t i = 0; i < kNumSlots; ++i) slots[i] += o.slots[i];
   }
 
-  /// Checkpoint visitor (ckpt::Serializer). Doubles travel as bit patterns,
-  /// so the fractional hazard attribution resumes bit-identically.
-  template <class Serializer>
-  void serialize(Serializer& s) {
-    for (auto& v : slots) s.io(v);
-  }
-
   std::string summary() const;
 };
 

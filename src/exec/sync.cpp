@@ -1,9 +1,5 @@
 #include "exec/sync.hpp"
 
-#include <algorithm>
-#include <vector>
-
-#include "ckpt/serializer.hpp"
 #include "exec/thread_context.hpp"
 
 namespace csmt::exec {
@@ -65,101 +61,6 @@ void SyncManager::lock_release(Addr addr, ThreadContext* t) {
   ls.waiters.pop_front();
   if (trace_) trace_sync("lock_acquire", ls.holder, addr);
   ls.holder->set_sync_blocked(false);
-}
-
-void SyncManager::serialize(ckpt::Serializer& s, ThreadContext* const* threads,
-                            std::size_t nthreads) {
-  constexpr std::uint64_t kNoHolder = ~std::uint64_t{0};
-  // Waiter/holder pointers travel as tids; a tid past the group size means
-  // the payload does not match this machine.
-  auto resolve = [&](std::uint64_t tid) -> ThreadContext* {
-    if (tid >= nthreads) {
-      s.fail("sync waiter tid out of range");
-      return nullptr;
-    }
-    return threads[tid];
-  };
-
-  std::uint64_t nbarriers = barriers_.size();
-  s.io(nbarriers);
-  if (s.saving()) {
-    std::vector<Addr> addrs;
-    addrs.reserve(barriers_.size());
-    for (const auto& [addr, bs] : barriers_) addrs.push_back(addr);
-    std::sort(addrs.begin(), addrs.end());
-    for (Addr addr : addrs) {
-      const BarrierState& bs = barriers_.at(addr);
-      s.io(addr);
-      std::uint64_t arrived = bs.arrived;
-      s.io(arrived);
-      std::uint64_t nw = bs.waiters.size();
-      s.io(nw);
-      for (const ThreadContext* w : bs.waiters) {
-        std::uint64_t tid = w->tid();
-        s.io(tid);
-      }
-    }
-  } else {
-    barriers_.clear();
-    if (!s.bounded_count(nbarriers)) return;
-    for (std::uint64_t i = 0; i < nbarriers && s.ok(); ++i) {
-      Addr addr = 0;
-      s.io(addr);
-      BarrierState& bs = barriers_[addr];
-      s.io(bs.arrived);
-      std::uint64_t nw = 0;
-      s.io(nw);
-      if (!s.bounded_count(nw)) return;
-      for (std::uint64_t j = 0; j < nw && s.ok(); ++j) {
-        std::uint64_t tid = 0;
-        s.io(tid);
-        if (ThreadContext* w = resolve(tid)) bs.waiters.push_back(w);
-      }
-    }
-  }
-
-  std::uint64_t nlocks = locks_.size();
-  s.io(nlocks);
-  if (s.saving()) {
-    std::vector<Addr> addrs;
-    addrs.reserve(locks_.size());
-    for (const auto& [addr, ls] : locks_) addrs.push_back(addr);
-    std::sort(addrs.begin(), addrs.end());
-    for (Addr addr : addrs) {
-      const LockState& ls = locks_.at(addr);
-      s.io(addr);
-      std::uint64_t holder = ls.holder ? ls.holder->tid() : kNoHolder;
-      s.io(holder);
-      std::uint64_t nw = ls.waiters.size();
-      s.io(nw);
-      for (const ThreadContext* w : ls.waiters) {
-        std::uint64_t tid = w->tid();
-        s.io(tid);
-      }
-    }
-  } else {
-    locks_.clear();
-    if (!s.bounded_count(nlocks)) return;
-    for (std::uint64_t i = 0; i < nlocks && s.ok(); ++i) {
-      Addr addr = 0;
-      s.io(addr);
-      LockState& ls = locks_[addr];
-      std::uint64_t holder = kNoHolder;
-      s.io(holder);
-      ls.holder = holder == kNoHolder ? nullptr : resolve(holder);
-      std::uint64_t nw = 0;
-      s.io(nw);
-      if (!s.bounded_count(nw)) return;
-      for (std::uint64_t j = 0; j < nw && s.ok(); ++j) {
-        std::uint64_t tid = 0;
-        s.io(tid);
-        if (ThreadContext* w = resolve(tid)) ls.waiters.push_back(w);
-      }
-    }
-  }
-
-  s.io(barrier_episodes_);
-  s.io(lock_contentions_);
 }
 
 }  // namespace csmt::exec

@@ -19,10 +19,6 @@
 #include "common/types.hpp"
 #include "obs/trace.hpp"
 
-namespace csmt::ckpt {
-class Serializer;
-}
-
 namespace csmt::exec {
 
 class ThreadContext;
@@ -53,16 +49,6 @@ class SyncManager {
 
   std::uint64_t barrier_episodes() const { return barrier_episodes_; }
   std::uint64_t lock_contentions() const { return lock_contentions_; }
-
-  /// Checkpoint visitor (DESIGN.md §10). Waiters and holders are
-  /// ThreadContext pointers, so they travel as thread ids and are remapped
-  /// through `threads` (the owning group's tid-indexed context table) on
-  /// load. Waiter *order* is state: barrier release and FIFO lock handoff
-  /// depend on it, so the ordered lists are preserved exactly; the maps
-  /// themselves are saved in sorted-address order (they are lookup-only, so
-  /// rebuild order never affects simulation).
-  void serialize(ckpt::Serializer& s, ThreadContext* const* threads,
-                 std::size_t nthreads);
 
   /// Threads currently blocked inside a barrier or lock. Part of the
   /// quiescence contract: a sync-blocked thread has no self-horizon (its

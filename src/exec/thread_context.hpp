@@ -46,8 +46,8 @@ class ThreadContext {
   /// Unblock notification (DESIGN.md §14): a released thread is the one
   /// *external* input a sleeping cluster cannot predict from its own state,
   /// so the owning cluster registers a hook here and the false transition
-  /// of sync_blocked_ wakes it. The hook is a binding, not state — it is
-  /// (re)registered at attach/restore time and never checkpointed.
+  /// of sync_blocked_ wakes it. The hook is a binding, not state: it is
+  /// registered at attach time.
   using UnblockHook = void (*)(void*, ThreadContext*);
   void set_unblock_hook(UnblockHook hook, void* ctx) {
     unblock_hook_ = hook;
@@ -64,29 +64,6 @@ class ThreadContext {
   ThreadId tid() const { return tid_; }
   std::uint64_t pc() const { return pc_; }
   std::uint64_t instret() const { return instret_; }
-
-  /// The static program this context executes (checkpoint restore rebuilds
-  /// in-flight instruction pointers from static indices through this).
-  const isa::Program& program() const { return program_; }
-
-  /// Checkpoint visitor (ckpt::Serializer): PC, retired-instruction count,
-  /// halt/sync flags, and the full architectural register file. The program
-  /// and memory are reconstruction-time references, not state.
-  template <class Serializer>
-  void serialize(Serializer& s) {
-    s.check(tid_, "thread id");
-    s.io(pc_);
-    s.io(instret_);
-    s.io(done_);
-    s.io(sync_blocked_);
-    s.io(timing_addr_offset_);
-    for (auto& r : iregs_) s.io(r);
-    for (auto& r : fregs_) s.io(r);
-    if (s.loading() && pc_ > program_.size()) {
-      s.fail("thread pc beyond program end");
-      pc_ = program_.size();
-    }
-  }
 
   /// Functionally executes the next instruction and fills `out`.
   /// Returns false (and leaves `out` untouched) when the thread is done.

@@ -1,7 +1,5 @@
 #include "exec/thread_group.hpp"
 
-#include "ckpt/serializer.hpp"
-
 namespace csmt::exec {
 
 ThreadGroup::ThreadGroup(const isa::Program& program, mem::PagedMemory& memory,
@@ -24,15 +22,6 @@ std::uint64_t ThreadGroup::total_instret() const {
   std::uint64_t n = 0;
   for (const auto& t : threads_) n += t->instret();
   return n;
-}
-
-void ThreadGroup::serialize(ckpt::Serializer& s) {
-  s.check(threads_.size(), "thread count");
-  for (auto& t : threads_) t->serialize(s);
-  std::vector<ThreadContext*> by_tid;
-  by_tid.reserve(threads_.size());
-  for (auto& t : threads_) by_tid.push_back(t.get());
-  sync_.serialize(s, by_tid.data(), by_tid.size());
 }
 
 }  // namespace csmt::exec

@@ -32,11 +32,6 @@ class ThreadGroup {
 
   SyncManager& sync() { return sync_; }
 
-  /// Checkpoint visitor (DESIGN.md §10): every thread's architectural state
-  /// followed by the sync manager's blocked-waiter lists (which remap their
-  /// ThreadContext pointers through this group's tid-indexed table).
-  void serialize(ckpt::Serializer& s);
-
  private:
   SyncManager sync_;
   std::vector<std::unique_ptr<ThreadContext>> threads_;

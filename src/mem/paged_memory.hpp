@@ -3,12 +3,10 @@
 // machine, by all chips — coherence is a *timing* concern handled in noc/).
 #pragma once
 
-#include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <memory>
 #include <unordered_map>
-#include <vector>
 
 #include "common/assert.hpp"
 #include "common/types.hpp"
@@ -71,37 +69,6 @@ class PagedMemory {
   /// run.
   void release() {
     std::unordered_map<Addr, std::unique_ptr<Page>>().swap(pages_);
-  }
-
-  /// Checkpoint visitor (ckpt::Serializer). Pages are written in sorted key
-  /// order so the byte stream is deterministic; the map's iteration order
-  /// never affects simulation (lookup-only), so restore order is free.
-  template <class Serializer>
-  void serialize(Serializer& s) {
-    if (s.saving()) {
-      std::vector<Addr> keys;
-      keys.reserve(pages_.size());
-      for (const auto& [k, p] : pages_) keys.push_back(k);
-      std::sort(keys.begin(), keys.end());
-      std::uint64_t n = keys.size();
-      s.io(n);
-      for (Addr k : keys) {
-        s.io(k);
-        s.io_bytes(pages_.at(k)->words, kPageBytes);
-      }
-      return;
-    }
-    pages_.clear();
-    std::uint64_t n = 0;
-    s.io(n);
-    if (!s.bounded_count(n)) return;
-    for (std::uint64_t i = 0; i < n && s.ok(); ++i) {
-      Addr k = 0;
-      s.io(k);
-      auto& slot = pages_[k];
-      if (!slot) slot = std::make_unique<Page>();
-      s.io_bytes(slot->words, kPageBytes);
-    }
   }
 
  private:

@@ -79,26 +79,6 @@ class DashInterconnect final : public cache::MemoryBackend {
   const NetworkStats& network_stats() const { return net_.stats(); }
   const Directory& directory() const { return dir_; }
 
-  /// Checkpoint visitor (ckpt::Serializer): network ports, directory
-  /// entries, directory/memory-controller occupancies, and counters. The
-  /// memoized horizon is re-derived after load (dirty flag raised).
-  template <class Serializer>
-  void serialize(Serializer& s) {
-    net_.serialize(s);
-    dir_.serialize(s);
-    s.check(dir_busy_.size(), "dash nodes");
-    for (auto& b : dir_busy_) s.io(b);
-    for (auto& b : mem_busy_) s.io(b);
-    s.io(stats_.fetches);
-    s.io(stats_.remote_fetches);
-    s.io(stats_.interventions);
-    s.io(stats_.dirty_remote_supplies);
-    s.io(stats_.invalidations_sent);
-    s.io(stats_.upgrades);
-    s.io(stats_.writebacks);
-    if (s.loading()) horizon_dirty_ = true;
-  }
-
   /// Attaches observability hooks (nullptr = off). Directory transactions
   /// land on per-home-node tracks; host time is charged to Phase::kNoc.
   void set_obs(obs::TraceSink* trace, obs::PhaseProfiler* prof);

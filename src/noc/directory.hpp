@@ -3,10 +3,8 @@
 // lives in DashInterconnect.
 #pragma once
 
-#include <algorithm>
 #include <cstdint>
 #include <unordered_map>
-#include <vector>
 
 #include "common/assert.hpp"
 #include "common/types.hpp"
@@ -40,42 +38,6 @@ class Directory {
   std::size_t tracked_lines() const { return entries_.size(); }
 
   static std::uint32_t bit(std::uint32_t chip) { return 1u << chip; }
-
-  /// Checkpoint visitor (ckpt::Serializer). Entries travel in sorted line
-  /// order (deterministic bytes); restore order is immaterial because the
-  /// map is lookup-only.
-  template <class Serializer>
-  void serialize(Serializer& s) {
-    if (s.saving()) {
-      std::vector<Addr> keys;
-      keys.reserve(entries_.size());
-      for (const auto& [k, e] : entries_) keys.push_back(k);
-      std::sort(keys.begin(), keys.end());
-      std::uint64_t n = keys.size();
-      s.io(n);
-      for (Addr k : keys) {
-        DirEntry& e = entries_.at(k);
-        s.io(k);
-        s.io(e.state);
-        s.io(e.sharers);
-        s.io(e.owner);
-      }
-      return;
-    }
-    entries_.clear();
-    std::uint64_t n = 0;
-    s.io(n);
-    if (!s.bounded_count(n)) return;
-    for (std::uint64_t i = 0; i < n && s.ok(); ++i) {
-      Addr k = 0;
-      DirEntry e;
-      s.io(k);
-      s.io(e.state);
-      s.io(e.sharers);
-      s.io(e.owner);
-      entries_[k] = e;
-    }
-  }
 
   static unsigned popcount(std::uint32_t sharers) {
     unsigned n = 0;

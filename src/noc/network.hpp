@@ -44,16 +44,6 @@ class Network {
 
   const NetworkStats& stats() const { return stats_; }
 
-  /// Checkpoint visitor (ckpt::Serializer): port occupancies + counters.
-  template <class Serializer>
-  void serialize(Serializer& s) {
-    s.check(out_busy_.size(), "network nodes");
-    for (auto& b : out_busy_) s.io(b);
-    for (auto& b : in_busy_) s.io(b);
-    s.io(stats_.messages);
-    s.io(stats_.queued_cycles);
-  }
-
  private:
   unsigned occupancy_;
   std::vector<Cycle> out_busy_;

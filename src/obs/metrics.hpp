@@ -49,22 +49,6 @@ struct EpochCounters {
     mshr_rejections += o.mshr_rejections;
   }
 
-  /// Checkpoint visitor (ckpt::Serializer).
-  template <class Serializer>
-  void serialize(Serializer& s) {
-    s.io(committed_useful);
-    s.io(committed_sync);
-    s.io(fetched);
-    slots.serialize(s);
-    s.io(loads);
-    s.io(stores);
-    s.io(l1_misses);
-    s.io(l2_misses);
-    s.io(tlb_misses);
-    s.io(bank_rejections);
-    s.io(mshr_rejections);
-  }
-
   /// Delta of two cumulative snapshots (this at the epoch end, `o` at its
   /// start). Counters are monotone, so plain subtraction is exact.
   EpochCounters minus(const EpochCounters& o) const {
@@ -156,32 +140,6 @@ class EpochSampler {
 
   const std::vector<EpochSample>& samples() const { return samples_; }
   std::vector<EpochSample> take() { return std::move(samples_); }
-
-  /// Checkpoint visitor (ckpt::Serializer): the open-epoch accumulators and
-  /// every closed sample, so the resumed epoch series is bit-identical to
-  /// an uninterrupted run's. The interval is config and only checked.
-  template <class Serializer>
-  void serialize(Serializer& s) {
-    s.check(interval_, "metrics interval");
-    s.io(epoch_begin_);
-    s.io(running_accum_);
-    prev_.serialize(s);
-    std::uint64_t n = samples_.size();
-    s.io(n);
-    if (s.loading()) {
-      if (!s.bounded_count(n)) {
-        samples_.clear();
-        return;
-      }
-      samples_.resize(static_cast<std::size_t>(n));
-    }
-    for (auto& e : samples_) {
-      s.io(e.begin);
-      s.io(e.end);
-      s.io(e.avg_running_threads);
-      e.counters.serialize(s);
-    }
-  }
 
  private:
   Cycle interval_ = 0;

@@ -23,9 +23,6 @@ ExperimentResult run_experiment(const ExperimentSpec& spec) {
   mc.alloc.policy = spec.alloc_policy;
   mc.alloc.epoch = spec.alloc_epoch;
   mc.no_skip = spec.no_skip;
-  mc.ckpt_interval = spec.ckpt_interval;
-  mc.ckpt_path = spec.ckpt_path;
-  mc.ckpt_spec_hash = spec.ckpt_tag;
 
   std::optional<obs::ChromeTraceWriter> writer;
   if (!spec.trace_path.empty()) {
@@ -56,7 +53,6 @@ ExperimentResult run_experiment(const ExperimentSpec& spec) {
                                       mc.total_threads()))
                      .combined;
   result.sim_speed.wall_seconds = timer.elapsed_seconds();
-  result.resumed_from_cycle = machine.resumed_from_cycle();
   if (writer) writer->finish();
 
   result.sim_speed.measured = true;

@@ -47,16 +47,6 @@ struct ExperimentSpec {
   /// produce bit-identical RunStats, they just spend different host time.
   bool no_skip = false;
 
-  // --- fault tolerance (csmt::ckpt, DESIGN.md §10) — also excluded from
-  // identity: a resumed run produces bit-identical RunStats, so the result
-  // cache needs no new key material ---
-  /// Snapshot the machine every this many cycles (0 = off).
-  Cycle ckpt_interval = 0;
-  /// Checkpoint file to resume from and overwrite (empty = off).
-  std::string ckpt_path;
-  /// Identity tag for the checkpoint header (sweep passes spec_hash).
-  std::uint64_t ckpt_tag = 0;
-
   /// Specs are value types; equality is what the sweep cache keys on.
   /// trace_path and profile_phases are deliberately not compared: two runs
   /// differing only in them produce identical RunStats.
@@ -77,9 +67,6 @@ struct ExperimentResult {
   /// dependent, hence outside RunStats; a cached result reports the speed
   /// of the original run).
   obs::SimSpeed sim_speed;
-  /// Cycle this run resumed from (0 = ran fresh; the first snapshot is
-  /// taken at cycle ckpt_interval >= 1, so 0 is unambiguous).
-  Cycle resumed_from_cycle = 0;
 };
 
 /// Builds the workload, runs it on the machine, validates functionally.

@@ -1,9 +1,6 @@
 #include "sim/machine.hpp"
 
-#include <cstdio>
-
 #include "alloc/controller.hpp"
-#include "ckpt/serializer.hpp"
 #include "common/assert.hpp"
 #include "sim/scheduler.hpp"
 
@@ -79,87 +76,6 @@ void Machine::trace_flush(Cycle end) {
   for (auto& chip : chips_) chip->trace_flush(end);
 }
 
-void Machine::ckpt_shape(ckpt::Serializer& s, const exec::ThreadGroup& group) {
-  s.begin_section("shape");
-  s.check(cfg_.chips, "chip count");
-  s.check(cfg_.arch.clusters, "clusters per chip");
-  s.check(cfg_.arch.cluster.threads, "threads per cluster");
-  s.check(cfg_.arch.cluster.rob_entries, "rob entries");
-  s.check(cfg_.arch.cluster.iq_entries, "iq entries");
-  s.check(group.size(), "software threads");
-  s.check(group.thread(0).program().size(), "program length");
-  s.check(cfg_.metrics_interval, "metrics interval");
-  s.check(static_cast<unsigned>(dash_ ? 1 : 0), "interconnect kind");
-  // Allocation identity: a snapshot taken under one policy or epoch clock
-  // must not silently resume under another.
-  s.check(static_cast<unsigned>(cfg_.alloc.policy), "alloc policy");
-  s.check(cfg_.alloc.resolved_epoch(), "alloc epoch");
-  s.check(cfg_.alloc.migration_cost, "alloc migration cost");
-  s.check(cfg_.alloc.max_moves_per_epoch, "alloc moves per epoch");
-  s.end_section();
-}
-
-void Machine::ckpt_io(ckpt::Serializer& s, exec::ThreadGroup& group,
-                      mem::PagedMemory& memory, obs::EpochSampler& sampler,
-                      Scheduler& sched, alloc::Controller* alloc_ctl) {
-  ckpt_shape(s, group);
-  if (!s.ok()) return;
-
-  s.begin_section("sched");
-  sched.serialize(s);
-  s.end_section();
-
-  s.begin_section("sampler");
-  sampler.serialize(s);
-  s.end_section();
-
-  s.begin_section("threads");
-  group.serialize(s);
-  s.end_section();
-
-  s.begin_section("memory");
-  memory.serialize(s);
-  s.end_section();
-
-  // Context bindings travel as thread ids; the clusters rebuild their slot
-  // arrays through this table on load (checkpointing is single-job only, so
-  // tids are unique and dense).
-  std::vector<exec::ThreadContext*> by_tid(group.size(), nullptr);
-  for (unsigned t = 0; t < group.size(); ++t) {
-    by_tid[group.thread(t).tid()] = &group.thread(t);
-  }
-
-  for (unsigned c = 0; c < chips_.size() && s.ok(); ++c) {
-    const std::string name = "chip" + std::to_string(c);
-    s.begin_section(name);
-    chips_[c]->memsys().serialize(s);
-    for (unsigned j = 0; j < chips_[c]->num_clusters(); ++j) {
-      chips_[c]->cluster(j).serialize(s, by_tid);
-    }
-    s.end_section();
-  }
-
-  if (dash_) {
-    s.begin_section("dash");
-    dash_->serialize(s);
-    s.end_section();
-  } else {
-    // Low-end machine: the local memory controller's occupancy horizon is
-    // in-flight timing state, exactly like the dash's mem_busy_ above.
-    s.begin_section("membackend");
-    local_backend_->serialize(s);
-    s.end_section();
-  }
-
-  // Last: the controller rebuilds thread locations from the cluster layouts
-  // restored above.
-  if (alloc_ctl) {
-    s.begin_section("alloc");
-    alloc_ctl->serialize(s);
-    s.end_section();
-  }
-}
-
 MultiRunStats Machine::run(const Mix& mix) {
   CSMT_ASSERT_MSG(!mix.jobs.empty(), "a mix needs at least one job");
   unsigned total = 0;
@@ -176,13 +92,6 @@ MultiRunStats Machine::run(const Mix& mix) {
 
   const bool single = mix.jobs.size() == 1;
   const bool dynamic = cfg_.alloc.dynamic();
-  bool ckpt_on = cfg_.ckpt_interval > 0 && !cfg_.ckpt_path.empty();
-  if (ckpt_on && !single) {
-    std::fprintf(stderr,
-                 "csmt: checkpointing is not supported for multiprogrammed "
-                 "runs; ignoring ckpt_interval\n");
-    ckpt_on = false;
-  }
 
   // One ThreadGroup per job; each job lives in a disjoint simulated
   // physical address space (48-bit regions) so the shared caches, MSHRs,
@@ -238,69 +147,8 @@ MultiRunStats Machine::run(const Mix& mix) {
     }
   }
   if (dynamic) {
-    // Arm the epoch clock *before* any restore: the scheduler serializes
-    // its epoch horizon, so a resumed run keeps the saving run's phase.
     sched.set_alloc_epoch(cfg_.alloc.resolved_epoch(),
                           [&ctl](Cycle now) { ctl.on_epoch(now); });
-  }
-
-  resumed_from_cycle_ = 0;
-  if (ckpt_on) {
-    exec::ThreadGroup& group = *groups[0];
-    mem::PagedMemory& memory = *mix.jobs[0].memory;
-    alloc::Controller* ctl_io = dynamic ? &ctl : nullptr;
-    // Resume: the file layer has already validated magic, version, and
-    // every checksum; the shape pre-pass then rejects a checkpoint of a
-    // different machine before any live state is touched.
-    ckpt::ReadResult rr = ckpt::read_checkpoint(cfg_.ckpt_path);
-    if (rr.ok && rr.meta.spec_hash != cfg_.ckpt_spec_hash) {
-      rr.ok = false;
-      rr.error = "spec hash mismatch (checkpoint is for a different run)";
-    }
-    if (rr.ok) {
-      ckpt::Serializer pre(rr.payload);
-      ckpt_shape(pre, group);
-      if (!pre.ok()) {
-        rr.ok = false;
-        rr.error = pre.error();
-      }
-    }
-    if (rr.ok) {
-      ckpt::Serializer s(std::move(rr.payload));
-      ckpt_io(s, group, memory, sampler, sched, ctl_io);
-      if (s.ok()) {
-        resumed_from_cycle_ = rr.meta.cycle;
-      } else {
-        // Only reachable from a checksum-valid payload with inconsistent
-        // contents (i.e. a deliberately crafted file): the load is clamped
-        // and UB-free, but the state is not trustworthy, so say so.
-        std::fprintf(stderr,
-                     "csmt: checkpoint restore failed mid-load (%s); "
-                     "delete %s and rerun\n",
-                     s.error().c_str(), cfg_.ckpt_path.c_str());
-      }
-    } else if (rr.error.rfind("cannot open", 0) != 0) {
-      // A missing file is the normal fresh start and stays silent; anything
-      // else (corruption, version skew, wrong run) is worth a warning.
-      std::fprintf(stderr,
-                   "csmt: ignoring checkpoint %s (%s); starting fresh\n",
-                   cfg_.ckpt_path.c_str(), rr.error.c_str());
-    }
-    // Arm *after* any restore so the next snapshot lands on the first
-    // interval boundary beyond the resume point.
-    sched.set_checkpoint(cfg_.ckpt_interval, [&, ctl_io](Cycle now) {
-      ckpt::Serializer s;
-      ckpt_io(s, group, memory, sampler, sched, ctl_io);
-      ckpt::CheckpointMeta meta;
-      meta.spec_hash = cfg_.ckpt_spec_hash;
-      meta.cycle = now;
-      std::string err;
-      if (!ckpt::write_checkpoint(cfg_.ckpt_path, meta, s.take_payload(),
-                                  &err)) {
-        std::fprintf(stderr, "csmt: checkpoint write failed: %s\n",
-                     err.c_str());
-      }
-    });
   }
 
   // Per-tick hook: advance in-flight migrations and observe job

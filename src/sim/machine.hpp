@@ -5,7 +5,6 @@
 
 #include <memory>
 #include <optional>
-#include <string>
 #include <vector>
 
 #include "alloc/policy.hpp"
@@ -19,9 +18,6 @@
 #include "obs/profile.hpp"
 #include "obs/trace.hpp"
 
-namespace csmt::ckpt {
-class Serializer;
-}
 namespace csmt::alloc {
 class Controller;
 }
@@ -52,18 +48,6 @@ struct MachineConfig {
   obs::PhaseProfiler* profiler = nullptr;
   /// Epoch length for interval metrics, in cycles; 0 = no epochs.
   Cycle metrics_interval = 0;
-
-  // --- checkpoint/restore (csmt::ckpt, DESIGN.md §10; off by default,
-  // zero-cost when off: with interval 0 the run loop never tests the clock
-  // against a checkpoint horizon) ---
-  /// Snapshot the full machine state every this many cycles; 0 = off.
-  Cycle ckpt_interval = 0;
-  /// Checkpoint file. run() resumes from it when it holds a valid snapshot
-  /// for this run, and overwrites it (atomically) at each interval.
-  std::string ckpt_path;
-  /// Identity tag written into the header (sweep uses its spec hash); a
-  /// checkpoint whose tag differs is ignored, not an error.
-  std::uint64_t ckpt_spec_hash = 0;
 
   // --- thread-to-cluster allocation (csmt::alloc, DESIGN.md §11) ---
   /// Placement policy and dynamic-migration knobs. The default (`static`,
@@ -183,25 +167,10 @@ class Machine {
     return n;
   }
 
-  /// Cycle the last run() resumed from (0 = started fresh: the first
-  /// snapshot is taken at cycle ckpt_interval >= 1, so 0 is unambiguous).
-  Cycle resumed_from_cycle() const { return resumed_from_cycle_; }
-
  private:
   friend class Scheduler;
 
   RunStats collect_stats(Cycle cycles, double running_accum, bool timed_out);
-
-  /// The "shape" checkpoint section alone: everything the machine derives
-  /// from its config. Run as a pre-pass over the payload so a stale or
-  /// mismatched checkpoint is rejected before any state is touched.
-  void ckpt_shape(ckpt::Serializer& s, const exec::ThreadGroup& group);
-  /// Full checkpoint visit (both directions): shape, scheduler, sampler,
-  /// threads + sync, functional memory, per-chip memsys + clusters, DASH,
-  /// and (dynamic allocation only) the controller + policy state.
-  void ckpt_io(ckpt::Serializer& s, exec::ThreadGroup& group,
-               mem::PagedMemory& memory, obs::EpochSampler& sampler,
-               Scheduler& sched, alloc::Controller* alloc_ctl);
 
   // --- Scheduler-facing stepping interface ---
   bool all_finished() const;
@@ -219,8 +188,8 @@ class Machine {
   /// cycle, so the trace file's event order is the per-cycle kernel's.
   void quiet_span_chips(Cycle from, Cycle n);
   /// Replays sleeping clusters' skipped cycles < `upto` (DESIGN.md §14);
-  /// required before any external read of cluster stats (ckpt saves, epoch
-  /// closes, end of run).
+  /// required before any external read of cluster stats (epoch closes, end
+  /// of run).
   void settle_chips(Cycle upto);
 
   /// Cumulative machine-wide counters for the epoch sampler.
@@ -235,7 +204,6 @@ class Machine {
   std::unique_ptr<noc::DashInterconnect> dash_;
   std::vector<std::unique_ptr<core::Chip>> chips_;
   Cycle quiet_cycles_ = 0;
-  Cycle resumed_from_cycle_ = 0;
   /// Live only while run() executes a dynamic-allocation mix; all_finished
   /// consults it so a run cannot end with a thread mid-migration.
   alloc::Controller* alloc_ctl_ = nullptr;

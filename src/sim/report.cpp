@@ -161,7 +161,7 @@ std::string render_epoch_sparklines(
 namespace {
 
 /// The spec alone — the object to_json() nests under "spec". Knobs outside
-/// spec identity (trace_path, no_skip, ckpt_*) are not encoded.
+/// spec identity (trace_path, profile_phases, no_skip) are not encoded.
 json::Value spec_to_json(const ExperimentSpec& sp) {
   json::Value spec = json::Value::object();
   spec["workload"] = sp.workload;
@@ -390,7 +390,6 @@ json::Value to_json(const ExperimentResult& r) {
   out["spec"] = std::move(spec);
   out["stats"] = std::move(stats);
   out["validated"] = r.validated;
-  out["resumed_from_cycle"] = r.resumed_from_cycle;
   if (r.sim_speed.measured) {
     json::Value speed = json::Value::object();
     speed["wall_seconds"] = r.sim_speed.wall_seconds;
@@ -532,8 +531,6 @@ std::optional<ExperimentResult> result_from_json(const json::Value& v) {
       }
     }
   }
-  // Optional (absent in documents written before csmt::ckpt existed).
-  f.count(&v, "resumed_from_cycle", r.resumed_from_cycle);
   if (!f.ok()) return std::nullopt;
   return r;
 }
@@ -543,7 +540,9 @@ std::string render_json(const std::vector<ExperimentResult>& results) {
   for (const ExperimentResult& r : results) results_array.push_back(to_json(r));
   json::Value doc = json::Value::object();
   doc["schema"] = "csmt-sweep-results";
-  doc["version"] = 3;  // v3: sim_speed.regime tag; v2: per-point sim_speed
+  // v4: checkpoint provenance key dropped; v3: sim_speed.regime tag;
+  // v2: per-point sim_speed.
+  doc["version"] = 4;
   doc["results"] = std::move(results_array);
   return doc.dump(2) + "\n";
 }

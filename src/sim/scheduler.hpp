@@ -31,10 +31,6 @@
 #include "common/types.hpp"
 #include "obs/metrics.hpp"
 
-namespace csmt::ckpt {
-class Serializer;
-}
-
 namespace csmt::sim {
 
 class Machine;
@@ -70,27 +66,10 @@ class Scheduler {
   Result run(const std::function<void(Cycle)>& after_tick = {});
 
   /// Arms the allocation-epoch clock (DESIGN.md §11): `fire` runs at the
-  /// top of the run loop — after the exit checks and any checkpoint save,
-  /// before the tick — whenever the clock reaches the next multiple of
-  /// `interval`. Arm *before* any checkpoint restore: the restored
-  /// scheduler state carries the saved epoch horizon, so a resumed run
-  /// fires the remaining epochs exactly where the saving run would have.
-  /// interval 0 disarms (the default: static runs never test the clock).
+  /// top of the run loop — after the exit checks, before the tick —
+  /// whenever the clock reaches the next multiple of `interval`. interval
+  /// 0 disarms (the default: static runs never test the clock).
   void set_alloc_epoch(Cycle interval, std::function<void(Cycle)> fire);
-
-  /// Arms periodic checkpointing: `save` runs at the top of the run loop —
-  /// after the finish/watchdog checks, before the tick — whenever the clock
-  /// reaches the next multiple of `interval`. Call *after* any restore: the
-  /// first snapshot lands on the first multiple strictly beyond the current
-  /// clock, so a resumed run never re-saves the cycle it resumed from.
-  /// interval 0 disarms (the default; the hot loop then never tests the
-  /// clock against a checkpoint horizon).
-  void set_checkpoint(Cycle interval, std::function<void(Cycle)> save);
-
-  /// Checkpoint visitor (DESIGN.md §10): the clock plus every run-loop
-  /// accumulator that survives across iterations, so a resumed loop is in
-  /// the bit-exact state the saving loop was in at its header.
-  void serialize(ckpt::Serializer& s);
 
  private:
   /// A probe that skips at least this many cycles paid for itself; shorter
@@ -107,28 +86,9 @@ class Scheduler {
   obs::EpochSampler& sampler_;
   Cycle now_ = 0;
   Cycle quiet_cycles_ = 0;
-  Cycle inactive_streak_ = 0;  ///< consecutive quiescent full ticks
-  Cycle probe_defer_ = 0;      ///< quiescent ticks to absorb before probing
 
-  // Run-loop carry state. These were locals of run(); they are members so a
-  // checkpoint taken at the loop header captures them and a restored
-  // scheduler re-enters the loop exactly where the saving one stood.
-  double running_accum_ = 0.0;
-  std::int64_t last_running_traced_ = -1;
-  // A quiescent tick cannot finish the machine (finishing requires a halt
-  // commit, which is an active tick), so the finish check only needs to run
-  // after active ticks. `true` initially: nothing has ticked yet.
-  bool check_finished_ = true;
-
-  // Checkpoint schedule (set_checkpoint). next_ckpt_ = kNeverCycle when
-  // disarmed, so the armed test in the loop stays a single compare.
-  Cycle ckpt_interval_ = 0;
-  Cycle next_ckpt_ = kNeverCycle;
-  std::function<void(Cycle)> save_fn_;
-
-  // Allocation-epoch schedule (set_alloc_epoch). Same single-compare
-  // idle cost as the checkpoint clock; next_alloc_ is serialized so a
-  // resumed run keeps the saving run's epoch phase.
+  // Allocation-epoch schedule (set_alloc_epoch). next_alloc_ = kNeverCycle
+  // when disarmed, so the armed test in the loop stays a single compare.
   Cycle alloc_interval_ = 0;
   Cycle next_alloc_ = kNeverCycle;
   std::function<void(Cycle)> alloc_fn_;

@@ -93,16 +93,6 @@ std::string canonical_encoding(const sim::ExperimentSpec& spec) {
   return out.str();
 }
 
-/// Checkpoint file ("<cache_dir>/ckpt/csmt-<16 hex digits>.ckpt") of the
-/// point with spec-hash `hash`, keyed like its result-cache entry.
-std::string ckpt_entry_path(const std::string& cache_dir,
-                            std::uint64_t hash) {
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "csmt-%016llx.ckpt",
-                static_cast<unsigned long long>(hash));
-  return (fs::path(cache_dir) / "ckpt" / buf).string();
-}
-
 }  // namespace
 
 std::vector<sim::ExperimentSpec> SweepSpec::expand() const {
@@ -139,8 +129,6 @@ SweepOptions SweepOptions::from_env() {
   options.jobs =
       jobs ? static_cast<unsigned>(jobs) : ThreadPool::hardware_default();
   options.cache_dir = cli::env_string("CSMT_CACHE_DIR");
-  options.ckpt_interval =
-      cli::env_u64("CSMT_CKPT_INTERVAL", 0, 1, "a cycle count >= 1");
   return options;
 }
 
@@ -192,7 +180,6 @@ std::vector<sim::ExperimentResult> SweepRunner::run(
   const obs::WallTimer sweep_timer;
   std::atomic<std::uint64_t> done{0};
   std::atomic<std::uint64_t> hits{0};
-  std::atomic<std::uint64_t> resumed{0};
   // Per-sweep regime tally, indexed by sim::Regime.
   std::array<std::atomic<std::uint64_t>, 3> regimes{};
   std::atomic<std::int64_t> last_emit_ms{-1000};
@@ -208,11 +195,10 @@ std::vector<sim::ExperimentResult> SweepRunner::run(
     }
     std::fprintf(
         stderr,
-        "%scsmt sweep: %llu/%zu done, %llu resumed (hits=%llu) "
+        "%scsmt sweep: %llu/%zu done (hits=%llu) "
         "regimes[busy/mixed/idle]=%llu/%llu/%llu elapsed=%.1fs%s",
         tty ? "\r" : "", static_cast<unsigned long long>(done.load()),
-        points.size(), static_cast<unsigned long long>(resumed.load()),
-        static_cast<unsigned long long>(hits.load()),
+        points.size(), static_cast<unsigned long long>(hits.load()),
         static_cast<unsigned long long>(
             regimes[static_cast<int>(sim::Regime::kBusy)].load()),
         static_cast<unsigned long long>(
@@ -232,19 +218,11 @@ std::vector<sim::ExperimentResult> SweepRunner::run(
     }
   };
 
-  // Checkpointing needs a durable directory to park snapshots in, so it
-  // rides on the result cache (a completed point's checkpoint is deleted —
-  // the cache entry supersedes it).
-  const bool ckpt_on =
-      options_.ckpt_interval > 0 && !options_.cache_dir.empty();
-  if (ckpt_on) {
-    std::error_code ec;
-    fs::create_directories(fs::path(options_.cache_dir) / "ckpt", ec);
-  }
-
   // Cache probes are serial (they are file reads, not simulations); only
   // the misses go to the pool. Each worker writes results[i], so ordering
-  // and bit-identity are independent of scheduling.
+  // and bit-identity are independent of scheduling. Every finished point
+  // is published as it completes, so rerunning an interrupted sweep
+  // against the same cache dir simulates only the points it lacks.
   std::vector<std::size_t> misses;
   for (std::size_t i = 0; i < points.size(); ++i) {
     if (auto cached = cache_load(points[i])) {
@@ -259,36 +237,17 @@ std::vector<sim::ExperimentResult> SweepRunner::run(
   }
 
   if (!misses.empty()) {
-    // Each miss gets its own checkpoint file keyed like its cache entry;
-    // run_experiment resumes from it if a previous (killed) invocation
-    // left a valid snapshot behind.
-    std::vector<sim::ExperimentSpec> to_run(points.begin(), points.end());
-    if (ckpt_on) {
-      for (const std::size_t i : misses) {
-        const std::uint64_t hash = spec_hash(to_run[i]);
-        to_run[i].ckpt_interval = options_.ckpt_interval;
-        to_run[i].ckpt_path = ckpt_entry_path(options_.cache_dir, hash);
-        to_run[i].ckpt_tag = hash;
-      }
-    }
     ThreadPool pool(std::min<std::size_t>(options_.jobs, misses.size()));
     for (const std::size_t i : misses) {
-      pool.submit([this, i, &to_run, &results, &resumed, &note_point,
-                   &emit_progress] {
-        results[i] = sim::run_experiment(to_run[i]);
-        if (results[i].resumed_from_cycle > 0) ++resumed;
+      pool.submit([this, i, &points, &results, &note_point, &emit_progress] {
+        results[i] = sim::run_experiment(points[i]);
         cache_store(results[i]);
-        if (!to_run[i].ckpt_path.empty()) {
-          std::error_code ec;
-          fs::remove(to_run[i].ckpt_path, ec);
-        }
         note_point(results[i]);
         emit_progress(false);
       });
     }
     pool.wait_idle();
     counters_.executed += misses.size();
-    counters_.resumed += resumed.load();
   }
 
   emit_progress(true);
@@ -309,9 +268,12 @@ std::optional<sim::ExperimentResult> cache_probe(
   // A hash collision or hand-edited entry for a different point must not
   // masquerade as this one, and the counters served must be the ones the
   // entry was sealed with: the digest is recomputed from the decoded
-  // result, so an edit that stays in range still misses.
+  // result, so an edit that stays in range still misses. `validated` lies
+  // outside the seal, so only the one value cache_publish writes is
+  // served; any other is recomputed.
   const json::Value* digest = doc->find("stats_digest");
-  if (!result || !(result->spec == spec) || !digest || !digest->is_string() ||
+  if (!result || !(result->spec == spec) || !result->validated || !digest ||
+      !digest->is_string() ||
       digest->as_string() != hex16(stats_digest(*result)))
     return std::nullopt;
   return result;
@@ -319,7 +281,7 @@ std::optional<sim::ExperimentResult> cache_probe(
 
 void cache_publish(const std::string& cache_dir,
                    const sim::ExperimentResult& result) {
-  if (cache_dir.empty()) return;
+  if (cache_dir.empty() || !result.validated) return;
   const fs::path path = fs::path(cache_dir) / cache_entry_name(result.spec);
   // Write-then-rename so no reader ever observes a torn entry. The tmp name
   // carries the pid: in-process workers already serialize per point, but

@@ -48,24 +48,22 @@ struct SweepOptions {
   unsigned jobs = 1;
   /// Result-cache directory; empty disables caching.
   std::string cache_dir;
-  /// Progress line on stderr: "k/N done, r resumed (hits=H)
+  /// Progress line on stderr: "k/N done (hits=H)
   /// regimes[busy/mixed/idle]=b/m/i elapsed=Xs" — rewritten in place on a
   /// terminal, throttled newline-terminated lines when piped.
   bool progress = true;
-  /// Fault tolerance (csmt::ckpt): snapshot every running point's machine
-  /// state at this cycle interval under <cache_dir>/ckpt/, resume any point
-  /// with a valid checkpoint on the next invocation, and delete the
-  /// checkpoint once the point completes (the result cache then serves it).
-  /// 0 = off; requires a cache_dir.
-  Cycle ckpt_interval = 0;
-  /// Unread: live telemetry serving was removed. The field stays because
+  /// Unread: mid-run checkpointing was removed (an interrupted sweep
+  /// resumes from the result cache). The field stays because
   /// perfbench/csmt_perfbench.cpp still assigns it, and that benchmark is
   /// kept unchanged so its runs compare across commits.
+  Cycle ckpt_interval = 0;
+  /// Unread: live telemetry serving was removed. Kept for the same reason
+  /// as ckpt_interval.
   int serve_telemetry = -1;
 
-  /// Environment defaults: CSMT_JOBS (count, or 0 for hardware width),
-  /// CSMT_CACHE_DIR (directory path), and CSMT_CKPT_INTERVAL (cycles
-  /// between checkpoints, >= 1). Malformed values warn and are ignored.
+  /// Environment defaults: CSMT_JOBS (count, or 0 for hardware width) and
+  /// CSMT_CACHE_DIR (directory path). Malformed values warn and are
+  /// ignored.
   static SweepOptions from_env();
 };
 
@@ -73,7 +71,6 @@ struct SweepOptions {
 struct SweepCounters {
   std::uint64_t executed = 0;    ///< points actually simulated
   std::uint64_t cache_hits = 0;  ///< points served from the result cache
-  std::uint64_t resumed = 0;     ///< executed points resumed from a checkpoint
 };
 
 /// Stable 64-bit key of an experiment point: FNV-1a over a canonical
@@ -95,17 +92,19 @@ std::uint64_t stats_digest(const json::Value& stats);
 
 /// Single-entry cache probe: the cached result for `spec` in `cache_dir`,
 /// or nullopt on a miss. Entries fail closed: a missing or unparsable
-/// file, a spec mismatch, any field the decoder rejects, and a digest that
-/// does not match the decoded result are all misses, which the runner
-/// recomputes and overwrites. Safe against concurrent writers (entries are
-/// only ever renamed into place, never written in place).
+/// file, a spec mismatch, any field the decoder rejects, a digest that
+/// does not match the decoded result, and a `validated` other than true
+/// are all misses, which the runner recomputes and overwrites. Safe
+/// against concurrent writers (entries are only ever renamed into place,
+/// never written in place), so a killed sweep leaves only whole entries.
 std::optional<sim::ExperimentResult> cache_probe(
     const std::string& cache_dir, const sim::ExperimentSpec& spec);
 
 /// Atomically publishes `result` into `cache_dir` (write-tmp-then-rename
 /// with a pid-unique tmp name, so any number of processes can race the same
 /// entry and readers still only ever see a complete file). No-op on an
-/// empty dir or an unwritable path.
+/// empty dir, an unwritable path, or a result that did not validate: only
+/// validated points are served from the cache.
 void cache_publish(const std::string& cache_dir,
                    const sim::ExperimentResult& result);
 

@@ -1,13 +1,11 @@
 // csmt::alloc conformance suite (DESIGN.md §11): the policy interface's
 // determinism contract, the `static` policy's bit-identity with the
 // pre-API machine behavior, the dynamic policies' end-to-end runs under
-// both simulation kernels, the migration cost-model accounting,
-// checkpoint kill-and-resume through in-flight migrations, and the bench
-// CLI's flag parsing.
+// both simulation kernels, the migration cost-model accounting, and the
+// bench CLI's flag parsing.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
-#include <filesystem>
 #include <string>
 #include <vector>
 
@@ -21,8 +19,6 @@
 
 namespace csmt::sim {
 namespace {
-
-namespace fs = std::filesystem;
 
 void expect_core_stats_equal(const RunStats& a, const RunStats& b,
                              const std::string& where) {
@@ -201,68 +197,6 @@ TEST(AllocPolicy, DynamicRunIsKernelInvariant) {
   }
 }
 
-TEST(AllocPolicy, CkptKillAndResumeThroughMigrations) {
-  // Kill-and-resume with a dynamic policy: snapshots land 3 cycles after
-  // each epoch boundary (interval 1003 vs epoch 1000), i.e. while moves
-  // decided at the boundary are still draining or in transit, so the
-  // controller's pending-move and policy state must survive the round trip.
-  ExperimentSpec spec;
-  spec.workload = "swim";
-  spec.arch = core::ArchKind::kSmt4;
-  spec.chips = 1;
-  spec.scale = 1;
-  spec.metrics_interval = 128;
-  spec.alloc_policy = alloc::PolicyKind::kSymbiosis;
-  spec.alloc_epoch = 1000;
-
-  const ExperimentResult ref = run_experiment(spec);
-  ASSERT_FALSE(ref.stats.timed_out);
-  ASSERT_GT(ref.stats.alloc.epochs, 0u);
-
-  const std::string path =
-      (fs::path(::testing::TempDir()) / "alloc-resume.ckpt").string();
-  fs::remove(path);
-  const Cycle interval = 1003;
-  constexpr std::uint64_t kTag = 0xA110C;
-
-  // Leg B: killed halfway, leaving only the checkpoint behind.
-  {
-    MachineConfig mc;
-    mc.arch = core::arch_preset(spec.arch);
-    mc.chips = spec.chips;
-    mc.metrics_interval = spec.metrics_interval;
-    mc.alloc.policy = spec.alloc_policy;
-    mc.alloc.epoch = spec.alloc_epoch;
-    mc.max_cycles = ref.stats.cycles / 2;
-    mc.ckpt_interval = interval;
-    mc.ckpt_path = path;
-    mc.ckpt_spec_hash = kTag;
-    Machine machine(mc);
-    const auto wl = workloads::make_workload(spec.workload);
-    mem::PagedMemory memory;
-    const auto build = wl->build(memory, mc.total_threads(), spec.scale);
-    const RunStats partial =
-        machine
-            .run(Mix::single(build.program, memory, build.args_base,
-                             mc.total_threads()))
-            .combined;
-    ASSERT_TRUE(partial.timed_out);
-    ASSERT_TRUE(fs::exists(path));
-  }
-
-  // Leg C: resume to completion; stats (alloc counters included) must
-  // match the uninterrupted reference bit for bit.
-  ExperimentSpec resume = spec;
-  resume.ckpt_interval = interval;
-  resume.ckpt_path = path;
-  resume.ckpt_tag = kTag;
-  const ExperimentResult resumed = run_experiment(resume);
-  ASSERT_GT(resumed.resumed_from_cycle, 0u);
-  EXPECT_TRUE(resumed.validated);
-  expect_core_stats_equal(resumed.stats, ref.stats, "alloc resume");
-  fs::remove(path);
-}
-
 TEST(AllocPolicy, SpecIdentityAndCacheKeyCoverPolicy) {
   ExperimentSpec a;
   a.workload = "swim";
@@ -302,11 +236,14 @@ TEST(AllocPolicy, EnvAndFlagParsing) {
   EXPECT_EQ(opt.alloc_epoch, 4096u);
 }
 
-TEST(CliOptionsDeathTest, ServeTelemetryIsAnUnknownFlag) {
-  // Live telemetry serving was removed, so its flag is an unknown argument
-  // like any typo: usage line, exit 2.
-  const char* argv[] = {"csmt", "--serve-telemetry", "0"};
-  EXPECT_EXIT(cli::parse_options(3, const_cast<char**>(argv)),
+TEST(CliOptionsDeathTest, RemovedFlagsAreUnknown) {
+  // Live telemetry serving and mid-run checkpointing were removed, so their
+  // flags are unknown arguments like any typo: usage line, exit 2.
+  const char* telemetry[] = {"csmt", "--serve-telemetry", "0"};
+  EXPECT_EXIT(cli::parse_options(3, const_cast<char**>(telemetry)),
+              ::testing::ExitedWithCode(2), "usage: csmt ");
+  const char* ckpt[] = {"csmt", "--ckpt-interval", "2000"};
+  EXPECT_EXIT(cli::parse_options(3, const_cast<char**>(ckpt)),
               ::testing::ExitedWithCode(2), "usage: csmt ");
 }
 

@@ -8,8 +8,9 @@
 // that moved.
 //
 // That check is relative: a timing change applied to both kernels passes
-// it. PaperGridFingerprints pins the reproduction absolutely, against
-// per-point RunStats digests committed under tests/golden/.
+// it. PaperGridFingerprints and AllocPolicyFingerprints pin the
+// reproduction absolutely, against per-point RunStats digests committed
+// under tests/golden/.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -151,6 +152,48 @@ std::string hex_digest(const ExperimentResult& r) {
   return hex;
 }
 
+/// Compares per-point digests against the committed golden file `name`
+/// (one "point digest" line per point). On any difference it names every
+/// moved, missing or extra point and writes the regenerated file under the
+/// gtest temp dir.
+void expect_fingerprints(
+    const std::string& name,
+    const std::vector<std::pair<std::string, std::string>>& points) {
+  std::map<std::string, std::string> golden;
+  {
+    std::ifstream in(std::string(CSMT_GOLDEN_DIR) + "/" + name);
+    std::string point, digest;
+    while (in >> point >> digest) golden[point] = digest;
+  }
+  std::string moved;
+  std::string regenerated;
+  for (const auto& [point, digest] : points) {
+    regenerated += point + " " + digest + "\n";
+    const auto it = golden.find(point);
+    if (it == golden.end()) {
+      moved += "  " + point + ": missing from the golden file (now " +
+               digest + ")\n";
+      continue;
+    }
+    if (it->second != digest) {
+      moved += "  " + point + ": " + it->second + " -> " + digest + "\n";
+    }
+    golden.erase(it);
+  }
+  for (const auto& [point, digest] : golden) {
+    moved += "  " + point + ": no longer in the grid\n";
+  }
+  if (!moved.empty()) {
+    const std::string path =
+        (std::filesystem::path(::testing::TempDir()) / name).string();
+    std::ofstream out(path);
+    out << regenerated;
+    ADD_FAILURE() << "simulated timing moved at:\n"
+                  << moved << "regenerated fingerprints: " << path
+                  << " (commit them only with an intended timing change)";
+  }
+}
+
 TEST(GoldenStats, PaperGridFingerprints) {
   // Every workload on the paper's seven organizations and both machines.
   // The 4-chip half exercises DASH remote fetches, interventions and
@@ -161,7 +204,6 @@ TEST(GoldenStats, PaperGridFingerprints) {
       core::ArchKind::kFa8,  core::ArchKind::kSmt1, core::ArchKind::kSmt2,
       core::ArchKind::kSmt4};
   std::vector<std::pair<std::string, std::string>> points;
-  std::string regenerated;
   for (const std::string& wl : workloads::workload_names()) {
     for (const core::ArchKind arch : archs) {
       for (const unsigned chips : {1u, 4u}) {
@@ -171,50 +213,53 @@ TEST(GoldenStats, PaperGridFingerprints) {
         spec.chips = chips;
         spec.scale = 1;
         spec.metrics_interval = 128;
-        const std::string name = wl + "/" + core::arch_name(arch) + "/x" +
-                                 std::to_string(chips);
-        const std::string digest = hex_digest(run_experiment(spec));
-        regenerated += name + " " + digest + "\n";
-        points.emplace_back(name, digest);
+        points.emplace_back(wl + "/" + core::arch_name(arch) + "/x" +
+                                std::to_string(chips),
+                            hex_digest(run_experiment(spec)));
       }
     }
   }
+  expect_fingerprints("paper_grid_fingerprints.txt", points);
+}
 
-  // One "workload/arch/xchips digest" line per point.
-  std::map<std::string, std::string> golden;
-  {
-    std::ifstream in(std::string(CSMT_GOLDEN_DIR) +
-                     "/paper_grid_fingerprints.txt");
-    std::string name, digest;
-    while (in >> name >> digest) golden[name] = digest;
-  }
-  std::string moved;
-  for (const auto& [name, digest] : points) {
-    const auto it = golden.find(name);
-    if (it == golden.end()) {
-      moved += "  " + name + ": missing from the golden file (now " + digest +
-               ")\n";
-      continue;
+TEST(GoldenStats, AllocPolicyFingerprints) {
+  // The dynamic allocation policies on the multithreaded organizations
+  // (DESIGN.md §11): epochs, migrations with their drain and stall
+  // accounting, and the epoch clock's clamp on skipped spans.
+  const std::vector<alloc::PolicyKind> policies = {
+      alloc::PolicyKind::kGreedyUtil, alloc::PolicyKind::kSymbiosis,
+      alloc::PolicyKind::kIpcMigrate};
+  std::vector<std::pair<std::string, std::string>> points;
+  std::uint64_t symbiosis_migrations = 0;
+  for (const std::string& wl : workloads::workload_names()) {
+    for (const core::ArchKind arch :
+         {core::ArchKind::kSmt2, core::ArchKind::kSmt4}) {
+      for (const unsigned chips : {1u, 4u}) {
+        for (const alloc::PolicyKind policy : policies) {
+          ExperimentSpec spec;
+          spec.workload = wl;
+          spec.arch = arch;
+          spec.chips = chips;
+          spec.scale = 1;
+          spec.metrics_interval = 128;
+          spec.alloc_policy = policy;
+          spec.alloc_epoch = 1000;
+          const ExperimentResult r = run_experiment(spec);
+          if (policy == alloc::PolicyKind::kSymbiosis) {
+            symbiosis_migrations += r.stats.alloc.migrations;
+          }
+          points.emplace_back(wl + "/" + core::arch_name(arch) + "/x" +
+                                  std::to_string(chips) + "/" +
+                                  alloc::policy_name(policy),
+                              hex_digest(r));
+        }
+      }
     }
-    if (it->second != digest) {
-      moved += "  " + name + ": " + it->second + " -> " + digest + "\n";
-    }
-    golden.erase(it);
   }
-  for (const auto& [name, digest] : golden) {
-    moved += "  " + name + ": no longer in the grid\n";
-  }
-  if (!moved.empty()) {
-    const std::string path =
-        (std::filesystem::path(::testing::TempDir()) /
-         "paper_grid_fingerprints.txt")
-            .string();
-    std::ofstream out(path);
-    out << regenerated;
-    ADD_FAILURE() << "simulated timing moved at:\n"
-                  << moved << "regenerated fingerprints: " << path
-                  << " (commit them only with an intended timing change)";
-  }
+  // Single-job runs give greedy-util and ipc-migrate no move to make, so
+  // symbiosis is the policy whose migrations these digests pin.
+  EXPECT_GT(symbiosis_migrations, 0u);
+  expect_fingerprints("alloc_policy_fingerprints.txt", points);
 }
 
 }  // namespace

@@ -231,7 +231,11 @@ TEST(ResultJson, OutOfRangeFieldsRejected) {
       [](json::Value& d) { d["stats"]["timed_out"] = 0; },
       [](json::Value& d) { d["validated"] = 1; },
       [](json::Value& d) { d["spec"]["chips"] = 4294967296.0; },
-      [](json::Value& d) { d["resumed_from_cycle"] = -5; },
+      [](json::Value& d) {
+        json::Value speed = json::Value::object();
+        speed["sim_cycles"] = -5;
+        d["sim_speed"] = std::move(speed);
+      },
   };
   for (std::size_t i = 0; i < corruptions.size(); ++i) {
     json::Value doc = good;

@@ -8,8 +8,11 @@
 #include <fstream>
 #include <functional>
 #include <sstream>
+#include <string>
+#include <utility>
 #include <vector>
 
+#include "common/rng.hpp"
 #include "sim/report.hpp"
 #include "sweep/sweep.hpp"
 
@@ -78,11 +81,15 @@ fs::path scratch_dir(const std::string& name) {
          ("csmt_" + name + "_" + std::to_string(::getpid()));
 }
 
-json::Value read_json(const fs::path& path) {
-  std::ifstream in(path);
+std::string read_text(const fs::path& path) {
+  std::ifstream in(path, std::ios::binary);
   std::ostringstream text;
   text << in.rdbuf();
-  auto doc = json::Value::parse(text.str());
+  return text.str();
+}
+
+json::Value read_json(const fs::path& path) {
+  auto doc = json::Value::parse(read_text(path));
   EXPECT_TRUE(doc.has_value()) << path;
   return doc ? std::move(*doc) : json::Value();
 }
@@ -309,6 +316,168 @@ TEST(SweepCacheCorruption, MissingDigestIsRecomputed) {
     }
     doc = std::move(unsealed);
   }, false);
+}
+
+TEST(SweepCacheCorruption, ValidatedFlipIsRecomputed) {
+  // `validated` lies outside the seal, and only validated results are
+  // published, so an entry claiming anything else is recomputed.
+  expect_recomputed("corrupt_validated", one_point(1), [](json::Value& doc) {
+    doc["validated"] = false;
+  }, false);
+}
+
+/// Byte ranges [begin, end) of the number and true/false tokens of a JSON
+/// text, outside strings.
+struct JsonTokens {
+  std::vector<std::pair<std::size_t, std::size_t>> numbers;
+  std::vector<std::pair<std::size_t, std::size_t>> bools;
+};
+
+JsonTokens scan_tokens(const std::string& text) {
+  const auto in_number = [](char c) {
+    return (c >= '0' && c <= '9') || c == '.' || c == 'e' || c == 'E' ||
+           c == '+' || c == '-';
+  };
+  JsonTokens t;
+  bool in_string = false;
+  for (std::size_t i = 0; i < text.size(); ++i) {
+    const char c = text[i];
+    if (in_string) {
+      if (c == '\\') {
+        ++i;
+      } else if (c == '"') {
+        in_string = false;
+      }
+    } else if (c == '"') {
+      in_string = true;
+    } else if (c == '-' || (c >= '0' && c <= '9')) {
+      std::size_t end = i + 1;
+      while (end < text.size() && in_number(text[end])) ++end;
+      t.numbers.emplace_back(i, end);
+      i = end - 1;
+    } else if (text.compare(i, 4, "true") == 0) {
+      t.bools.emplace_back(i, i + 4);
+      i += 3;
+    } else if (text.compare(i, 5, "false") == 0) {
+      t.bools.emplace_back(i, i + 5);
+      i += 4;
+    }
+  }
+  return t;
+}
+
+TEST(SweepCacheCorruption, SeededMutantsMissOrMatchTheEntry) {
+  // A fixed-seed mutation harness over one sealed entry. Every mutant must
+  // probe as a miss or as the entry it came from (same spec, stats digest
+  // and validated flag): never a crash, UB, or a different result. A
+  // 4-chip point with epochs and a dynamic policy carries every optional
+  // block the decoder reads: dash, epochs, by_level and alloc.
+  const fs::path dir = scratch_dir("sweep_mutants");
+  fs::remove_all(dir);
+  fs::create_directories(dir);
+  sim::ExperimentSpec spec;
+  spec.workload = "ocean";
+  spec.arch = core::ArchKind::kSmt2;
+  spec.chips = 4;
+  spec.scale = 1;
+  spec.metrics_interval = 2048;
+  spec.alloc_policy = alloc::PolicyKind::kSymbiosis;
+  spec.alloc_epoch = 1000;
+  const sim::ExperimentResult original = sim::run_experiment(spec);
+  ASSERT_TRUE(original.validated);
+  sim::ExperimentSpec other_spec = spec;
+  other_spec.arch = core::ArchKind::kSmt4;
+  const sim::ExperimentResult other = sim::run_experiment(other_spec);
+  cache_publish(dir.string(), original);
+  cache_publish(dir.string(), other);
+  const fs::path entry = dir / cache_entry_name(spec);
+  const std::string text = read_text(entry);
+  const std::string donor = read_text(dir / cache_entry_name(other_spec));
+  for (const char* key : {"\"dash\"", "\"epochs\"", "\"by_level\"",
+                          "\"alloc\"", "\"validated\""}) {
+    ASSERT_NE(text.find(key), std::string::npos) << key;
+  }
+  ASSERT_TRUE(cache_probe(dir.string(), spec)) << "clean entry must hit";
+  const std::uint64_t want_digest = stats_digest(original);
+  const JsonTokens tokens = scan_tokens(text);
+  ASSERT_FALSE(tokens.numbers.empty());
+  ASSERT_FALSE(tokens.bools.empty());
+
+  // Splices join a random prefix of the entry to a random suffix of the
+  // donor, cut independently. (A cut exactly between one entry's whole
+  // spec and the other's whole stats is the seal gap DESIGN.md §6 notes.)
+  enum Kind { kBitFlip, kTruncate, kSplice, kNegate, kHuge, kOverflow,
+              kBoolSwap, kNumKinds };
+  const char* const kind_names[kNumKinds] = {
+      "bit flip", "truncation", "splice", "negation", "1e400",
+      "2^64", "bool swap"};
+  Rng rng(0xC0FFEE);
+  const auto pick = [&rng](std::size_t n) {
+    return static_cast<std::size_t>(rng.below(static_cast<std::uint32_t>(n)));
+  };
+  constexpr int kMutants = 1001;
+  int misses[kNumKinds] = {};
+  int wrong = 0;
+  for (int m = 0; m < kMutants; ++m) {
+    const Kind kind = static_cast<Kind>(m % kNumKinds);
+    std::string mutant = text;
+    switch (kind) {
+      case kBitFlip:
+        mutant[pick(mutant.size())] ^= static_cast<char>(1u << rng.below(8));
+        break;
+      case kTruncate:
+        mutant.resize(pick(mutant.size()));
+        break;
+      case kSplice:
+        mutant = text.substr(0, pick(text.size())) +
+                 donor.substr(pick(donor.size()));
+        break;
+      case kNegate: {
+        const auto [b, e] = tokens.numbers[pick(tokens.numbers.size())];
+        if (mutant[b] == '-') {
+          mutant.erase(b, 1);
+        } else {
+          mutant.insert(b, 1, '-');
+        }
+        break;
+      }
+      case kHuge:
+      case kOverflow: {
+        const auto [b, e] = tokens.numbers[pick(tokens.numbers.size())];
+        mutant.replace(b, e - b,
+                       kind == kHuge ? "1e400" : "18446744073709551616");
+        break;
+      }
+      case kBoolSwap: {
+        const auto [b, e] = tokens.bools[pick(tokens.bools.size())];
+        mutant.replace(b, e - b, e - b == 4 ? "false" : "true");
+        break;
+      }
+      case kNumKinds:
+        break;
+    }
+    {
+      std::ofstream out(entry, std::ios::binary | std::ios::trunc);
+      out << mutant;
+    }
+    const auto probed = cache_probe(dir.string(), spec);
+    if (!probed) {
+      ++misses[kind];
+      continue;
+    }
+    if (!(probed->spec == spec) || stats_digest(*probed) != want_digest ||
+        !probed->validated) {
+      if (++wrong <= 5) {
+        ADD_FAILURE() << "mutant " << m << " (" << kind_names[kind]
+                      << ") was served as a different result";
+      }
+    }
+  }
+  EXPECT_EQ(wrong, 0) << "mutants served as a different result";
+  for (int k = 0; k < kNumKinds; ++k) {
+    EXPECT_GT(misses[k], 0) << kind_names[k] << " never caused a miss";
+  }
+  fs::remove_all(dir);
 }
 
 TEST(SweepHash, DistinguishesEveryAxis) {

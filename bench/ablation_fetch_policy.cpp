@@ -38,8 +38,7 @@ int main(int argc, char** argv) {
         points.push_back(std::move(spec));
       }
     }
-    sweep::SweepRunner runner(opt.sweep);
-    const auto results = runner.run(points);
+    const auto results = bench::run_points(opt, points);
     all.insert(all.end(), results.begin(), results.end());
 
     AsciiTable t;

@@ -1,113 +1,49 @@
 // Ablation A4 — synchronization modeling. The paper's MINT front end
 // blocks threads at locks/barriers (the `sync` slots of §4.1); an
 // alternative is to execute literal spin loops on the pipeline. This bench
-// builds the same barrier-heavy kernel both ways and shows why the
+// runs the same barrier-heavy kernel both ways (the `barrier-blocking` and
+// `barrier-spin` workloads, src/workloads/micro.cpp) and shows why the
 // blocking model is the right default: spin loops steal fetch slots and
 // cache-bank bandwidth from running threads, distorting exactly the
 // architectures (SMT) the study compares.
 #include <cstdio>
 
+#include "bench_util.hpp"
 #include "common/stats.hpp"
 #include "common/table.hpp"
-#include "isa/builder.hpp"
-#include "sim/machine.hpp"
 
-namespace {
-
-using namespace csmt;
-
-// Same block partition the workloads use (duplicated here so the bench
-// only depends on the public builder API).
-void emit_block_partition(isa::ProgramBuilder& b, isa::Reg n, isa::Reg lo,
-                          isa::Reg hi) {
-  isa::Reg t = b.ireg();
-  b.addi(t, isa::ProgramBuilder::nthreads(), -1);
-  b.add(t, t, n);
-  b.div(t, t, isa::ProgramBuilder::nthreads());
-  b.mul(lo, t, isa::ProgramBuilder::tid());
-  b.add(hi, lo, t);
-  b.if_then(isa::Op::kBlt, n, hi, [&] { b.mov(hi, n); });
-  b.release(t);
-}
-
-/// A barrier-per-phase kernel: `phases` rounds, each a partitioned sweep
-/// over `n` doubles followed by a barrier (sense-reversing spin barrier or
-/// the blocking primitive).
-isa::Program kernel(bool spin, unsigned n, unsigned phases) {
-  isa::ProgramBuilder b(spin ? "spin-sync" : "blocking-sync");
-  isa::Reg bar = b.ireg(), sense = b.ireg(), base = b.ireg();
-  b.ld(bar, isa::ProgramBuilder::args(), 0);
-  b.ld(base, isa::ProgramBuilder::args(), 8);
-  b.li(sense, 0);
-
-  isa::Reg cnt = b.ireg(), lo = b.ireg(), hi = b.ireg();
-  b.li(cnt, n);
-  emit_block_partition(b, cnt, lo, hi);
-
-  isa::Reg phase = b.ireg(), plim = b.ireg(), k = b.ireg(), ptr = b.ireg();
-  b.li(plim, phases);
-  isa::Freg v = b.freg(), w = b.freg();
-  b.for_range(phase, 0, plim, 1, [&] {
-    b.slli(ptr, lo, 3);
-    b.add(ptr, base, ptr);
-    b.for_range(k, lo, hi, 1, [&] {
-      b.fld(v, ptr, 0);
-      b.fadd(w, v, v);
-      b.fmul(w, w, v);
-      b.fst(ptr, 0, w);
-      b.addi(ptr, ptr, 8);
-    });
-    if (spin) {
-      b.spin_barrier(bar, sense, isa::ProgramBuilder::nthreads());
-    } else {
-      b.barrier(bar, isa::ProgramBuilder::nthreads());
-    }
-  });
-  b.halt();
-  return b.take();
-}
-
-}  // namespace
-
-int main() {
+int main(int argc, char** argv) {
   using namespace csmt;
-  constexpr unsigned kN = 4096, kPhases = 12;
+  const bench::BenchOptions opt = bench::parse_options(argc, argv);
+
+  std::vector<sim::ExperimentSpec> points;
+  for (const unsigned chips : {1u, 4u}) {
+    for (const core::ArchKind arch :
+         {core::ArchKind::kFa8, core::ArchKind::kSmt2}) {
+      for (const char* workload : {"barrier-blocking", "barrier-spin"}) {
+        sim::ExperimentSpec spec;
+        spec.workload = workload;
+        spec.arch = arch;
+        spec.chips = chips;
+        spec.scale = opt.scale;
+        points.push_back(std::move(spec));
+      }
+    }
+  }
+  const auto results = bench::run_points(opt, points);
 
   std::printf("== Ablation A4: blocking sync primitives vs literal spin "
               "loops ==\n");
   AsciiTable t;
   t.header({"arch", "chips", "sync model", "cycles", "sync%", "useful%",
             "committed sync insts"});
-  for (const unsigned chips : {1u, 4u}) {
-    for (const core::ArchKind arch :
-         {core::ArchKind::kFa8, core::ArchKind::kSmt2}) {
-      for (const bool spin : {false, true}) {
-        sim::MachineConfig mc;
-        mc.arch = core::arch_preset(arch);
-        mc.chips = chips;
-        sim::Machine machine(mc);
-        mem::PagedMemory memory;
-        mem::SimAlloc alloc;
-        const Addr args = alloc.alloc_words(2, 64);
-        const Addr bar = alloc.alloc_sync_line();
-        const Addr data = alloc.alloc_words(kN, 64);
-        memory.write(args + 0, bar);
-        memory.write(args + 8, data);
-        for (unsigned i = 0; i < kN; ++i)
-          memory.write_double(data + 8ull * i, 1.0 + 1e-3 * i);
-        const auto stats =
-            machine
-                .run(sim::Mix::single(kernel(spin, kN, kPhases), memory,
-                                      args, mc.total_threads()))
-                .combined;
-        t.row({core::arch_name(arch), std::to_string(chips),
-               spin ? "spin loops" : "blocking",
-               format_count(stats.cycles),
-               format_percent(stats.slots.fraction(core::Slot::kSync)),
-               format_percent(stats.slots.fraction(core::Slot::kUseful)),
-               format_count(stats.committed_sync)});
-      }
-    }
+  for (const sim::ExperimentResult& r : results) {
+    const bool spin = r.spec.workload == "barrier-spin";
+    t.row({core::arch_name(r.spec.arch), std::to_string(r.spec.chips),
+           spin ? "spin loops" : "blocking", format_count(r.stats.cycles),
+           format_percent(r.stats.slots.fraction(core::Slot::kSync)),
+           format_percent(r.stats.slots.fraction(core::Slot::kUseful)),
+           format_count(r.stats.committed_sync)});
   }
   std::printf("%s\n", t.render().c_str());
   std::printf(
@@ -116,5 +52,6 @@ int main() {
       "and L1 banks); the blocking model charges the same waste to the\n"
       "sync category without perturbing the running threads — matching the\n"
       "paper's MINT-based methodology.\n");
-  return 0;
+  bench::export_json(opt, results);
+  return bench::all_validated(results) ? 0 : 1;
 }

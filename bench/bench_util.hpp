@@ -10,11 +10,7 @@
 // DESIGN.md) and can be overridden with --scale or CSMT_SCALE.
 #pragma once
 
-#include <charconv>
-#include <chrono>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -27,34 +23,12 @@
 #endif
 
 #include "cli/options.hpp"
-#include "cli/parse.hpp"
-#include "isa/builder.hpp"
-#include "mem/paged_memory.hpp"
 #include "sim/experiment.hpp"
 #include "sim/report.hpp"
 #include "sweep/sweep.hpp"
 #include "workloads/workload.hpp"
 
 namespace csmt::bench {
-
-/// The one timing utility every bench binary uses: a monotonic stopwatch on
-/// std::chrono::steady_clock. Wall timings must never come from
-/// system_clock (NTP steps corrupt measurements) or CPU clocks (they hide
-/// blocked time); funnelling everything through here keeps the bench
-/// binaries consistent with obs::WallTimer's choice.
-class StopWatch {
- public:
-  StopWatch() : start_(std::chrono::steady_clock::now()) {}
-  void reset() { start_ = std::chrono::steady_clock::now(); }
-  double seconds() const {
-    return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                         start_)
-        .count();
-  }
-
- private:
-  std::chrono::steady_clock::time_point start_;
-};
 
 /// Resident-set size of this process right now, in bytes (0 where the
 /// platform offers no cheap probe). Linux: VmRSS pages from /proc/self/statm.
@@ -95,63 +69,12 @@ inline std::uint64_t peak_rss_kb() {
   return 0;
 }
 
-// ---------------------------------------------------------------------------
-// The pointer-chase micro-workload shared by micro_simspeed and perf_gate:
-// per-thread chains of dependent loads, each a cold miss on its own page,
-// with nothing else to issue once the window fills — the long-latency
-// regime the quiescence scheduler targets.
-
-inline constexpr Addr kChaseBase = 1 << 20;
-inline constexpr std::uint64_t kChaseRegionBytes = 8ull << 20;  ///< per thread
-inline constexpr std::uint64_t kChaseRegionWords = kChaseRegionBytes / 8;
-inline constexpr std::uint64_t kChaseStrideWords = 1031;  ///< odd: full-cycle walk
-
-/// Per-thread pointer chase: `iters` dependent loads (p = mem[p]).
-inline isa::Program chase_program(std::uint64_t iters) {
-  isa::ProgramBuilder b("chase");
-  const isa::Reg p = b.ireg();
-  const isa::Reg cnt = b.ireg();
-  const isa::Reg region = b.ireg();
-  b.li(region, kChaseRegionBytes);
-  b.mul(region, b.tid(), region);
-  b.add(p, b.args(), region);
-  b.li(cnt, static_cast<std::int64_t>(iters));
-  const isa::Label loop = b.new_label();
-  b.bind(loop);
-  b.ld(p, p, 0);  // p = mem[p]: the serializing dependence
-  b.addi(cnt, cnt, -1);
-  b.bne(cnt, b.zero(), loop);
-  b.halt();
-  return b.take();
-}
-
-/// Lays out each thread's chain so every step lands on a fresh page.
-inline void init_chase_memory(mem::PagedMemory& memory, unsigned threads,
-                              std::uint64_t iters) {
-  for (unsigned t = 0; t < threads; ++t) {
-    const Addr base = kChaseBase + t * kChaseRegionBytes;
-    std::uint64_t cur = 0;
-    for (std::uint64_t i = 0; i < iters; ++i) {
-      const std::uint64_t next = (cur + kChaseStrideWords) % kChaseRegionWords;
-      memory.write(base + cur * 8, base + next * 8);
-      cur = next;
-    }
-  }
-}
-
-/// Counter equality between two kernels' RunStats (the exhaustive per-field
-/// comparison lives in the golden-stats test; this is the cheap gate).
-inline bool stats_match(const sim::RunStats& a, const sim::RunStats& b) {
-  return a.cycles == b.cycles && a.committed_useful == b.committed_useful &&
-         a.committed_sync == b.committed_sync && a.fetched == b.fetched &&
-         a.timed_out == b.timed_out &&
-         a.avg_running_threads == b.avg_running_threads &&
-         a.slots.total() == b.slots.total();
-}
-
-inline unsigned scale_from_env(unsigned fallback = 4) {
-  return static_cast<unsigned>(
-      cli::env_u64("CSMT_SCALE", fallback, 1, "an integer >= 1"));
+/// Skip-vs-`--no-skip` agreement: both results validated and their whole
+/// RunStats, compared by stats digest, are equal.
+inline bool same_stats(const sim::ExperimentResult& a,
+                       const sim::ExperimentResult& b) {
+  return a.validated && b.validated &&
+         sweep::stats_digest(a) == sweep::stats_digest(b);
 }
 
 /// Per-binary options: the consolidated csmt::cli set (sweep controls,
@@ -197,11 +120,38 @@ inline void export_json(const BenchOptions& opt,
                opt.json_path.c_str(), results.size());
 }
 
-/// Runs workloads x architectures on a machine with `chips` chips through
-/// the sweep runner; results come back in figure order (workload-major).
+/// Names each result that did not validate on stderr; true when all did.
+inline bool all_validated(const std::vector<sim::ExperimentResult>& results) {
+  bool ok = true;
+  for (const sim::ExperimentResult& r : results) {
+    if (r.validated) continue;
+    std::fprintf(stderr, "csmt: %s on %s x%u at scale %u did not validate\n",
+                 r.spec.workload.c_str(), core::arch_name(r.spec.arch),
+                 r.spec.chips, r.spec.scale);
+    ok = false;
+  }
+  return ok;
+}
+
+/// Runs an explicit point list through the sweep runner; results come back
+/// in `points` order. Every bench that sweeps points runs them through
+/// here, so --jobs, --cache-dir, --trace and --no-skip mean the same thing
+/// in each.
 /// Tracing (--trace / CSMT_TRACE) stamps a per-point trace path on every
-/// expanded point (see trace_path_for); traced points bypass the result
-/// cache so the trace file is actually produced.
+/// point (see trace_path_for); traced points bypass the result cache so
+/// the trace file is actually produced.
+inline std::vector<sim::ExperimentResult> run_points(
+    const BenchOptions& opt, std::vector<sim::ExperimentSpec> points) {
+  for (std::size_t i = 0; i < points.size(); ++i) {
+    points[i].trace_path = trace_path_for(opt, i, points.size());
+    points[i].no_skip = opt.no_skip;
+  }
+  sweep::SweepRunner runner(opt.sweep);
+  return runner.run(points);
+}
+
+/// Runs workloads x architectures on a machine with `chips` chips;
+/// results come back in figure order (workload-major).
 inline std::vector<sim::ExperimentResult> run_figure_grid(
     const BenchOptions& opt, const std::vector<std::string>& workloads,
     const std::vector<core::ArchKind>& archs, unsigned chips) {
@@ -213,30 +163,7 @@ inline std::vector<sim::ExperimentResult> run_figure_grid(
   spec.metrics_interval = opt.metrics_interval;
   spec.alloc_policy = opt.alloc_policy;
   spec.alloc_epoch = opt.alloc_epoch;
-  sweep::SweepRunner runner(opt.sweep);
-  if (opt.trace_path.empty() && !opt.no_skip) return runner.run(spec);
-  std::vector<sim::ExperimentSpec> points = spec.expand();
-  for (std::size_t i = 0; i < points.size(); ++i) {
-    points[i].trace_path = trace_path_for(opt, i, points.size());
-    points[i].no_skip = opt.no_skip;
-  }
-  return runner.run(points);
-}
-
-/// Deprecated serial-era entry point, kept for one release as a shim over
-/// SweepRunner (options from the environment only).
-[[deprecated("use bench::run_figure_grid / sweep::SweepRunner")]]
-inline std::vector<sim::ExperimentResult> run_grid(
-    const std::vector<std::string>& workloads,
-    const std::vector<core::ArchKind>& archs, unsigned chips,
-    unsigned scale) {
-  sweep::SweepSpec spec;
-  spec.workloads = workloads;
-  spec.archs = archs;
-  spec.chips = {chips};
-  spec.scales = {scale};
-  sweep::SweepRunner runner;
-  return runner.run(spec);
+  return run_points(opt, spec.expand());
 }
 
 /// Standard three-part report for one figure.

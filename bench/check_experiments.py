@@ -14,13 +14,16 @@ with a fresh, temporary result cache and compares:
   the two printed tables. A cell matches when each coordinate is within
   0.05 of the bench's two-decimal value.
 - Table 3: the `measured` column with the printed latencies, exactly.
+- A4: the cycles and committed sync insts of every documented
+  (arch, chips, model) row, exactly.
 - E1: the makespan of each printed `mix: a + b` table (commas and bold
   stripped), exactly.
 
 Prints one line per mismatch, `Figure N workload/ARCH: doc X, bench Y`,
 `Figure 6 workload/low-end: doc X, bench Y`, `Table 3 level: doc X,
-bench Y` or `E1 mix/ARCH: doc X, bench Y`, and exits 1 if there is any;
-exits 0 when every documented cell matches.
+bench Y`, `A4 arch/chips/model: doc X, bench Y` or `E1 mix/ARCH: doc X,
+bench Y`, and exits 1 if there is any; exits 0 when every documented cell
+matches.
 """
 import os
 import re
@@ -40,10 +43,12 @@ POINT = re.compile(r"\(([-\d.]+), ([-\d.]+)\)")
 # Figure 6 doc column -> index of the bench's table (low end prints first).
 FIG6_COLUMNS = {"low-end measured": 0, "high-end measured": 1}
 FIG6_TOLERANCE = 0.05
+# Checked A4 columns -> the printed column that follows each (None: last).
+A4_COLUMNS = {"cycles": "sync%", "committed sync insts": None}
 
 
-def doc_table(text, heading):
-    """{row: {column: cell}} of the first table under `heading`."""
+def doc_rows(text, heading):
+    """(header, [cells]) of the first table under `heading`."""
     lines = text.splitlines()
     start = next(i for i, l in enumerate(lines) if l.startswith(heading))
     rows = []
@@ -55,7 +60,12 @@ def doc_table(text, heading):
                          for c in line.strip().strip("|").split("|")])
         elif rows:
             break
-    header, body = rows[0], rows[2:]  # rows[1] is the |---| rule
+    return rows[0], rows[2:]  # rows[1] is the |---| rule
+
+
+def doc_table(text, heading):
+    """{row: {column: cell}} of the first table under `heading`."""
+    header, body = doc_rows(text, heading)
     return {r[0]: dict(zip(header[1:], r[1:])) for r in body}
 
 
@@ -74,6 +84,14 @@ def bench_table(stdout):
     return table
 
 
+def cut(row, header, first, last=None):
+    """The cell of a printed `row` from column `first` to column `last`.
+    Cells may hold spaces or markers such as "(INVALID)", so columns are
+    cut by their position in the `header` line."""
+    end = header.index(last) if last else None
+    return row[header.index(first):end].strip()
+
+
 def mix_makespans(stdout):
     """{"a + b": {arch: makespan}} of the printed E1 pair tables."""
     lines = stdout.splitlines()
@@ -83,14 +101,11 @@ def mix_makespans(stdout):
         if not m:
             continue
         header = lines[i + 1]
-        # Columns are padded to a common width, and a finish cell may carry
-        # an "(INVALID)" marker, so cut the makespan column by position.
-        lo, hi = header.index("makespan"), header.index("useful%")
         rows = table.setdefault(m.group(1), {})
         for row in lines[i + 3:]:
             if not row.strip():
                 break
-            rows[row.split()[0]] = row[lo:hi].strip()
+            rows[row.split()[0]] = cut(row, header, "makespan", "useful%")
     return table
 
 
@@ -117,15 +132,36 @@ def table3_latencies(stdout):
     lines = stdout.splitlines()
     start = next(i for i, l in enumerate(lines) if l.startswith("level "))
     header = lines[start]
-    # Level names hold spaces, so cut the columns by position.
-    name_end, lo, hi = (header.index("Table 3"), header.index("measured"),
-                        header.index("match"))
     table = {}
     for row in lines[start + 2:]:
         if not row.strip():
             break
-        table[row[:name_end].strip()] = row[lo:hi].strip()
+        table[cut(row, header, "level", "Table 3")] = cut(
+            row, header, "measured", "match")
     return table
+
+
+def sync_model_cells(stdout, column):
+    """{"arch/chips/model": cell} of one column of the printed A4 table."""
+    lines = stdout.splitlines()
+    start = next(i for i, l in enumerate(lines) if l.startswith("arch "))
+    header = lines[start]
+    table = {}
+    for row in lines[start + 2:]:
+        if not row.strip():
+            break
+        key = "/".join(cut(row, header, a, b) for a, b in (
+            ("arch", "chips"), ("chips", "sync model"),
+            ("sync model", "cycles")))
+        table[key] = cut(row, header, column, A4_COLUMNS[column])
+    return table
+
+
+def arch_cells(table):
+    """{"row/ARCH": cell} of the architecture columns of a
+    {row: {column: cell}} table."""
+    return {"%s/%s" % (row, col): cell for row, cols in table.items()
+            for col, cell in cols.items() if ARCH.match(col)}
 
 
 def same(doc, bench):
@@ -136,17 +172,13 @@ def same(doc, bench):
 
 
 def compare(label, bench, doc):
-    """Prints each documented ARCH cell the bench disagrees with."""
+    """Prints each documented {key: cell} the bench disagrees with."""
     mismatches = 0
-    for row, cols in doc.items():
-        for arch, want in cols.items():
-            if not ARCH.match(arch):
-                continue
-            got = bench.get(row, {}).get(arch, "missing")
-            if not same(want, got):
-                print("%s %s/%s: doc %s, bench %s" % (label, row, arch, want,
-                                                      got))
-                mismatches += 1
+    for key, want in doc.items():
+        got = bench.get(key, "missing")
+        if not same(want, got):
+            print("%s %s: doc %s, bench %s" % (label, key, want, got))
+            mismatches += 1
     return mismatches
 
 
@@ -166,18 +198,6 @@ def compare_fig6(bench, doc):
                     workload, column.split()[0],
                     want.group(0) if want else cols.get(column), got))
                 mismatches += 1
-    return mismatches
-
-
-def compare_table3(bench, doc):
-    """Prints each documented Table 3 latency the bench disagrees with."""
-    mismatches = 0
-    for level, cols in doc.items():
-        got = bench.get(level, "missing")
-        if not same(cols["measured"], got):
-            print("Table 3 %s: doc %s, bench %s" % (level, cols["measured"],
-                                                    got))
-            mismatches += 1
     return mismatches
 
 
@@ -202,16 +222,26 @@ def main():
                                   check=True).stdout
 
         for fig, binary in FIGURES.items():
-            mismatches += compare("Figure %d" % fig, bench_table(run(binary)),
-                                  doc_table(text, "## Figure %d " % fig))
+            mismatches += compare(
+                "Figure %d" % fig, arch_cells(bench_table(run(binary))),
+                arch_cells(doc_table(text, "## Figure %d " % fig)))
         mismatches += compare_fig6(
             fig6_points(run("fig6_app_characterization")),
             doc_table(text, "## Figure 6 "))
-        mismatches += compare_table3(
-            table3_latencies(run("table3_memory_latency")),
-            doc_table(text, "## Table 3 "))
-        mismatches += compare("E1", mix_makespans(run("ext_multiprogram")),
-                              doc_table(text, "## Extension E1 "))
+        mismatches += compare(
+            "Table 3", table3_latencies(run("table3_memory_latency")),
+            {level: cols["measured"] for level, cols in
+             doc_table(text, "## Table 3 ").items()})
+        # The documented A4 rows start arch | chips | model.
+        sync_model = run("ablation_sync_model")
+        header, body = doc_rows(text, "### A4 ")
+        for column in A4_COLUMNS:
+            mismatches += compare(
+                "A4", sync_model_cells(sync_model, column),
+                {"/".join(r[:3]): r[header.index(column)] for r in body})
+        mismatches += compare(
+            "E1", arch_cells(mix_makespans(run("ext_multiprogram"))),
+            arch_cells(doc_table(text, "## Extension E1 ")))
     return 1 if mismatches else 0
 
 

@@ -11,13 +11,15 @@
 // boundaries, so the table isolates what epoch-boundary reallocation buys
 // (or costs) on top of each organization. The asymmetric mix is the
 // load-balancers' home turf: its jobs finish at different times, leaving
-// idle clusters for the survivors to inherit. With --json the sweep is
-// also written as a "csmt-mix-policies" artifact for the CI smoke job and
-// EXPERIMENTS.md.
-#include <map>
+// idle clusters for the survivors to inherit.
+//
+// A mix is an ordinary workload name ("swim+ocean", "tomcatv*2+mgrid*6";
+// workloads::split_contexts), so every point runs through the sweep
+// runner like a figure's, and --json writes the standard results artifact.
+#include <algorithm>
 
+#include "alloc/policy.hpp"
 #include "bench_util.hpp"
-#include "common/json.hpp"
 #include "common/stats.hpp"
 #include "common/table.hpp"
 
@@ -31,6 +33,10 @@ constexpr std::pair<const char*, const char*> kPairMixes[] = {
     {"mgrid", "fmm"},       // regular + irregular
 };
 
+constexpr core::ArchKind kPairArchs[] = {
+    core::ArchKind::kFa8, core::ArchKind::kFa2, core::ArchKind::kSmt2,
+    core::ArchKind::kSmt1};
+
 constexpr alloc::PolicyKind kPolicies[] = {
     alloc::PolicyKind::kStatic,
     alloc::PolicyKind::kGreedyUtil,
@@ -38,78 +44,18 @@ constexpr alloc::PolicyKind kPolicies[] = {
     alloc::PolicyKind::kIpcMigrate,
 };
 
-/// A mix: jobs with per-job context shares in eighths of the machine.
-/// Every share must be a whole number of contexts on each organization it
-/// runs on (FA2 has 2 contexts, so only halves split there).
-struct ShareMix {
-  const char* name;
-  std::vector<std::pair<const char*, unsigned>> jobs;  ///< (workload, 8ths)
-};
+constexpr core::ArchKind kPolicyArchs[] = {core::ArchKind::kSmt2,
+                                           core::ArchKind::kFa8};
 
-const std::vector<ShareMix> kPolicyMixes = {
-    {"swim+ocean", {{"swim", 4}, {"ocean", 4}}},
-    {"tomcatv+vpenta", {{"tomcatv", 4}, {"vpenta", 4}}},
+/// (label, workload name) of each policy-sweep mix.
+constexpr std::pair<const char*, const char*> kPolicyMixes[] = {
+    {"swim+ocean", "swim+ocean"},
+    {"tomcatv+vpenta", "tomcatv+vpenta"},
     // Asymmetric: the short job gets 3/4 of the contexts, so when it
     // drains, the long job's threads are left crowding one cluster while
     // the short job's clusters idle — the load-balancers' home turf.
-    {"tomcatv+mgrid", {{"tomcatv", 2}, {"mgrid", 6}}},
+    {"tomcatv+mgrid", "tomcatv*2+mgrid*6"},
 };
-
-struct MixRun {
-  sim::MultiRunStats stats;
-  bool valid = false;
-};
-
-struct BuiltJob {
-  std::unique_ptr<workloads::Workload> wl;
-  std::unique_ptr<mem::PagedMemory> memory;
-  workloads::WorkloadBuild build;
-  unsigned threads = 0;
-};
-
-/// Runs a mix whose jobs split the machine's contexts in eighths. A share
-/// that is not a whole, nonzero number of contexts exits 1: a row must
-/// never vanish from the table.
-MixRun run_mix(const ShareMix& mix, core::ArchKind arch, unsigned scale,
-               const alloc::AllocConfig& cfg_alloc) {
-  sim::MachineConfig mc;
-  mc.arch = core::arch_preset(arch);
-  mc.alloc = cfg_alloc;
-  const unsigned total = mc.total_threads();
-
-  std::vector<BuiltJob> built;
-  std::vector<sim::Job> jobs;
-  for (const auto& [name, eighths] : mix.jobs) {
-    BuiltJob j;
-    j.threads = total * eighths / 8;
-    if (total * eighths % 8 != 0 || j.threads == 0) {
-      std::fprintf(stderr,
-                   "\ncsmt: mix %s on %s cannot run: %s's %u/8 share of %u "
-                   "contexts is not a whole, nonzero number of contexts\n",
-                   mix.name, core::arch_name(arch), name, eighths, total);
-      std::exit(1);
-    }
-    j.wl = workloads::make_workload(name);
-    j.memory = std::make_unique<mem::PagedMemory>();
-    j.build = j.wl->build(*j.memory, j.threads, scale);
-    built.push_back(std::move(j));
-  }
-  for (const BuiltJob& j : built) {
-    jobs.push_back({&j.build.program, j.memory.get(), j.build.args_base,
-                    j.threads});
-  }
-
-  sim::Machine machine(mc);
-  MixRun r;
-  r.stats = machine.run(sim::Mix{jobs});
-  r.valid = true;
-  for (const BuiltJob& j : built) {
-    r.valid = r.valid && j.wl->validate(*j.memory, j.build, j.threads, scale);
-  }
-  std::fprintf(stderr, ".");
-  std::fflush(stderr);
-  return r;
-}
 
 }  // namespace
 
@@ -117,26 +63,58 @@ int main(int argc, char** argv) {
   const bench::BenchOptions opt = bench::parse_options(argc, argv);
   const unsigned scale = std::max(2u, opt.scale / 2);
 
+  // Pairs first (static, default epoch), then the policy sweep, in print
+  // order.
+  std::vector<sim::ExperimentSpec> points;
+  const auto add = [&](const std::string& workload, core::ArchKind arch,
+                       alloc::PolicyKind policy, Cycle epoch) {
+    sim::ExperimentSpec spec;
+    spec.workload = workload;
+    spec.arch = arch;
+    spec.scale = scale;
+    spec.alloc_policy = policy;
+    spec.alloc_epoch = epoch;
+    points.push_back(std::move(spec));
+  };
+  for (const auto& [a, b] : kPairMixes) {
+    for (const core::ArchKind arch : kPairArchs)
+      add(std::string(a) + "+" + b, arch, alloc::PolicyKind::kStatic, 0);
+  }
+  for (const auto& [label, workload] : kPolicyMixes) {
+    for (const core::ArchKind arch : kPolicyArchs) {
+      for (const alloc::PolicyKind policy : kPolicies)
+        add(workload, arch, policy, opt.alloc_epoch);
+    }
+  }
+  // A share that is not a whole, nonzero number of contexts stops the
+  // bench before any point runs: a row must never vanish from the table.
+  for (const sim::ExperimentSpec& p : points) {
+    std::string why;
+    const unsigned contexts =
+        p.chips * core::arch_preset(p.arch).threads_per_chip();
+    if (workloads::split_contexts(p.workload, contexts, &why).empty()) {
+      std::fprintf(stderr, "\ncsmt: mix %s on %s cannot run: %s\n",
+                   p.workload.c_str(), core::arch_name(p.arch), why.c_str());
+      return 1;
+    }
+  }
+  const auto results = bench::run_points(opt, points);
+  auto next = results.begin();
+
   std::printf("== Extension E1: multiprogrammed pairs (low-end, scale %u, "
               "each job gets half the contexts) ==\n\n", scale);
   for (const auto& [a, b] : kPairMixes) {
     AsciiTable t;
     t.header({"arch", std::string(a) + " finish", std::string(b) + " finish",
               "makespan", "useful%", "sync%"});
-    for (const core::ArchKind arch :
-         {core::ArchKind::kFa8, core::ArchKind::kFa2, core::ArchKind::kSmt2,
-          core::ArchKind::kSmt1}) {
-      const std::string name = std::string(a) + "+" + b;
-      const ShareMix mix{name.c_str(), {{a, 4}, {b, 4}}};
-      const MixRun r = run_mix(mix, arch, scale, alloc::AllocConfig{});
-      t.row({core::arch_name(arch),
-             format_count(r.stats.job_finish[0]) + (r.valid ? "" : " (INVALID)"),
-             format_count(r.stats.job_finish[1]),
-             format_count(r.stats.makespan),
-             format_percent(r.stats.combined.slots.fraction(core::Slot::kUseful)),
-             format_percent(r.stats.combined.slots.fraction(core::Slot::kSync))});
+    for (std::size_t i = 0; i < std::size(kPairArchs); ++i, ++next) {
+      const sim::ExperimentResult& r = *next;
+      t.row({core::arch_name(r.spec.arch),
+             format_count(r.job_finish[0]) + (r.validated ? "" : " (INVALID)"),
+             format_count(r.job_finish[1]), format_count(r.stats.cycles),
+             format_percent(r.stats.slots.fraction(core::Slot::kUseful)),
+             format_percent(r.stats.slots.fraction(core::Slot::kSync))});
     }
-    std::fprintf(stderr, "\n");
     std::printf("mix: %s + %s\n%s\n", a, b, t.render().c_str());
   }
   std::printf(
@@ -154,68 +132,37 @@ int main(int argc, char** argv) {
               "migration cost %llu) ==\n\n",
               static_cast<unsigned long long>(base.resolved_epoch()),
               static_cast<unsigned long long>(base.migration_cost));
-
-  json::Value doc = json::Value::object();
-  doc["schema"] = "csmt-mix-policies";
-  doc["scale"] = scale;
-  doc["epoch"] = base.resolved_epoch();
-  doc["migration_cost"] = base.migration_cost;
-  json::Value rows = json::Value::array();
-
-  for (const ShareMix& mix : kPolicyMixes) {
-    for (const core::ArchKind arch :
-         {core::ArchKind::kSmt2, core::ArchKind::kFa8}) {
+  for (const auto& [label, workload] : kPolicyMixes) {
+    for (std::size_t a = 0; a < std::size(kPolicyArchs); ++a) {
       AsciiTable t;
       t.header({"policy", "makespan", "agg IPC", "migrations", "rejected",
                 "vs static"});
       Cycle static_makespan = 0;
-      for (const alloc::PolicyKind policy : kPolicies) {
-        alloc::AllocConfig cfg = base;
-        cfg.policy = policy;
-        const MixRun r = run_mix(mix, arch, scale, cfg);
-        const sim::RunStats& c = r.stats.combined;
+      for (std::size_t p = 0; p < std::size(kPolicies); ++p, ++next) {
+        const sim::ExperimentResult& r = *next;
+        const sim::RunStats& c = r.stats;
+        const bool is_static =
+            r.spec.alloc_policy == alloc::PolicyKind::kStatic;
         const double ipc =
             c.cycles ? static_cast<double>(c.committed_useful) / c.cycles : 0.0;
-        if (policy == alloc::PolicyKind::kStatic)
-          static_makespan = r.stats.makespan;
+        if (is_static) static_makespan = c.cycles;
         const double delta =
             static_makespan
                 ? 100.0 * (static_cast<double>(static_makespan) -
-                           static_cast<double>(r.stats.makespan)) /
+                           static_cast<double>(c.cycles)) /
                       static_cast<double>(static_makespan)
                 : 0.0;
         char ipc_buf[32], delta_buf[32];
         std::snprintf(ipc_buf, sizeof ipc_buf, "%.3f", ipc);
         std::snprintf(delta_buf, sizeof delta_buf, "%+.2f%%", delta);
-        t.row({alloc::policy_name(policy),
-               format_count(r.stats.makespan) + (r.valid ? "" : " (INVALID)"),
+        t.row({alloc::policy_name(r.spec.alloc_policy),
+               format_count(c.cycles) + (r.validated ? "" : " (INVALID)"),
                ipc_buf, format_count(c.alloc.migrations),
                format_count(c.alloc.rejected),
-               policy == alloc::PolicyKind::kStatic ? "(base)" : delta_buf});
-
-        json::Value row = json::Value::object();
-        row["mix"] = mix.name;
-        row["arch"] = core::arch_name(arch);
-        row["policy"] = alloc::policy_name(policy);
-        row["makespan"] = r.stats.makespan;
-        row["useful"] = c.committed_useful;
-        row["agg_ipc"] = ipc;
-        row["valid"] = r.valid;
-        json::Value fin = json::Value::array();
-        for (const Cycle f : r.stats.job_finish) fin.push_back(f);
-        row["job_finish"] = std::move(fin);
-        json::Value al = json::Value::object();
-        al["epochs"] = c.alloc.epochs;
-        al["migrations"] = c.alloc.migrations;
-        al["rejected"] = c.alloc.rejected;
-        al["drain_cycles"] = c.alloc.drain_cycles;
-        al["stall_cycles"] = c.alloc.stall_cycles;
-        row["alloc"] = std::move(al);
-        rows.push_back(std::move(row));
+               is_static ? "(base)" : delta_buf});
       }
-      std::fprintf(stderr, "\n");
-      std::printf("mix: %s on %s\n%s\n", mix.name, core::arch_name(arch),
-                  t.render().c_str());
+      std::printf("mix: %s on %s\n%s\n", label,
+                  core::arch_name(kPolicyArchs[a]), t.render().c_str());
     }
   }
   std::printf(
@@ -226,20 +173,6 @@ int main(int argc, char** argv) {
       "cost drain + %llu-cycle restarts per migration when they guess\n"
       "wrong.\n",
       static_cast<unsigned long long>(base.migration_cost));
-
-  doc["results"] = std::move(rows);
-  if (!opt.json_path.empty()) {
-    std::FILE* f = std::fopen(opt.json_path.c_str(), "wb");
-    if (!f) {
-      std::fprintf(stderr, "csmt: cannot write JSON artifact '%s'\n",
-                   opt.json_path.c_str());
-      return 1;
-    }
-    const std::string text = doc.dump(2);
-    std::fwrite(text.data(), 1, text.size(), f);
-    std::fclose(f);
-    std::fprintf(stderr, "csmt: wrote %s (%zu policy-sweep rows)\n",
-                 opt.json_path.c_str(), doc["results"].items().size());
-  }
+  bench::export_json(opt, results);
   return 0;
 }

@@ -33,9 +33,7 @@
 #include "cache/memsys.hpp"
 #include "common/json.hpp"
 #include "exec/thread_group.hpp"
-#include "isa/builder.hpp"
 #include "sim/experiment.hpp"
-#include "sim/machine.hpp"
 #include "workloads/workload.hpp"
 
 namespace {
@@ -91,22 +89,15 @@ void BM_CacheAccess(benchmark::State& state) {
 BENCHMARK(BM_CacheAccess);
 
 void BM_FullMachine(benchmark::State& state) {
-  const auto arch = static_cast<core::ArchKind>(state.range(0));
+  sim::ExperimentSpec spec;
+  spec.workload = "swim";
+  spec.arch = static_cast<core::ArchKind>(state.range(0));
+  spec.scale = 2;
   std::uint64_t cycles = 0, insts = 0;
   for (auto _ : state) {
-    sim::MachineConfig mc;
-    mc.arch = core::arch_preset(arch);
-    sim::Machine machine(mc);
-    const auto wl = workloads::make_workload("swim");
-    mem::PagedMemory memory;
-    const auto build = wl->build(memory, mc.total_threads(), 2);
-    const auto stats =
-        machine
-            .run(sim::Mix::single(build.program, memory, build.args_base,
-                                  mc.total_threads()))
-            .combined;
-    cycles += stats.cycles;
-    insts += stats.committed_useful + stats.committed_sync;
+    const sim::ExperimentResult r = sim::run_experiment(spec);
+    cycles += r.stats.cycles;
+    insts += r.stats.committed_useful + r.stats.committed_sync;
   }
   state.counters["sim-cycles/s"] =
       benchmark::Counter(static_cast<double>(cycles), benchmark::Counter::kIsRate);
@@ -121,20 +112,16 @@ BENCHMARK(BM_FullMachine)
 // ---------------------------------------------------------------------------
 // Skip-ahead A/B: quiescence scheduler vs per-cycle kernel (--no-skip).
 
-/// One A/B point's outcome. Stats are asserted equal between kernels (the
-/// exhaustive grid lives in scheduler_test); wall numbers are per kernel,
-/// best of `reps` runs each.
+/// One A/B point's outcome. `stats_equal` holds when every run validated
+/// and all of RunStats (by stats digest) agrees across kernels and reps;
+/// wall numbers are per kernel, best of `reps` runs each.
 struct AbRow {
-  std::string name;
-  std::string arch;
+  sim::ExperimentSpec spec;
   std::string regime;  ///< "idle" or "busy" — which regime the point probes
-  unsigned chips = 0;
-  std::uint64_t cycles = 0;
-  std::uint64_t committed = 0;
-  std::uint64_t quiet_cycles = 0;
-  /// Per-cluster cycles skipped while the machine was busy (lazy replay,
-  /// DESIGN.md §14) — cluster-cycles, so it can exceed `cycles`.
-  std::uint64_t cluster_quiet_cycles = 0;
+  /// The first skip-kernel run's counters. Its cluster_quiet_cycles are
+  /// per-cluster cycles skipped while the machine was busy (lazy replay,
+  /// DESIGN.md §14) — cluster-cycles, so they can exceed sim_cycles.
+  obs::SimSpeed speed;
   double skip_seconds = 0.0;
   double noskip_seconds = 0.0;
   std::uint64_t peak_rss_kb = 0;  ///< process high-water mark after the point
@@ -143,19 +130,17 @@ struct AbRow {
   std::uint64_t rss_delta_kb = 0;
   bool stats_equal = false;
 
-  double quiet_fraction() const {
-    return cycles ? static_cast<double>(quiet_cycles) /
-                        static_cast<double>(cycles)
-                  : 0.0;
-  }
   double speedup() const {
     return skip_seconds > 0 ? noskip_seconds / skip_seconds : 0.0;
   }
   double skip_cps() const {
-    return skip_seconds > 0 ? static_cast<double>(cycles) / skip_seconds : 0.0;
+    return skip_seconds > 0 ? static_cast<double>(speed.sim_cycles) /
+                                  skip_seconds
+                            : 0.0;
   }
   double noskip_cps() const {
-    return noskip_seconds > 0 ? static_cast<double>(cycles) / noskip_seconds
+    return noskip_seconds > 0 ? static_cast<double>(speed.sim_cycles) /
+                                    noskip_seconds
                               : 0.0;
   }
 };
@@ -168,112 +153,46 @@ unsigned reps_from_env() {
   return 3;
 }
 
-/// Point epilogue: high-water + per-point RSS delta, then hand freed pages
-/// back to the OS so the next point starts from a trimmed baseline.
-void finish_point_rss(AbRow& row, std::uint64_t rss_before) {
-  row.peak_rss_kb = bench::peak_rss_kb();
-  const std::uint64_t rss_after = bench::current_rss_bytes();
-  row.rss_delta_kb =
-      rss_after > rss_before ? (rss_after - rss_before) / 1024 : 0;
-  bench::trim_host_memory();
-}
-
-AbRow run_chase_point(core::ArchKind arch, unsigned chips, std::uint64_t iters,
-                      const char* regime) {
+AbRow run_workload_point(const std::string& workload, core::ArchKind arch,
+                         unsigned chips, unsigned scale, const char* regime) {
   AbRow row;
-  row.name = "chase";
-  row.arch = core::arch_name(arch);
+  row.spec.workload = workload;
+  row.spec.arch = arch;
+  row.spec.chips = chips;
+  row.spec.scale = scale;
   row.regime = regime;
-  row.chips = chips;
   const std::uint64_t rss_before = bench::current_rss_bytes();
   const unsigned reps = reps_from_env();
-  sim::RunStats skip_stats, noskip_stats;
+  sim::ExperimentResult skip, noskip;
   row.stats_equal = true;
   // Kernels alternate within each rep (skip, noskip, skip, noskip, ...):
   // allocator warm-up and clock-drift effects then hit both flavors
   // symmetrically instead of biasing whichever block ran second.
   for (unsigned rep = 0; rep < reps; ++rep) {
     for (const bool no_skip : {false, true}) {
-      sim::MachineConfig mc;
-      mc.arch = core::arch_preset(arch);
-      mc.chips = chips;
-      mc.no_skip = no_skip;
-      sim::Machine machine(mc);
-      mem::PagedMemory memory;
-      bench::init_chase_memory(memory, mc.total_threads(), iters);
-      const isa::Program program = bench::chase_program(iters);
-      bench::StopWatch timer;
-      const sim::RunStats stats =
-          machine
-              .run(sim::Mix::single(program, memory, bench::kChaseBase,
-                                    machine.config().total_threads()))
-              .combined;
-      const double secs = timer.seconds();
-      double& best = no_skip ? row.noskip_seconds : row.skip_seconds;
-      if (rep == 0) {
-        best = secs;
-        (no_skip ? noskip_stats : skip_stats) = stats;
-      } else {
-        best = std::min(best, secs);
-        // Repetitions of a deterministic simulator must agree with rep 0.
-        row.stats_equal = row.stats_equal &&
-                          bench::stats_match(stats, no_skip ? noskip_stats
-                                                            : skip_stats);
-      }
-      if (!no_skip && rep == 0) {
-        row.cycles = stats.cycles;
-        row.committed = stats.committed_useful + stats.committed_sync;
-        row.quiet_cycles = machine.quiet_cycles();
-        row.cluster_quiet_cycles = machine.cluster_quiet_cycles();
-      }
-    }
-  }
-  row.stats_equal =
-      row.stats_equal && bench::stats_match(skip_stats, noskip_stats);
-  finish_point_rss(row, rss_before);
-  return row;
-}
-
-AbRow run_workload_point(const std::string& workload, core::ArchKind arch,
-                         unsigned chips, unsigned scale, const char* regime) {
-  AbRow row;
-  row.name = workload;
-  row.arch = core::arch_name(arch);
-  row.regime = regime;
-  row.chips = chips;
-  const std::uint64_t rss_before = bench::current_rss_bytes();
-  sim::ExperimentSpec spec;
-  spec.workload = workload;
-  spec.arch = arch;
-  spec.chips = chips;
-  spec.scale = scale;
-  const unsigned reps = reps_from_env();
-  sim::ExperimentResult skip, noskip;
-  row.stats_equal = true;
-  // Kernels alternate within each rep — see run_chase_point.
-  for (unsigned rep = 0; rep < reps; ++rep) {
-    for (const bool no_skip : {false, true}) {
-      spec.no_skip = no_skip;
-      sim::ExperimentResult r = sim::run_experiment(spec);
+      row.spec.no_skip = no_skip;
+      sim::ExperimentResult r = sim::run_experiment(row.spec);
       double& best = no_skip ? row.noskip_seconds : row.skip_seconds;
       if (rep == 0) {
         best = r.sim_speed.wall_seconds;
         (no_skip ? noskip : skip) = std::move(r);
       } else {
         best = std::min(best, r.sim_speed.wall_seconds);
-        row.stats_equal = row.stats_equal &&
-                          bench::stats_match(r.stats, (no_skip ? noskip : skip)
-                                                          .stats);
+        // Repetitions of a deterministic simulator must agree with rep 0.
+        row.stats_equal =
+            row.stats_equal && bench::same_stats(r, no_skip ? noskip : skip);
       }
     }
   }
-  row.cycles = skip.stats.cycles;
-  row.committed = skip.stats.committed_useful + skip.stats.committed_sync;
-  row.quiet_cycles = skip.sim_speed.quiet_cycles;
-  row.cluster_quiet_cycles = skip.sim_speed.cluster_quiet_cycles;
-  row.stats_equal =
-      row.stats_equal && bench::stats_match(skip.stats, noskip.stats);
-  finish_point_rss(row, rss_before);
+  row.speed = skip.sim_speed;
+  row.stats_equal = row.stats_equal && bench::same_stats(skip, noskip);
+  // High-water + per-point RSS delta, then hand freed pages back to the OS
+  // so the next point starts from a trimmed baseline.
+  row.peak_rss_kb = bench::peak_rss_kb();
+  const std::uint64_t rss_after = bench::current_rss_bytes();
+  row.rss_delta_kb =
+      rss_after > rss_before ? (rss_after - rss_before) / 1024 : 0;
+  bench::trim_host_memory();
   return row;
 }
 
@@ -281,15 +200,15 @@ json::Value points_json(const std::vector<AbRow>& rows) {
   json::Value points = json::Value::array();
   for (const AbRow& r : rows) {
     json::Value p = json::Value::object();
-    p["name"] = r.name;
-    p["arch"] = r.arch;
+    p["name"] = r.spec.workload;
+    p["arch"] = std::string(core::arch_name(r.spec.arch));
     p["regime"] = r.regime;
-    p["chips"] = static_cast<std::uint64_t>(r.chips);
-    p["cycles"] = r.cycles;
-    p["committed"] = r.committed;
-    p["quiet_cycles"] = r.quiet_cycles;
-    p["quiet_fraction"] = r.quiet_fraction();
-    p["cluster_quiet_cycles"] = r.cluster_quiet_cycles;
+    p["chips"] = static_cast<std::uint64_t>(r.spec.chips);
+    p["cycles"] = r.speed.sim_cycles;
+    p["committed"] = r.speed.committed;
+    p["quiet_cycles"] = r.speed.quiet_cycles;
+    p["quiet_fraction"] = r.speed.quiet_fraction();
+    p["cluster_quiet_cycles"] = r.speed.cluster_quiet_cycles;
     p["skip_seconds"] = r.skip_seconds;
     p["noskip_seconds"] = r.noskip_seconds;
     p["skip_cycles_per_sec"] = r.skip_cps();
@@ -306,10 +225,7 @@ json::Value points_json(const std::vector<AbRow>& rows) {
 /// Appends this run to the trajectory document instead of overwriting it:
 /// BENCH_simspeed.json accumulates one run record per invocation, so the
 /// perf history across PRs (and CI artifacts) reads straight off the file.
-/// A legacy single-run {"points": [...]} document is converted into the
-/// trajectory's first run record; an unparseable file is preserved as-is
-/// and the run starts a fresh trajectory next to it in memory (the write
-/// still replaces the file, but only after a successful parse decision).
+/// An unparseable file starts a fresh trajectory.
 void write_ab_json(const std::string& path, const std::vector<AbRow>& rows) {
   json::Value doc = json::Value::object();
   doc["benchmark"] = std::string("micro_simspeed skip A/B");
@@ -325,13 +241,6 @@ void write_ab_json(const std::string& path, const std::vector<AbRow>& rows) {
       if (const json::Value* runs = prev->find("runs")) {
         for (const json::Value& r : runs->items())
           doc["runs"].push_back(r);
-      } else if (const json::Value* points = prev->find("points")) {
-        json::Value legacy = json::Value::object();
-        legacy["label"] = std::string("(pre-trajectory record)");
-        json::Value pts = json::Value::array();
-        for (const json::Value& p : points->items()) pts.push_back(p);
-        legacy["points"] = std::move(pts);
-        doc["runs"].push_back(std::move(legacy));
       }
     } else {
       std::fprintf(stderr,
@@ -378,11 +287,13 @@ void run_skip_ab() {
   std::vector<AbRow> rows;
   // Idle-regime points: long quiescent spans (dependent remote misses on
   // one-wide clusters) — where skipping must pay off big.
-  rows.push_back(run_chase_point(core::ArchKind::kFa1, 4, 20000, "idle"));
+  rows.push_back(run_workload_point("chase", core::ArchKind::kFa1, 4, 20000,
+                                    "idle"));
   // Busy-regime points: short or no quiescent gaps — where skip support
   // must cost ~nothing (the probe-amortization target). chase/SMT2 keeps a
   // second context issuing; the registry workloads are real busy kernels.
-  rows.push_back(run_chase_point(core::ArchKind::kSmt2, 4, 8000, "busy"));
+  rows.push_back(run_workload_point("chase", core::ArchKind::kSmt2, 4, 8000,
+                                    "busy"));
   rows.push_back(run_workload_point("mgrid", core::ArchKind::kFa1, 4, 2,
                                     "busy"));
   rows.push_back(run_workload_point("ocean", core::ArchKind::kSmt2, 4, 2,
@@ -390,7 +301,8 @@ void run_skip_ab() {
   rows.push_back(run_workload_point("swim", core::ArchKind::kSmt2, 4, 2,
                                     "busy"));
   // Low-end contrast point.
-  rows.push_back(run_chase_point(core::ArchKind::kSmt2, 1, 20000, "busy"));
+  rows.push_back(run_workload_point("chase", core::ArchKind::kSmt2, 1, 20000,
+                                    "busy"));
 
   std::printf(
       "\nskip-ahead A/B (quiescence scheduler vs --no-skip, best of %u)\n"
@@ -401,9 +313,12 @@ void run_skip_ab() {
     std::printf(
         "%-8s %-6s %-5s %5u %12llu %7.1f%% %10llu %10.3e %10.3e %7.2fx "
         "%8llu %6s\n",
-        r.name.c_str(), r.arch.c_str(), r.regime.c_str(), r.chips,
-        static_cast<unsigned long long>(r.cycles), 100.0 * r.quiet_fraction(),
-        static_cast<unsigned long long>(r.cluster_quiet_cycles), r.skip_cps(),
+        r.spec.workload.c_str(), core::arch_name(r.spec.arch),
+        r.regime.c_str(), r.spec.chips,
+        static_cast<unsigned long long>(r.speed.sim_cycles),
+        100.0 * r.speed.quiet_fraction(),
+        static_cast<unsigned long long>(r.speed.cluster_quiet_cycles),
+        r.skip_cps(),
         r.noskip_cps(), r.speedup(),
         static_cast<unsigned long long>(r.rss_delta_kb),
         r.stats_equal ? "yes" : "NO");

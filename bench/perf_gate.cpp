@@ -12,8 +12,9 @@
 //    The baseline is deliberately conservative so slower CI hardware does
 //    not trip it; the ratio checks carry the precision.
 //
-// Stats divergence between the kernels is a hard failure regardless of
-// timing. Results are written to perf_gate.json (CSMT_PERF_GATE_JSON) for
+// Stats divergence between the kernels (any RunStats field, compared by
+// stats digest) or a run that fails validation is a hard failure regardless
+// of timing. Results are written to perf_gate.json (CSMT_PERF_GATE_JSON) for
 // the CI artifact.
 #include <algorithm>
 #include <cstdio>
@@ -25,17 +26,16 @@
 
 #include "bench_util.hpp"
 #include "common/json.hpp"
-#include "sim/machine.hpp"
 
 namespace {
 
 using namespace csmt;
 
 struct GatePoint {
-  std::string name;     ///< workload label ("chase")
+  std::string name;     ///< workload ("chase", "cluster-idle")
   core::ArchKind arch;
   unsigned chips;
-  std::uint64_t iters;
+  unsigned scale;       ///< the workload's iteration count
   std::string regime;   ///< "busy" | "idle"
 };
 
@@ -68,57 +68,22 @@ double median3(double a, double b, double c) {
   return std::max(std::min(a, b), std::min(std::max(a, b), c));
 }
 
-/// The "cluster-idle" gate program (DESIGN.md §14): thread 0 runs a long
-/// serial loop while every other thread — each alone on its own FA2
-/// cluster — blocks at the final barrier. The machine never quiesces as a
-/// whole (cluster 0 stays active), so the point isolates the cost/win of
-/// component-granular quiescence: the blocked clusters must sleep.
-isa::Program cluster_idle_program(unsigned total_threads,
-                                  std::uint64_t iters) {
-  isa::ProgramBuilder b("cluster-idle");
-  const isa::Reg bar = b.ireg(), n = b.ireg(), r = b.ireg(), i = b.ireg(),
-                 cnt = b.ireg();
-  const isa::Label join = b.new_label();
-  b.li(bar, 64);
-  b.li(n, total_threads);
-  b.bne(b.tid(), b.zero(), join);  // everyone but tid 0: straight to join
-  b.li(r, 1);
-  b.li(cnt, static_cast<std::int64_t>(iters));
-  b.for_range(i, 0, cnt, 1, [&] { b.add(r, r, r); });
-  b.bind(join);
-  b.barrier(bar, n);
-  b.halt();
-  return b.take();
-}
-
-/// Times one kernel flavor of a point: median of three in-process runs.
-double time_kernel(const GatePoint& pt, bool no_skip, sim::RunStats* stats) {
-  const bool cluster_idle = pt.name == "cluster-idle";
+/// Times one kernel flavor of a point: median of three in-process runs of
+/// the point's workload, each timed inside Machine::run. `result` receives
+/// the first run.
+double time_kernel(const GatePoint& pt, bool no_skip,
+                   sim::ExperimentResult* result) {
+  sim::ExperimentSpec spec;
+  spec.workload = pt.name;
+  spec.arch = pt.arch;
+  spec.chips = pt.chips;
+  spec.scale = pt.scale;
+  spec.no_skip = no_skip;
   double secs[3] = {};
   for (int rep = 0; rep < 3; ++rep) {
-    sim::MachineConfig mc;
-    mc.arch = core::arch_preset(pt.arch);
-    mc.chips = pt.chips;
-    mc.no_skip = no_skip;
-    sim::Machine machine(mc);
-    mem::PagedMemory memory;
-    Addr args_base = 0;
-    isa::Program program;
-    if (cluster_idle) {
-      program = cluster_idle_program(mc.total_threads(), pt.iters);
-    } else {
-      bench::init_chase_memory(memory, mc.total_threads(), pt.iters);
-      program = bench::chase_program(pt.iters);
-      args_base = bench::kChaseBase;
-    }
-    bench::StopWatch timer;
-    const sim::RunStats s =
-        machine
-            .run(sim::Mix::single(program, memory, args_base,
-                                  machine.config().total_threads()))
-            .combined;
-    secs[rep] = timer.seconds();
-    if (rep == 0 && stats) *stats = s;
+    sim::ExperimentResult r = sim::run_experiment(spec);
+    secs[rep] = r.sim_speed.wall_seconds;
+    if (rep == 0) *result = std::move(r);
   }
   return median3(secs[0], secs[1], secs[2]);
 }
@@ -241,16 +206,17 @@ int main(int argc, char** argv) {
   for (const GatePoint& pt : points) {
     GateResult r;
     r.point = pt;
-    sim::RunStats skip_stats, noskip_stats;
-    r.skip_seconds = time_kernel(pt, /*no_skip=*/false, &skip_stats);
-    r.noskip_seconds = time_kernel(pt, /*no_skip=*/true, &noskip_stats);
-    r.cycles = skip_stats.cycles;
-    r.stats_equal = bench::stats_match(skip_stats, noskip_stats);
+    sim::ExperimentResult skip, noskip;
+    r.skip_seconds = time_kernel(pt, /*no_skip=*/false, &skip);
+    r.noskip_seconds = time_kernel(pt, /*no_skip=*/true, &noskip);
+    r.cycles = skip.stats.cycles;
+    r.stats_equal = bench::same_stats(skip, noskip);
     apply_baseline(baseline, r);
 
     if (!r.stats_equal) {
       r.passed = false;
-      r.failure = "kernel stats diverged (skip vs --no-skip)";
+      r.failure = "kernel stats diverged or did not validate (skip vs "
+                  "--no-skip)";
     } else if (r.min_speedup > 0 && r.speedup() < r.min_speedup) {
       r.passed = false;
       r.failure = "speedup below floor";

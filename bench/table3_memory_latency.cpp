@@ -7,213 +7,83 @@
 //   local mem  ~ 40 + 1    (ring larger than L2, single-chip machine)
 //   remote mem ~ 60 + 1    (ring homed on another node, 4-chip machine)
 //   remote L2  ~ 75 + 1    (ring dirty in another chip's L2)
+// The rings are the `ring-*` workloads (src/workloads/micro.cpp), whose
+// scale is the number of passes over the ring.
+#include <cmath>
 #include <cstdio>
-#include <vector>
 
+#include "bench_util.hpp"
 #include "common/stats.hpp"
 #include "common/table.hpp"
-#include "isa/builder.hpp"
-#include "sim/machine.hpp"
 
 namespace {
 
 using namespace csmt;
 
-constexpr Addr kRingArgSlot = 0;  // args word 0: ring head address
-constexpr Addr kBarArgSlot = 1;   // args word 1: barrier address
-
-/// Writes a pointer ring through `lines` into memory; returns the head.
-Addr build_ring(mem::PagedMemory& memory, const std::vector<Addr>& lines) {
-  for (std::size_t i = 0; i < lines.size(); ++i) {
-    memory.write(lines[i], lines[(i + 1) % lines.size()]);
-  }
-  return lines.front();
-}
-
-/// Chase program: `iters` iterations of `unroll` dependent loads. With
-/// `dirty_writer`, thread 1 first writes every ring line (dirtying it in
-/// its chip's caches) and every thread meets at a barrier before thread 0
-/// chases; other threads halt after the barrier.
-isa::Program chase_program(unsigned iters, unsigned unroll,
-                           bool dirty_writer, unsigned ring_lines) {
-  isa::ProgramBuilder b("chase");
-  isa::Reg p = b.ireg(), i = b.ireg(), n = b.ireg(), bar = b.ireg();
-  b.ld(p, isa::ProgramBuilder::args(), 8 * kRingArgSlot);
-  b.ld(bar, isa::ProgramBuilder::args(), 8 * kBarArgSlot);
-  if (dirty_writer) {
-    isa::Label not_writer = b.new_label();
-    isa::Reg one = b.ireg();
-    b.li(one, 1);
-    b.bne(isa::ProgramBuilder::tid(), one, not_writer);
-    {
-      // Thread 1 walks the ring once, storing to each line (dirty).
-      isa::Reg q = b.ireg(), k = b.ireg(), lim = b.ireg();
-      b.mov(q, p);
-      // Always exactly one full traversal, independent of the chase
-      // iteration count, so differencing two runs cancels the writer phase.
-      b.li(k, 0);
-      b.li(lim, ring_lines);
-      isa::Label top = b.new_label();
-      b.bind(top);
-      isa::Reg next = b.ireg();
-      b.ld(next, q, 0);
-      b.st(q, 0, next);  // rewrite the pointer (dirties the line)
-      b.mov(q, next);
-      b.addi(k, k, 1);
-      b.blt(k, lim, top);
-      b.release(q);
-      b.release(k);
-      b.release(lim);
-      b.release(next);
-    }
-    b.bind(not_writer);
-    b.release(one);
-    b.barrier(bar, isa::ProgramBuilder::nthreads());
-    // Only thread 0 chases.
-    isa::Label fin = b.new_label();
-    b.bne(isa::ProgramBuilder::tid(), isa::ProgramBuilder::zero(), fin);
-    b.li(i, 0);
-    b.li(n, iters);
-    isa::Label loop = b.new_label();
-    b.bge(i, n, fin);
-    b.bind(loop);
-    for (unsigned u = 0; u < unroll; ++u) b.ld(p, p, 0);
-    b.addi(i, i, 1);
-    b.blt(i, n, loop);
-    b.bind(fin);
-    b.halt();
-    return b.take();
-  }
-  b.li(i, 0);
-  b.li(n, iters);
-  isa::Label loop = b.new_label();
-  isa::Label out = b.new_label();
-  b.bge(i, n, out);
-  b.bind(loop);
-  for (unsigned u = 0; u < unroll; ++u) b.ld(p, p, 0);
-  b.addi(i, i, 1);
-  b.blt(i, n, loop);
-  b.bind(out);
-  b.halt();
-  return b.take();
-}
-
-/// Ring over `nlines` lines spaced `stride` bytes from `base`.
-std::vector<Addr> linear_ring(Addr base, unsigned nlines, Addr stride) {
-  std::vector<Addr> lines;
-  lines.reserve(nlines);
-  for (unsigned i = 0; i < nlines; ++i) lines.push_back(base + i * stride);
-  return lines;
-}
-
-struct Measurement {
-  double cycles_per_load;
+struct Level {
+  const char* name;
+  double table3;     ///< the paper's round trip
+  const char* ring;  ///< workload
+  unsigned lines;    ///< ring length: loads per pass
+  unsigned chips;
+  /// Passes of the two runs whose difference is measured. Plain rings
+  /// compare 2 against 4 passes (each pass behaves the same: capacity
+  /// evictions keep the target level exercised). For the dirty ring the
+  /// *first* pass is the interesting one (afterwards the requester's own
+  /// L2 holds the lines), so it compares one pass against none, which
+  /// cancels the writer phase and barrier.
+  unsigned passes_a, passes_b;
+  double tolerance;
 };
 
-/// Differences two chase runs so fixed overheads cancel. For the plain
-/// cases we compare 2 vs 4 whole-ring passes (each pass behaves the same:
-/// capacity evictions keep the target level exercised). For the
-/// dirty-writer case the *first* pass is the interesting one (afterwards
-/// the requester's own L2 holds the lines), so we compare one pass against
-/// zero passes, cancelling the writer phase and barrier.
-Measurement measure(const std::vector<Addr>& lines, unsigned chips,
-                    core::ArchKind arch, bool dirty_writer) {
-  const unsigned unroll = 8;
-  auto run = [&](unsigned iters) -> Cycle {
-    sim::MachineConfig mc;
-    mc.arch = core::arch_preset(arch);
-    mc.chips = chips;
-    sim::Machine m(mc);
-    mem::PagedMemory memory;
-    const Addr head = build_ring(memory, lines);
-    const Addr args = 64;  // args block at a fixed low address
-    memory.write(args + 8 * kRingArgSlot, head);
-    memory.write(args + 8 * kBarArgSlot, 512);  // barrier line
-    const isa::Program prog = chase_program(
-        iters, unroll, dirty_writer, static_cast<unsigned>(lines.size()));
-    return m.run(sim::Mix::single(prog, memory, args,
-                                  m.config().total_threads()))
-        .combined.cycles;
-  };
-  const unsigned la = static_cast<unsigned>(lines.size()) / unroll;
-  if (dirty_writer) {
-    const Cycle r0 = run(0);
-    const Cycle r1 = run(la);
-    return {static_cast<double>(r1 - r0) /
-            (static_cast<double>(la) * unroll)};
-  }
-  const Cycle a = run(la * 2);
-  const Cycle b = run(la * 4);
-  return {static_cast<double>(b - a) /
-          (static_cast<double>(la) * 2.0 * unroll)};
-}
+constexpr Level kLevels[] = {
+    {"L1", 1, "ring-l1", 256, 1, 2, 4, 0.5},
+    {"L2", 10, "ring-l2", 4096, 1, 2, 4, 1.5},
+    {"local memory", 40, "ring-local", 32768, 1, 2, 4, 4.0},
+    {"remote memory", 60, "ring-remote", 384 * 64, 4, 2, 4, 6.0},
+    {"remote L2 (dirty)", 75, "ring-remote-l2", 64 * 64, 4, 0, 1, 8.0},
+};
 
 }  // namespace
 
-int main() {
-  using namespace csmt;
+int main(int argc, char** argv) {
+  const bench::BenchOptions opt = bench::parse_options(argc, argv);
   std::printf("== Table 3: memory round-trip latencies (pointer chase) ==\n");
 
-  // Home-0 base for the 4-chip cases: page-interleaved homes, 4 KB pages.
-  const Addr page = 4096;
+  std::vector<sim::ExperimentSpec> points;
+  for (const Level& level : kLevels) {
+    for (const unsigned passes : {level.passes_a, level.passes_b}) {
+      sim::ExperimentSpec spec;
+      spec.workload = level.ring;
+      spec.arch = core::ArchKind::kFa1;
+      spec.chips = level.chips;
+      spec.scale = passes;
+      points.push_back(std::move(spec));
+    }
+  }
+  const auto results = bench::run_points(opt, points);
 
   AsciiTable t;
   t.header({"level", "Table 3", "expected chase", "measured", "match"});
-  bool all_ok = true;
-  auto row = [&](const char* name, double table3, double got, double tol) {
-    const double expect = table3 + 1.0;  // + the load unit cycle
-    const bool ok = std::abs(got - expect) <= tol;
+  bool all_ok = bench::all_validated(results);
+  for (std::size_t i = 0; i < std::size(kLevels); ++i) {
+    const Level& level = kLevels[i];
+    const sim::ExperimentResult& a = results[2 * i];
+    const sim::ExperimentResult& b = results[2 * i + 1];
+    const double loads =
+        static_cast<double>(level.lines) * (level.passes_b - level.passes_a);
+    const double got =
+        static_cast<double>(b.stats.cycles - a.stats.cycles) / loads;
+    const double expect = level.table3 + 1.0;  // + the load unit cycle
+    const bool ok = std::abs(got - expect) <= level.tolerance;
     all_ok = all_ok && ok;
-    t.row({name, format_fixed(table3, 0), format_fixed(expect, 0),
+    t.row({level.name, format_fixed(level.table3, 0), format_fixed(expect, 0),
            format_fixed(got, 1), ok ? "yes" : "NO"});
-  };
-
-  // L1: 256 lines = 16 KB, resident after the first pass.
-  row("L1", 1,
-      measure(linear_ring(page, 256, 64), 1, core::ArchKind::kFa1, false)
-          .cycles_per_load,
-      0.5);
-
-  // L2: 4096 lines = 256 KB with an L1-thrashing stride (every line maps
-  // to a fresh set; ring >> L1 so steady state is all L1-miss/L2-hit).
-  row("L2", 10,
-      measure(linear_ring(page, 4096, 64), 1, core::ArchKind::kFa1, false)
-          .cycles_per_load,
-      1.5);
-
-  // Local memory: 2 MB ring misses both caches on the low-end machine.
-  row("local memory", 40,
-      measure(linear_ring(page, 32768, 64), 1, core::ArchKind::kFa1, false)
-          .cycles_per_load,
-      4.0);
-
-  // Remote memory: same footprint but every page homed on node 1
-  // (addresses = 4k'th page + 1), requester on node 0 of a 4-chip machine.
-  {
-    std::vector<Addr> lines;
-    for (unsigned p = 0; p < 384; ++p) {
-      const Addr base = (4 * p + 1) * page;  // home_of == 1
-      for (unsigned l = 0; l < 64; ++l) lines.push_back(base + l * 64);
-    }
-    row("remote memory", 60,
-        measure(lines, 4, core::ArchKind::kFa1, false).cycles_per_load, 6.0);
-  }
-
-  // Remote L2: thread 1 (chip 1) dirties a 256 KB ring homed on node 0,
-  // then thread 0 (chip 0) chases it — every line is supplied dirty from
-  // the remote L2.
-  {
-    std::vector<Addr> lines;
-    for (unsigned p = 0; p < 64; ++p) {
-      const Addr base = (4 * p + 8) * page;  // home_of == 0
-      for (unsigned l = 0; l < 64; ++l) lines.push_back(base + l * 64);
-    }
-    row("remote L2 (dirty)", 75,
-        measure(lines, 4, core::ArchKind::kFa1, true).cycles_per_load, 8.0);
   }
 
   std::printf("%s\n%s\n", t.render().c_str(),
               all_ok ? "All Table 3 latencies reproduced."
                      : "MISMATCH against Table 3!");
+  bench::export_json(opt, results);
   return all_ok ? 0 : 1;
 }

@@ -3,6 +3,7 @@
 #include <cstdio>
 #include <thread>
 
+#include "common/assert.hpp"
 #include "obs/trace.hpp"
 
 namespace csmt::sim {
@@ -40,20 +41,35 @@ ExperimentResult run_experiment(const ExperimentSpec& spec) {
 
   Machine machine(mc);
 
-  const auto wl = workloads::make_workload(spec.workload);
-  mem::PagedMemory memory;
-  const workloads::WorkloadBuild build =
-      wl->build(memory, mc.total_threads(), spec.scale);
+  std::string why;
+  const std::vector<workloads::JobShare> shares =
+      workloads::split_contexts(spec.workload, mc.total_threads(), &why);
+  CSMT_ASSERT_MSG(!shares.empty(), why.c_str());
+
+  // One address space per job: a mix's jobs share only the machine.
+  struct BuiltJob {
+    std::unique_ptr<workloads::Workload> wl;
+    mem::PagedMemory memory;
+    workloads::WorkloadBuild build;
+  };
+  std::vector<BuiltJob> jobs(shares.size());
+  Mix mix;
+  for (std::size_t j = 0; j < shares.size(); ++j) {
+    BuiltJob& job = jobs[j];
+    job.wl = workloads::make_workload(shares[j].workload);
+    job.build = job.wl->build(job.memory, shares[j].threads, spec.scale);
+    mix.jobs.push_back({&job.build.program, &job.memory, job.build.args_base,
+                        shares[j].threads});
+  }
 
   ExperimentResult result;
   result.spec = spec;
   obs::WallTimer timer;
-  result.stats = machine
-                     .run(Mix::single(build.program, memory, build.args_base,
-                                      mc.total_threads()))
-                     .combined;
+  MultiRunStats run = machine.run(mix);
   result.sim_speed.wall_seconds = timer.elapsed_seconds();
   if (writer) writer->finish();
+  result.stats = std::move(run.combined);
+  if (jobs.size() > 1) result.job_finish = std::move(run.job_finish);
 
   result.sim_speed.measured = true;
   result.sim_speed.sim_cycles = result.stats.cycles;
@@ -72,13 +88,16 @@ ExperimentResult run_experiment(const ExperimentSpec& spec) {
 
   // A timed-out run carries partial counters; it is reported (and rendered)
   // as TIMEOUT rather than aborting the whole sweep, and never validates.
-  result.validated =
-      !result.stats.timed_out &&
-      wl->validate(memory, build, mc.total_threads(), spec.scale);
-
-  // The point is done with its address space: hand the pages back now so a
-  // sweep's peak RSS tracks one point, not the whole grid (DESIGN.md §14).
-  memory.release();
+  result.validated = !result.stats.timed_out;
+  for (std::size_t j = 0; j < jobs.size(); ++j) {
+    result.validated =
+        result.validated && jobs[j].wl->validate(jobs[j].memory, jobs[j].build,
+                                                 shares[j].threads, spec.scale);
+    // The point is done with this address space: hand the pages back now
+    // so a sweep's peak RSS tracks one point, not the whole grid
+    // (DESIGN.md §14).
+    jobs[j].memory.release();
+  }
   return result;
 }
 

@@ -3,6 +3,7 @@
 #pragma once
 
 #include <string>
+#include <vector>
 
 #include "core/arch_config.hpp"
 #include "obs/profile.hpp"
@@ -12,7 +13,9 @@
 namespace csmt::sim {
 
 struct ExperimentSpec {
-  std::string workload;          ///< one of workloads::workload_names()
+  /// A registered workload ("swim", "chase") or a multiprogrammed mix of
+  /// them ("swim+ocean", "tomcatv*2+mgrid*6"): see workloads::split_contexts.
+  std::string workload;
   core::ArchKind arch = core::ArchKind::kSmt2;
   unsigned chips = 1;            ///< 1 = low-end, 4 = high-end
   unsigned scale = 3;            ///< workload problem scale
@@ -62,14 +65,20 @@ struct ExperimentSpec {
 struct ExperimentResult {
   ExperimentSpec spec;
   RunStats stats;
-  bool validated = false;  ///< host reference matched the simulated result
+  /// Completion cycle of each job of a mix, in name order; empty for a
+  /// single workload. Serialized inside "stats", so the cache seal covers
+  /// it. The mix's makespan is stats.cycles.
+  std::vector<Cycle> job_finish;
+  bool validated = false;  ///< every job's host reference matched
   /// Wall-clock simulator speed of the run that produced `stats` (host-
   /// dependent, hence outside RunStats; a cached result reports the speed
   /// of the original run).
   obs::SimSpeed sim_speed;
 };
 
-/// Builds the workload, runs it on the machine, validates functionally.
+/// Builds each job of the workload in its own address space, runs them
+/// together on the machine, and validates every job functionally. Aborts
+/// when the workload name cannot run on the machine (split_contexts).
 ExperimentResult run_experiment(const ExperimentSpec& spec);
 
 }  // namespace csmt::sim

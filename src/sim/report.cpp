@@ -327,6 +327,13 @@ json::Value to_json(const ExperimentResult& r) {
 
   json::Value stats = json::Value::object();
   stats["cycles"] = s.cycles;
+  // Only a mix carries per-job finish cycles, so a single workload's stats
+  // (and the fingerprints over them) are unchanged.
+  if (!r.job_finish.empty()) {
+    json::Value finish = json::Value::array();
+    for (const Cycle c : r.job_finish) finish.push_back(c);
+    stats["job_finish"] = std::move(finish);
+  }
   stats["slots"] = std::move(slots);
   stats["committed_useful"] = s.committed_useful;
   stats["committed_sync"] = s.committed_sync;
@@ -437,6 +444,15 @@ std::optional<ExperimentResult> result_from_json(const json::Value& v) {
   RunStats& s = r.stats;
   if (!stats->find("cycles")) return std::nullopt;
   f.count(stats, "cycles", s.cycles);
+  if (const json::Value* finish = stats->find("job_finish")) {
+    if (!finish->is_array()) return std::nullopt;
+    for (const json::Value& c : finish->items()) {
+      // A job finishes no later than the mix does.
+      const auto u = c.exact_u64();
+      if (!u || *u > s.cycles) return std::nullopt;
+      r.job_finish.push_back(*u);
+    }
+  }
   const json::Value* slots = stats->find("slots");
   for (std::size_t i = 0; i < core::kNumSlots; ++i) {
     f.amount(slots, core::slot_name(static_cast<Slot>(i)), s.slots.slots[i]);

@@ -36,15 +36,16 @@ std::string render_epoch_sparklines(
     const std::vector<ExperimentResult>& results);
 
 /// Full machine-readable form of one result: the spec, every RunStats
-/// counter (slot shares by name, predictor, memory, DASH when present) and
-/// the validation flag. Round-trips through result_from_json().
+/// counter (slot shares by name, predictor, memory, DASH when present), a
+/// mix's per-job finish cycles and the validation flag. Round-trips through
+/// result_from_json().
 json::Value to_json(const ExperimentResult& result);
 
 /// Rebuilds a result from to_json() output; nullopt when a required field
 /// is missing or any field has the wrong kind or range: counters must be
 /// non-negative integers below 2^64, slot counts and other reals finite and
-/// non-negative, miss rates within [0, 1]. The sweep cache treats nullopt
-/// as a miss.
+/// non-negative, miss rates within [0, 1], job finish cycles at most the
+/// run's cycles. The sweep cache treats nullopt as a miss.
 std::optional<ExperimentResult> result_from_json(const json::Value& v);
 
 /// JSON document for a whole sweep: {"results": [...]}, pretty-printed —

@@ -34,7 +34,10 @@ namespace fs = std::filesystem;
 /// v6: deferred mode removed — cross-chip traffic resolves inside the tick
 /// in call order again (DESIGN.md §13), moving every multi-chip counter
 /// back off the v5 values.
-constexpr const char* kCacheKeyVersion = "csmt-sweep-v6";
+/// v7: entries are sealed over the spec's canonical encoding as well as
+/// the stats, so a spec spliced onto another point's stats misses; a
+/// workload name may be a multiprogrammed mix.
+constexpr const char* kCacheKeyVersion = "csmt-sweep-v7";
 
 /// Progress rendering picks between two stderr styles: a `\r`-rewritten
 /// status line on a terminal, whole newline-terminated (and throttled)
@@ -148,6 +151,11 @@ std::uint64_t stats_digest(const sim::ExperimentResult& result) {
   return stats_digest(*sim::to_json(result).find("stats"));
 }
 
+std::uint64_t entry_seal(const sim::ExperimentSpec& spec,
+                         const json::Value& stats) {
+  return fnv1a(stats.dump(), fnv1a(canonical_encoding(spec), kFnvOffsetBasis));
+}
+
 SweepRunner::SweepRunner(SweepOptions options) : options_(std::move(options)) {
   if (options_.jobs == 0) options_.jobs = ThreadPool::hardware_default();
   if (!options_.cache_dir.empty()) {
@@ -225,7 +233,12 @@ std::vector<sim::ExperimentResult> SweepRunner::run(
   // against the same cache dir simulates only the points it lacks.
   std::vector<std::size_t> misses;
   for (std::size_t i = 0; i < points.size(); ++i) {
-    if (auto cached = cache_load(points[i])) {
+    // A traced point must actually simulate: the cached counters would be
+    // identical, but the side effect — the trace file — would not exist.
+    std::optional<sim::ExperimentResult> cached;
+    if (points[i].trace_path.empty())
+      cached = cache_probe(options_.cache_dir, points[i]);
+    if (cached) {
       results[i] = std::move(*cached);
       ++counters_.cache_hits;
       ++hits;
@@ -241,7 +254,7 @@ std::vector<sim::ExperimentResult> SweepRunner::run(
     for (const std::size_t i : misses) {
       pool.submit([this, i, &points, &results, &note_point, &emit_progress] {
         results[i] = sim::run_experiment(points[i]);
-        cache_store(results[i]);
+        cache_publish(options_.cache_dir, results[i]);
         note_point(results[i]);
         emit_progress(false);
       });
@@ -267,14 +280,16 @@ std::optional<sim::ExperimentResult> cache_probe(
   auto result = sim::result_from_json(*doc);
   // A hash collision or hand-edited entry for a different point must not
   // masquerade as this one, and the counters served must be the ones the
-  // entry was sealed with: the digest is recomputed from the decoded
-  // result, so an edit that stays in range still misses. `validated` lies
+  // entry was sealed with for this spec: the seal is recomputed from the
+  // requested spec and the decoded stats, so an in-range edit or another
+  // point's stats spliced under this spec still misses. `validated` lies
   // outside the seal, so only the one value cache_publish writes is
   // served; any other is recomputed.
-  const json::Value* digest = doc->find("stats_digest");
-  if (!result || !(result->spec == spec) || !result->validated || !digest ||
-      !digest->is_string() ||
-      digest->as_string() != hex16(stats_digest(*result)))
+  const json::Value* seal = doc->find("seal");
+  if (!result || !(result->spec == spec) || !result->validated || !seal ||
+      !seal->is_string() ||
+      seal->as_string() !=
+          hex16(entry_seal(spec, *sim::to_json(*result).find("stats"))))
     return std::nullopt;
   return result;
 }
@@ -298,26 +313,14 @@ void cache_publish(const std::string& cache_dir,
     std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
     if (!out) return;
     // The --json artifact is to_json alone; only cache entries carry the
-    // digest cache_probe checks.
+    // seal cache_probe checks.
     json::Value entry = sim::to_json(result);
-    entry["stats_digest"] = hex16(stats_digest(*entry.find("stats")));
+    entry["seal"] = hex16(entry_seal(result.spec, *entry.find("stats")));
     out << entry.dump(2) << '\n';
   }
   std::error_code ec;
   fs::rename(tmp, path, ec);
   if (ec) fs::remove(tmp, ec);
-}
-
-std::optional<sim::ExperimentResult> SweepRunner::cache_load(
-    const sim::ExperimentSpec& spec) const {
-  // A traced point must actually simulate: the cached counters would be
-  // identical, but the side effect — the trace file — would not exist.
-  if (!spec.trace_path.empty()) return std::nullopt;
-  return cache_probe(options_.cache_dir, spec);
-}
-
-void SweepRunner::cache_store(const sim::ExperimentResult& result) const {
-  cache_publish(options_.cache_dir, result);
 }
 
 }  // namespace csmt::sweep

@@ -4,7 +4,7 @@
 // pool (each point owns its Machine and functional memory, making points
 // embarrassingly parallel), with deterministic result ordering, an on-disk
 // result cache keyed by a stable spec hash, and JSON artifacts via
-// sim::render_json. Replaces the serial bench::run_grid loop.
+// sim::render_json.
 #pragma once
 
 #include <cstdint>
@@ -84,17 +84,22 @@ std::string cache_entry_name(const sim::ExperimentSpec& spec);
 
 /// RunStats digest: FNV-1a over the compact dump of the "stats" object
 /// that sim::to_json writes (host timing, sim_speed, lies outside it). The
-/// paper-grid fingerprints pin this digest, and every cache entry carries
-/// it as "stats_digest" (16 hex digits).
+/// paper-grid fingerprints pin this digest.
 std::uint64_t stats_digest(const sim::ExperimentResult& result);
 /// The same digest of an already-built "stats" object.
 std::uint64_t stats_digest(const json::Value& stats);
 
+/// Cache-entry seal: FNV-1a over the spec's canonical encoding (the one
+/// spec_hash keys on) followed by the compact dump of the "stats" object.
+/// Every cache entry carries it as "seal" (16 hex digits).
+std::uint64_t entry_seal(const sim::ExperimentSpec& spec,
+                         const json::Value& stats);
+
 /// Single-entry cache probe: the cached result for `spec` in `cache_dir`,
 /// or nullopt on a miss. Entries fail closed: a missing or unparsable
-/// file, a spec mismatch, any field the decoder rejects, a digest that
-/// does not match the decoded result, and a `validated` other than true
-/// are all misses, which the runner recomputes and overwrites. Safe
+/// file, a spec mismatch, any field the decoder rejects, a seal that does
+/// not match `spec` and the decoded stats, and a `validated` other than
+/// true are all misses, which the runner recomputes and overwrites. Safe
 /// against concurrent writers (entries are only ever renamed into place,
 /// never written in place), so a killed sweep leaves only whole entries.
 std::optional<sim::ExperimentResult> cache_probe(
@@ -127,10 +132,6 @@ class SweepRunner {
   const SweepCounters& counters() const { return counters_; }
 
  private:
-  std::optional<sim::ExperimentResult> cache_load(
-      const sim::ExperimentSpec& spec) const;
-  void cache_store(const sim::ExperimentResult& result) const;
-
   SweepOptions options_;
   SweepCounters counters_;
 };

@@ -1,7 +1,9 @@
-// Internal factory functions, one per application (see registry.cpp).
+// Internal factory functions, one per application, plus the micro-kernel
+// factory (see registry.cpp).
 #pragma once
 
 #include <memory>
+#include <string>
 
 #include "workloads/workload.hpp"
 
@@ -13,5 +15,8 @@ std::unique_ptr<Workload> make_mgrid();
 std::unique_ptr<Workload> make_vpenta();
 std::unique_ptr<Workload> make_fmm();
 std::unique_ptr<Workload> make_ocean();
+
+/// The micro-kernel named `name` (one of micro_kernel_names()), or nullptr.
+std::unique_ptr<Workload> make_micro_kernel(const std::string& name);
 
 }  // namespace csmt::workloads

@@ -47,7 +47,30 @@ class Workload {
 /// Names of the paper's six applications, in the paper's figure order.
 std::vector<std::string> workload_names();
 
-/// Factory; aborts on unknown names. Accepts any name from workload_names().
+/// Names of the micro-kernels (micro.cpp): Table 3's pointer-chase rings,
+/// ablation A4's barrier kernel in both sync styles, and the `chase` and
+/// `cluster-idle` simulator-speed probes.
+std::vector<std::string> micro_kernel_names();
+
+/// Factory; aborts on unknown names. Accepts any name from workload_names()
+/// or micro_kernel_names().
 std::unique_ptr<Workload> make_workload(const std::string& name);
+
+/// One job of a workload name and its share of the machine.
+struct JobShare {
+  std::string workload;  ///< a registered workload
+  unsigned threads = 0;  ///< hardware contexts the job runs on
+};
+
+/// Splits `contexts` hardware contexts among the jobs a workload name
+/// describes. A registered name ("swim") is one job on every context. A
+/// multiprogrammed mix joins registered names with '+', each optionally
+/// weighted "*k" with k >= 1 ("swim+ocean", "tomcatv*2+mgrid*6"); a job
+/// gets contexts * k / (sum of the weights). Returns the jobs in name
+/// order. When the name is malformed, names an unknown workload, or gives
+/// a job a share that is not a whole, nonzero number of contexts, returns
+/// no jobs and says why in `*error`.
+std::vector<JobShare> split_contexts(const std::string& name,
+                                     unsigned contexts, std::string* error);
 
 }  // namespace csmt::workloads

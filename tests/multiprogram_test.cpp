@@ -1,9 +1,12 @@
 // Tests for multiprogrammed runs through the unified Machine::run(Mix)
-// entry point and the timing address-space isolation they rely on.
+// entry point, the mix workload names run_experiment accepts, and the
+// timing address-space isolation they rely on.
 #include <gtest/gtest.h>
 
 #include "isa/builder.hpp"
+#include "sim/experiment.hpp"
 #include "sim/machine.hpp"
+#include "sweep/sweep.hpp"
 #include "workloads/workload.hpp"
 
 namespace csmt::sim {
@@ -107,6 +110,64 @@ TEST(MultiProgram, SmtAbsorbsMixBetterThanFa) {
     return machine.run(Mix{jobs}).makespan;
   };
   EXPECT_LT(run_mix(core::ArchKind::kSmt2), run_mix(core::ArchKind::kFa8));
+}
+
+/// A mix spec through run_experiment against Machine::run on the same jobs
+/// built by hand: the whole stats (by digest, which covers job_finish),
+/// the makespan and the per-job finish cycles must agree.
+void expect_spec_matches_hand_built(const ExperimentSpec& spec,
+                                    const std::vector<std::string>& names,
+                                    const std::vector<unsigned>& threads) {
+  const ExperimentResult via_spec = run_experiment(spec);
+  ASSERT_TRUE(via_spec.validated);
+
+  MachineConfig mc;
+  mc.arch = core::arch_preset(spec.arch);
+  mc.chips = spec.chips;
+  mc.alloc.policy = spec.alloc_policy;
+  mc.alloc.epoch = spec.alloc_epoch;
+  Machine machine(mc);
+  std::vector<std::unique_ptr<workloads::Workload>> wls;
+  std::vector<std::unique_ptr<mem::PagedMemory>> mems;
+  std::vector<workloads::WorkloadBuild> builds;
+  Mix mix;
+  for (std::size_t j = 0; j < names.size(); ++j) {
+    wls.push_back(workloads::make_workload(names[j]));
+    mems.push_back(std::make_unique<mem::PagedMemory>());
+    builds.push_back(wls[j]->build(*mems[j], threads[j], spec.scale));
+  }
+  for (std::size_t j = 0; j < names.size(); ++j) {
+    mix.jobs.push_back(
+        {&builds[j].program, mems[j].get(), builds[j].args_base, threads[j]});
+  }
+  const MultiRunStats by_hand = machine.run(mix);
+
+  ExperimentResult expected;
+  expected.spec = spec;
+  expected.stats = by_hand.combined;
+  expected.job_finish = by_hand.job_finish;
+  EXPECT_EQ(sweep::stats_digest(via_spec), sweep::stats_digest(expected));
+  EXPECT_EQ(via_spec.stats.cycles, by_hand.makespan);
+  EXPECT_EQ(via_spec.job_finish, by_hand.job_finish);
+  ASSERT_EQ(via_spec.job_finish.size(), names.size());
+}
+
+TEST(MultiProgram, MixSpecMatchesHandBuiltRun) {
+  ExperimentSpec spec;
+  spec.workload = "vpenta+fmm";
+  spec.arch = core::ArchKind::kSmt2;
+  spec.scale = 1;
+  expect_spec_matches_hand_built(spec, {"vpenta", "fmm"}, {4, 4});
+}
+
+TEST(MultiProgram, WeightedMixUnderSymbiosisMatchesHandBuiltRun) {
+  ExperimentSpec spec;
+  spec.workload = "tomcatv*2+mgrid*6";
+  spec.arch = core::ArchKind::kSmt2;
+  spec.scale = 1;
+  spec.alloc_policy = alloc::PolicyKind::kSymbiosis;
+  spec.alloc_epoch = 1000;
+  expect_spec_matches_hand_built(spec, {"tomcatv", "mgrid"}, {2, 6});
 }
 
 TEST(MultiProgramDeath, MismatchedThreadTotalsAbort) {

@@ -72,6 +72,7 @@ void expect_identical(const sim::ExperimentResult& a,
   EXPECT_EQ(a.stats.mem.l2_miss_rate, b.stats.mem.l2_miss_rate);
   EXPECT_EQ(a.stats.mem.tlb_miss_rate, b.stats.mem.tlb_miss_rate);
   EXPECT_EQ(a.stats.dash.has_value(), b.stats.dash.has_value());
+  EXPECT_EQ(a.job_finish, b.job_finish);
 }
 
 /// Unique scratch dir per test invocation (pid-based; tests run in their
@@ -99,11 +100,13 @@ void write_json(const fs::path& path, const json::Value& doc) {
   out << doc.dump(2);
 }
 
-/// The "stats_digest" string a cache entry with this "stats" object carries.
-std::string digest_hex(const json::Value& stats) {
+/// The "seal" string a cache entry for `spec` with this "stats" object
+/// carries.
+std::string seal_hex(const sim::ExperimentSpec& spec,
+                     const json::Value& stats) {
   char hex[17];
   std::snprintf(hex, sizeof hex, "%016llx",
-                static_cast<unsigned long long>(stats_digest(stats)));
+                static_cast<unsigned long long>(entry_seal(spec, stats)));
   return hex;
 }
 
@@ -219,9 +222,9 @@ TEST(SweepRunner, CorruptCacheEntryFallsBackToSimulation) {
 /// Runs the one-point `grid` into a fresh cache, applies `corrupt` to the
 /// entry's JSON and runs it again. The entry must be a miss, the recomputed
 /// result must equal the clean one, and the entry must have been rewritten
-/// clean. With `reseal`, the corrupted entry gets the digest its corrupted
-/// "stats" object hashes to, so only the decoder's range checks stand
-/// between the corruption and a served hit.
+/// clean. With `reseal`, the corrupted entry gets the seal its spec and
+/// corrupted "stats" object hash to, so only the decoder's range checks
+/// stand between the corruption and a served hit.
 void expect_recomputed(const std::string& name, const SweepSpec& grid,
                        const std::function<void(json::Value&)>& corrupt,
                        bool reseal) {
@@ -231,13 +234,14 @@ void expect_recomputed(const std::string& name, const SweepSpec& grid,
   const auto clean = first.run(grid);
   ASSERT_EQ(clean.size(), 1u);
 
-  const fs::path entry = dir / cache_entry_name(clean[0].spec);
+  const sim::ExperimentSpec& spec = clean[0].spec;
+  const fs::path entry = dir / cache_entry_name(spec);
   json::Value doc = read_json(entry);
-  // Resealing reproduces the writer's digest exactly, so a resealed entry
+  // Resealing reproduces the writer's seal exactly, so a resealed entry
   // differs from a genuine one only in the corrupted field.
-  ASSERT_EQ(doc["stats_digest"].as_string(), digest_hex(doc["stats"]));
+  ASSERT_EQ(doc["seal"].as_string(), seal_hex(spec, doc["stats"]));
   corrupt(doc);
-  if (reseal) doc["stats_digest"] = digest_hex(doc["stats"]);
+  if (reseal) doc["seal"] = seal_hex(spec, doc["stats"]);
   write_json(entry, doc);
 
   SweepRunner second(quiet(1, dir.string()));
@@ -299,7 +303,7 @@ TEST(SweepCacheCorruption, OutOfRangeEpochFieldIsRecomputed) {
 }
 
 TEST(SweepCacheCorruption, DigestMismatchIsRecomputed) {
-  // In range, so only the digest catches it.
+  // In range, so only the seal catches it.
   expect_recomputed("corrupt_digest", one_point(1), [](json::Value& doc) {
     json::Value& cycles = doc["stats"]["cycles"];
     cycles = 2 * cycles.as_number();
@@ -307,12 +311,12 @@ TEST(SweepCacheCorruption, DigestMismatchIsRecomputed) {
 }
 
 TEST(SweepCacheCorruption, MissingDigestIsRecomputed) {
-  // Also what an entry written before entries carried digests looks like,
+  // Also what an entry written before entries carried seals looks like,
   // so caches from older builds are recomputed rather than trusted.
   expect_recomputed("corrupt_unsealed", one_point(1), [](json::Value& doc) {
     json::Value unsealed = json::Value::object();
     for (const auto& [key, value] : doc.members()) {
-      if (key != "stats_digest") unsealed[key] = value;
+      if (key != "seal") unsealed[key] = value;
     }
     doc = std::move(unsealed);
   }, false);
@@ -324,6 +328,88 @@ TEST(SweepCacheCorruption, ValidatedFlipIsRecomputed) {
   expect_recomputed("corrupt_validated", one_point(1), [](json::Value& doc) {
     doc["validated"] = false;
   }, false);
+}
+
+SweepSpec mix_point() {
+  SweepSpec grid = one_point(1);
+  grid.workloads = {"swim+ocean"};
+  return grid;
+}
+
+TEST(SweepCache, MixEntryRoundTripsJobFinish) {
+  const fs::path dir = scratch_dir("sweep_mix");
+  fs::remove_all(dir);
+  SweepRunner first(quiet(1, dir.string()));
+  const auto clean = first.run(mix_point());
+  ASSERT_EQ(clean.size(), 1u);
+  ASSERT_EQ(clean[0].job_finish.size(), 2u);
+  EXPECT_GT(clean[0].job_finish[0], 0u);
+  EXPECT_LE(clean[0].job_finish[1], clean[0].stats.cycles);
+
+  SweepRunner second(quiet(1, dir.string()));
+  const auto cached = second.run(mix_point());
+  EXPECT_EQ(second.counters().cache_hits, 1u);
+  expect_identical(cached[0], clean[0]);
+  fs::remove_all(dir);
+}
+
+TEST(SweepCacheCorruption, TamperedJobFinishIsRecomputed) {
+  // In range, so only the seal catches it.
+  expect_recomputed("corrupt_job_finish", mix_point(), [](json::Value& doc) {
+    json::Value& finish = doc["stats"]["job_finish"].items()[0];
+    finish = finish.as_number() - 1;
+  }, false);
+}
+
+TEST(SweepCacheCorruption, JobFinishPastTheRunIsRecomputed) {
+  expect_recomputed("corrupt_job_late", mix_point(), [](json::Value& doc) {
+    doc["stats"]["job_finish"].items()[1] =
+        doc["stats"]["cycles"].as_number() + 1;
+  }, true);
+}
+
+/// `target`'s cache entry with its whole spec kept and everything else —
+/// stats, seal, sim_speed — taken from `donor`'s entry.
+std::string spec_splice(const std::string& target, const std::string& donor) {
+  auto spliced = json::Value::parse(donor);
+  auto kept = json::Value::parse(target);
+  EXPECT_TRUE(spliced && kept);
+  if (!spliced || !kept) return {};
+  (*spliced)["spec"] = std::move((*kept)["spec"]);
+  return spliced->dump(2);
+}
+
+TEST(SweepCacheCorruption, SplicedSpecIsRecomputed) {
+  // Figure 7's fmm/SMT2 spec spliced onto the fmm/SMT4 entry's stats and
+  // seal: every field decodes and the stats match their own digest, so
+  // only a seal that covers the spec turns the splice into a miss.
+  const fs::path dir = scratch_dir("sweep_spec_splice");
+  fs::remove_all(dir);
+  SweepSpec grid = one_point(1);
+  grid.workloads = {"fmm"};
+  grid.archs = {core::ArchKind::kSmt2, core::ArchKind::kSmt4};
+  SweepRunner first(quiet(1, dir.string()));
+  const auto clean = first.run(grid);
+  ASSERT_EQ(clean.size(), 2u);
+  ASSERT_NE(clean[0].stats.cycles, clean[1].stats.cycles);
+
+  const fs::path smt2 = dir / cache_entry_name(clean[0].spec);
+  const fs::path smt4 = dir / cache_entry_name(clean[1].spec);
+  const std::string spliced = spec_splice(read_text(smt2), read_text(smt4));
+  {
+    std::ofstream out(smt2, std::ios::binary | std::ios::trunc);
+    out << spliced;
+  }
+  EXPECT_FALSE(cache_probe(dir.string(), clean[0].spec));
+
+  SweepRunner second(quiet(1, dir.string()));
+  const auto again = second.run(grid);
+  EXPECT_EQ(second.counters().cache_hits, 1u);
+  EXPECT_EQ(second.counters().executed, 1u);
+  ASSERT_EQ(again.size(), 2u);
+  expect_identical(again[0], clean[0]);
+  EXPECT_EQ(stats_digest(again[0]), stats_digest(clean[0]));
+  fs::remove_all(dir);
 }
 
 /// Byte ranges [begin, end) of the number and true/false tokens of a JSON
@@ -404,13 +490,13 @@ TEST(SweepCacheCorruption, SeededMutantsMissOrMatchTheEntry) {
   ASSERT_FALSE(tokens.bools.empty());
 
   // Splices join a random prefix of the entry to a random suffix of the
-  // donor, cut independently. (A cut exactly between one entry's whole
-  // spec and the other's whole stats is the seal gap DESIGN.md §6 notes.)
+  // donor, cut independently; a spec splice keeps the entry's whole spec
+  // and takes everything else from the donor.
   enum Kind { kBitFlip, kTruncate, kSplice, kNegate, kHuge, kOverflow,
-              kBoolSwap, kNumKinds };
+              kBoolSwap, kSpecSplice, kNumKinds };
   const char* const kind_names[kNumKinds] = {
       "bit flip", "truncation", "splice", "negation", "1e400",
-      "2^64", "bool swap"};
+      "2^64", "bool swap", "spec splice"};
   Rng rng(0xC0FFEE);
   const auto pick = [&rng](std::size_t n) {
     return static_cast<std::size_t>(rng.below(static_cast<std::uint32_t>(n)));
@@ -453,6 +539,9 @@ TEST(SweepCacheCorruption, SeededMutantsMissOrMatchTheEntry) {
         mutant.replace(b, e - b, e - b == 4 ? "false" : "true");
         break;
       }
+      case kSpecSplice:
+        mutant = spec_splice(text, donor);
+        break;
       case kNumKinds:
         break;
     }

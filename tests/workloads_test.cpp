@@ -106,8 +106,9 @@ INSTANTIATE_TEST_SUITE_P(AllApps, WorkloadHighEndTest,
                          [](const auto& info) { return info.param; });
 
 TEST(WorkloadRegistry, NamesAndFactoriesAgree) {
-  const auto names = workload_names();
+  auto names = workload_names();
   EXPECT_EQ(names.size(), 6u);
+  for (const std::string& n : micro_kernel_names()) names.push_back(n);
   for (const std::string& n : names) {
     const auto wl = make_workload(n);
     ASSERT_NE(wl, nullptr);
@@ -147,6 +148,119 @@ TEST(WorkloadBuilds, ContainSynchronization) {
     unsigned sync_insts = 0;
     for (const auto& inst : b.program.code()) sync_insts += inst.sync_tag;
     EXPECT_GT(sync_insts, 0u) << n;
+  }
+}
+
+// ---------- micro-kernels --------------------------------------------------
+
+/// The word each micro-kernel's validate() checks first: the Table 3
+/// rings' final pointer, A4's first element, thread 0's chase end and
+/// thread 0's loop count.
+Addr result_word(const std::string& name, const mem::PagedMemory& memory,
+                 const WorkloadBuild& b) {
+  if (name.rfind("ring-", 0) == 0) return b.args_base + 16;
+  if (name.rfind("barrier-", 0) == 0) return memory.read(b.args_base + 8);
+  if (name == "chase") return b.args_base - 8;
+  return b.args_base + 128;  // cluster-idle
+}
+
+/// A scale that keeps each micro-kernel's run short.
+unsigned small_scale(const std::string& name) {
+  return name == "chase" || name == "cluster-idle" ? 64 : 1;
+}
+
+class MicroKernelTest : public ::testing::TestWithParam<std::string> {};
+
+TEST_P(MicroKernelTest, ValidatesAfterARunAndNotAfterItsResultFlips) {
+  const std::string& name = GetParam();
+  const auto wl = make_workload(name);
+  EXPECT_EQ(wl->name(), name);
+  const unsigned scale = small_scale(name);
+  mem::PagedMemory memory;
+  const WorkloadBuild build = wl->build(memory, 4, scale);
+  ASSERT_TRUE(run_functional(build.program, memory, 4, build.args_base));
+  EXPECT_TRUE(wl->validate(memory, build, 4, scale));
+  const Addr word = result_word(name, memory, build);
+  memory.write(word, memory.read(word) ^ 1);
+  EXPECT_FALSE(wl->validate(memory, build, 4, scale));
+}
+
+TEST_P(MicroKernelTest, ValidatesThroughTheTimingMachine) {
+  sim::ExperimentSpec spec;
+  spec.workload = GetParam();
+  spec.arch = core::ArchKind::kFa2;
+  spec.scale = small_scale(spec.workload);
+  const auto r = sim::run_experiment(spec);
+  EXPECT_TRUE(r.validated);
+  EXPECT_TRUE(r.job_finish.empty());
+}
+
+INSTANTIATE_TEST_SUITE_P(AllKernels, MicroKernelTest,
+                         ::testing::ValuesIn(micro_kernel_names()),
+                         [](const auto& info) {
+                           std::string n = info.param;
+                           for (char& c : n) c = c == '-' ? '_' : c;
+                           return n;
+                         });
+
+// ---------- workload names: mixes -------------------------------------------
+
+TEST(SplitContexts, PlainNameIsOneJobOnEveryContext) {
+  std::string why;
+  const auto jobs = split_contexts("swim", 8, &why);
+  ASSERT_EQ(jobs.size(), 1u) << why;
+  EXPECT_EQ(jobs[0].workload, "swim");
+  EXPECT_EQ(jobs[0].threads, 8u);
+}
+
+TEST(SplitContexts, MixSplitsEvenlyOrByWeight) {
+  std::string why;
+  auto jobs = split_contexts("swim+ocean", 8, &why);
+  ASSERT_EQ(jobs.size(), 2u) << why;
+  EXPECT_EQ(jobs[0].workload, "swim");
+  EXPECT_EQ(jobs[0].threads, 4u);
+  EXPECT_EQ(jobs[1].workload, "ocean");
+  EXPECT_EQ(jobs[1].threads, 4u);
+
+  jobs = split_contexts("tomcatv*2+mgrid*6", 8, &why);
+  ASSERT_EQ(jobs.size(), 2u) << why;
+  EXPECT_EQ(jobs[0].threads, 2u);
+  EXPECT_EQ(jobs[1].threads, 6u);
+
+  // Weights are relative, and a name may repeat.
+  jobs = split_contexts("tomcatv+mgrid*3", 32, &why);
+  ASSERT_EQ(jobs.size(), 2u) << why;
+  EXPECT_EQ(jobs[0].threads, 8u);
+  EXPECT_EQ(jobs[1].threads, 24u);
+  jobs = split_contexts("fmm+fmm+chase*2", 8, &why);
+  ASSERT_EQ(jobs.size(), 3u) << why;
+  EXPECT_EQ(jobs[2].workload, "chase");
+  EXPECT_EQ(jobs[2].threads, 4u);
+}
+
+TEST(SplitContexts, RejectsFractionalAndZeroShares) {
+  // FA2 has two contexts: a 2/8 share is half a context.
+  std::string why;
+  EXPECT_TRUE(split_contexts("tomcatv*2+mgrid*6", 2, &why).empty());
+  EXPECT_EQ(why,
+            "tomcatv's 2/8 share of 2 contexts is not a whole, nonzero "
+            "number of contexts");
+  why.clear();
+  EXPECT_TRUE(split_contexts("swim+ocean", 1, &why).empty());
+  EXPECT_FALSE(why.empty());
+  why.clear();
+  EXPECT_TRUE(split_contexts("swim", 0, &why).empty());
+  EXPECT_FALSE(why.empty());
+}
+
+TEST(SplitContexts, RejectsMalformedNames) {
+  for (const char* name :
+       {"", "+", "swim+", "+swim", "swim++ocean", "swim*", "swim*0",
+        "swim*-1", "swim*2x", "swim**2", "swim*1.5", "nonsuch",
+        "swim+nonsuch", "swim ocean", "swim*99999999999"}) {
+    std::string why;
+    EXPECT_TRUE(split_contexts(name, 8, &why).empty()) << "'" << name << "'";
+    EXPECT_FALSE(why.empty()) << "'" << name << "'";
   }
 }
 

@@ -1,5 +1,7 @@
 #include "cache/cache_array.hpp"
 
+#include <bit>
+
 namespace csmt::cache {
 
 const char* service_level_name(ServiceLevel lvl) {
@@ -15,30 +17,19 @@ const char* service_level_name(ServiceLevel lvl) {
 }
 
 CacheArray::CacheArray(const CacheLevelParams& p)
-    : params_(p), sets_(p.num_sets()), lines_(sets_ * p.assoc) {
+    : params_(p),
+      sets_(p.num_sets()),
+      line_shift_(static_cast<unsigned>(std::countr_zero(p.line_bytes))),
+      tag_shift_(line_shift_ + static_cast<unsigned>(std::countr_zero(sets_))),
+      set_mask_(sets_ - 1),
+      bank_magic_(p.banks ? ~std::uint64_t{0} / p.banks : 0),
+      lines_(sets_ * p.assoc) {
   CSMT_ASSERT_MSG(sets_ > 0 && (p.size_bytes % (p.line_bytes * p.assoc)) == 0,
                   "cache geometry must divide evenly");
-}
-
-CacheLine* CacheArray::probe(Addr addr) {
-  const std::size_t set = set_of(addr);
-  const std::uint64_t tag = tag_of(addr);
-  CacheLine* base = &lines_[set * params_.assoc];
-  for (std::size_t w = 0; w < params_.assoc; ++w) {
-    if (base[w].valid() && base[w].tag == tag) return &base[w];
-  }
-  return nullptr;
-}
-
-CacheLine* CacheArray::lookup(Addr addr) {
-  CacheLine* line = probe(addr);
-  if (line) {
-    line->lru = ++lru_clock_;
-    ++stats_.hits;
-  } else {
-    ++stats_.misses;
-  }
-  return line;
+  CSMT_ASSERT_MSG(std::has_single_bit(p.line_bytes) &&
+                      std::has_single_bit(sets_),
+                  "cache line size and set count must be powers of two");
+  CSMT_ASSERT_MSG(p.banks > 0, "a cache needs at least one bank");
 }
 
 CacheArray::Eviction CacheArray::insert(Addr addr, LineState state,

@@ -46,14 +46,33 @@ struct CacheArrayStats {
 
 class CacheArray {
  public:
+  /// The line size and the set count must be powers of two (every Table 3
+  /// and A5 geometry is), so the per-access line, set and tag arithmetic is
+  /// shifts and masks; the constructor aborts on any other geometry.
   explicit CacheArray(const CacheLevelParams& p);
 
   /// Looks up the line containing byte address `addr`. On a hit, refreshes
   /// LRU and returns the line; on a miss returns nullptr.
-  CacheLine* lookup(Addr addr);
+  CacheLine* lookup(Addr addr) {
+    CacheLine* line = probe(addr);
+    if (line) {
+      line->lru = ++lru_clock_;
+      ++stats_.hits;
+    } else {
+      ++stats_.misses;
+    }
+    return line;
+  }
 
   /// Peeks without touching LRU or stats (used by coherence probes).
-  CacheLine* probe(Addr addr);
+  CacheLine* probe(Addr addr) {
+    const std::uint64_t tag = tag_of(addr);
+    CacheLine* base = &lines_[set_of(addr) * params_.assoc];
+    for (std::size_t w = 0; w < params_.assoc; ++w) {
+      if (base[w].valid() && base[w].tag == tag) return &base[w];
+    }
+    return nullptr;
+  }
 
   /// Result of inserting a line: whether a victim was evicted and whether it
   /// was dirty (the caller issues the write-back).
@@ -79,9 +98,17 @@ class CacheArray {
   const CacheArrayStats& stats() const { return stats_; }
   const CacheLevelParams& params() const { return params_; }
 
-  /// Bank servicing byte address `addr` (line-interleaved across banks).
+  /// Bank servicing byte address `addr` (line-interleaved across banks):
+  /// (addr / line_bytes) % banks, for any bank count, without a divide.
+  /// The quotient estimate hi64(line * floor((2^64-1) / banks)) is exact or
+  /// one short, so one conditional subtract finishes the remainder.
   unsigned bank_of(Addr addr) const {
-    return static_cast<unsigned>((addr / params_.line_bytes) % params_.banks);
+    const std::uint64_t line = addr >> line_shift_;
+    const auto q = static_cast<std::uint64_t>(
+        (static_cast<unsigned __int128>(line) * bank_magic_) >> 64);
+    std::uint64_t r = line - q * params_.banks;
+    if (r >= params_.banks) r -= params_.banks;
+    return static_cast<unsigned>(r);
   }
 
   Addr line_addr_of(Addr addr) const {
@@ -90,17 +117,19 @@ class CacheArray {
 
  private:
   std::size_t set_of(Addr addr) const {
-    return (addr / params_.line_bytes) % sets_;
+    return static_cast<std::size_t>((addr >> line_shift_) & set_mask_);
   }
-  std::uint64_t tag_of(Addr addr) const {
-    return addr / params_.line_bytes / sets_;
-  }
+  std::uint64_t tag_of(Addr addr) const { return addr >> tag_shift_; }
   Addr rebuild_addr(std::uint64_t tag, std::size_t set) const {
-    return (tag * sets_ + set) * params_.line_bytes;
+    return ((tag << (tag_shift_ - line_shift_)) | set) << line_shift_;
   }
 
   CacheLevelParams params_;
   std::size_t sets_;
+  unsigned line_shift_;       ///< log2(line_bytes)
+  unsigned tag_shift_;        ///< log2(line_bytes * sets)
+  std::uint64_t set_mask_;    ///< sets - 1
+  std::uint64_t bank_magic_;  ///< floor((2^64 - 1) / banks), see bank_of()
   std::vector<CacheLine> lines_;  ///< sets_ x assoc, row-major
   std::uint32_t lru_clock_ = 0;
   CacheArrayStats stats_;

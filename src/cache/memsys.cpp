@@ -74,8 +74,13 @@ AccessResult MemSys::access(Addr addr, Cycle arrival, bool is_store,
                             bool is_atomic, unsigned port) {
   obs::ScopedPhase phase(prof_, obs::Phase::kMemory);
   horizon_dirty_ = true;  // any access may move bank/MSHR completion times
-  CacheArray& l1 = l1s_[port % l1s_.size()];
-  std::vector<Cycle>& l1_busy = l1_bank_busy_[port % l1s_.size()];
+  // The chip passes its cluster id; with the paper's shared L1 every port
+  // is L1 0, and with private L1s the id is already in range.
+  const unsigned n_l1 = static_cast<unsigned>(l1s_.size());
+  const unsigned l1_index =
+      n_l1 == 1 ? 0 : (port < n_l1 ? port : port % n_l1);
+  CacheArray& l1 = l1s_[l1_index];
+  std::vector<Cycle>& l1_busy = l1_bank_busy_[l1_index];
   Cycle t = arrival;
   if (!tlb_.access(addr)) {
     t += params_.tlb_miss_penalty;
@@ -84,7 +89,7 @@ AccessResult MemSys::access(Addr addr, Cycle arrival, bool is_store,
   const Addr line = l1.line_addr_of(addr);
   // Write-invalidate between private L1s: a store removes every other
   // cluster's copy (their next access refetches through the shared L2).
-  if (is_store && l1s_.size() > 1) cross_invalidate(port % l1s_.size(), line);
+  if (is_store && n_l1 > 1) cross_invalidate(l1_index, line);
 
   auto accept = [&](Cycle done, ServiceLevel level) {
     (is_store ? stats_.stores : stats_.loads)++;

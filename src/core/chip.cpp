@@ -57,7 +57,9 @@ void Chip::tick(Cycle now) {
   for (Cluster* c = active_head_; c != nullptr;) {
     ticking_id_ = c->id();
     ticking_node_ = c;
+    const unsigned running_before = c->last_running_;
     c->tick(now);
+    running_ += c->last_running_ - running_before;
     // Read the successor only after the tick: an in-tick wake of a
     // higher-id cluster splices it in right here, and the baseline ticks
     // that cluster this same cycle.
@@ -199,12 +201,6 @@ bool Chip::finished() const {
     if (!cl->finished()) return false;
   }
   return true;
-}
-
-unsigned Chip::running_threads() const {
-  unsigned n = 0;
-  for (const auto& cl : clusters_) n += cl->running_threads();
-  return n;
 }
 
 ChipStats Chip::stats() const {

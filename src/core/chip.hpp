@@ -85,8 +85,10 @@ class Chip {
 
   bool finished() const;
 
-  /// Threads running for the Figure 6 metric (not halted, not spinning).
-  unsigned running_threads() const;
+  /// Threads running for the Figure 6 metric (not halted, not spinning):
+  /// the sum of the clusters' last samples, kept up to date as they tick
+  /// (a sleeping cluster's sample holds across its span).
+  unsigned running_threads() const { return running_; }
 
   ChipId id() const { return id_; }
   const ArchConfig& config() const { return cfg_; }
@@ -122,6 +124,7 @@ class Chip {
   Cycle next_wake_ = kNeverCycle;       ///< earliest sleeper self-wake
   unsigned asleep_n_ = 0;
   bool lazy_ = false;
+  unsigned running_ = 0;  ///< sum of the clusters' running_threads()
   bool last_active_ = true;
   // Mid-tick context for signal_wake's in-place path.
   bool ticking_ = false;

@@ -64,6 +64,7 @@ void Cluster::attach_thread(exec::ThreadContext* tc) {
                        "thread " + std::to_string(tc->tid()));
   }
   threads_.push_back(std::move(slot));
+  commit_start_ = commit_rr_ % static_cast<unsigned>(threads_.size());
   quiet_stall_if_selected_.reserve(threads_.size());
 }
 
@@ -131,6 +132,7 @@ unsigned Cluster::attach_migrated(exec::ThreadContext* tc, bool in_sync,
     ThreadSlot fresh;
     fresh.rob.init(cfg_.rob_entries);
     threads_.push_back(std::move(fresh));
+      commit_start_ = commit_rr_ % static_cast<unsigned>(threads_.size());
     quiet_stall_if_selected_.reserve(threads_.size());
   }
   ThreadSlot& t = threads_[slot];
@@ -159,7 +161,6 @@ std::uint16_t Cluster::alloc_slot() {
   ++u.gen;  // invalidate stale references from the previous occupant
   u.live = true;
   u.issued = false;
-  u.mispredicted = false;
   u.complete_at = kNeverCycle;
   u.consumers = kNoSrc;
   u.pending = 0;
@@ -348,8 +349,8 @@ void Cluster::quiet_tick(Cycle now) {
       // replay the pointer rotation (the other policies only move it on a
       // successful fetch, which a quiescent span excludes).
       const unsigned n = static_cast<unsigned>(threads_.size());
-      for (unsigned k = 0; k < n; ++k) {
-        const unsigned cand = (fetch_rr_ + k) % n;
+      unsigned cand = fetch_start(n);
+      for (unsigned k = 0; k < n; ++k, cand = next_thread(cand, n)) {
         const ThreadSlot& t = threads_[cand];
         if (t.tc && !t.tc->done()) {
           fetch_rr_ = cand + 1;
@@ -358,7 +359,7 @@ void Cluster::quiet_tick(Cycle now) {
         }
       }
     }
-    ++commit_rr_;  // commit() advances its start pointer every cycle
+    step_commit_rr();  // commit() advances its start pointer every cycle
   }
   const double* d = quiet_delta_[stalled ? 1 : 0];
   for (std::size_t i = 0; i < kNumSlots; ++i) stats_.slots.slots[i] += d[i];
@@ -381,7 +382,10 @@ void Cluster::quiet_span(Cycle from, Cycle n) {
   // moves on a fetch, commit's start pointer advances, and each slot
   // accumulator receives the same delta, which repeat_add applies n times
   // bit for bit.
-  if (!threads_.empty()) commit_rr_ += static_cast<unsigned>(n);
+  if (!threads_.empty()) {
+    commit_rr_ += static_cast<unsigned>(n);
+    commit_start_ = commit_rr_ % static_cast<unsigned>(threads_.size());
+  }
   const bool stalled = quiet_fallback_stall_;
   const double* d = quiet_delta_[stalled ? 1 : 0];
   for (std::size_t i = 0; i < kNumSlots; ++i) {
@@ -499,9 +503,11 @@ void Cluster::commit(Cycle now) {
   if (threads_.empty()) return;
   const unsigned n = static_cast<unsigned>(threads_.size());
   unsigned budget = cfg_.width;
-  const unsigned start = commit_rr_++ % n;
+  unsigned next = commit_start_;
+  step_commit_rr();
   for (unsigned k = 0; k < n && budget > 0; ++k) {
-    ThreadSlot& t = threads_[(start + k) % n];
+    ThreadSlot& t = threads_[next];
+    next = next_thread(next, n);
     while (budget > 0 && !t.rob.empty()) {
       const std::uint16_t idx = t.rob.front();
       Uop& u = slots_[idx];
@@ -691,15 +697,13 @@ void Cluster::issue(Cycle now) {
       // bank, free MSHR) — rejection is the paper's memory hazard.
       if (u.is_load || u.is_store) {
         const Cycle arrival = now + 1;
-        const Addr addr = u.dyn.mem_addr +
-                          threads_[u.hw_thread].tc->timing_addr_offset();
         cache::AccessResult r;
         if (u.is_atomic) {
-          r = memsys_.atomic(addr, arrival, id_);
+          r = memsys_.atomic(u.addr, arrival, id_);
         } else if (u.is_store) {
-          r = memsys_.store(addr, arrival, id_);
+          r = memsys_.store(u.addr, arrival, id_);
         } else {
-          r = memsys_.load(addr, arrival, id_);
+          r = memsys_.load(u.addr, arrival, id_);
         }
         if (!r.accepted) {
           ++stats_.mem_rejections;
@@ -763,8 +767,8 @@ void Cluster::fetch(Cycle now) {
   switch (policy_) {
     case FetchPolicy::kRoundRobin: {
       // Strict RR over live threads; a stalled thread wastes its turn.
-      for (unsigned k = 0; k < n; ++k) {
-        const unsigned cand = (fetch_rr_ + k) % n;
+      unsigned cand = fetch_start(n);
+      for (unsigned k = 0; k < n; ++k, cand = next_thread(cand, n)) {
         ThreadSlot& t = threads_[cand];
         if (t.tc && !t.tc->done()) {
           fetch_rr_ = cand + 1;
@@ -776,8 +780,8 @@ void Cluster::fetch(Cycle now) {
       break;
     }
     case FetchPolicy::kRoundRobinSkip: {
-      for (unsigned k = 0; k < n; ++k) {
-        const unsigned cand = (fetch_rr_ + k) % n;
+      unsigned cand = fetch_start(n);
+      for (unsigned k = 0; k < n; ++k, cand = next_thread(cand, n)) {
         if (fetchable(threads_[cand], now)) {
           chosen = static_cast<int>(cand);
           fetch_rr_ = cand + 1;
@@ -788,8 +792,8 @@ void Cluster::fetch(Cycle now) {
     }
     case FetchPolicy::kIcount: {
       unsigned best = ~0u;
-      for (unsigned k = 0; k < n; ++k) {
-        const unsigned cand = (fetch_rr_ + k) % n;
+      unsigned cand = fetch_start(n);
+      for (unsigned k = 0; k < n; ++k, cand = next_thread(cand, n)) {
         const ThreadSlot& t = threads_[cand];
         if (fetchable(t, now) && t.window_count < best) {
           best = t.window_count;
@@ -832,19 +836,21 @@ void Cluster::fetch(Cycle now) {
 
     const std::uint16_t idx = alloc_slot();
     Uop& u = slots_[idx];
-    const bool stepped = tc.step(u.dyn);
+    exec::DynInst dyn;
+    const bool stepped = tc.step(dyn);
     CSMT_ASSERT(stepped);
-    u.hw_thread = static_cast<unsigned>(chosen);
-    u.dispatched_at = now;
+    // The timing model sees each job in its own address space; the offset
+    // belongs to the thread, which keeps this context until it drains.
+    u.addr = dyn.mem_addr + tc.timing_addr_offset();
     // Cache the decode-derived hot bits: the issue stage reads them every
     // cycle the uop sits ready, so they must not cost a pointer chase
-    // through dyn.inst each time.
+    // through the static instruction each time.
     u.fu = oi.fu;
     u.latency = oi.latency;
     u.is_load = oi.is_load;
     u.is_store = oi.is_store;
     u.is_atomic = oi.is_atomic;
-    u.sync = u.dyn.sync_tagged();
+    u.sync = dyn.sync_tagged();
 
     // Capture source dependences from the rename maps (before the dest map
     // update, so "add r1, r1, r2" reads the previous writer of r1).
@@ -860,8 +866,8 @@ void Cluster::fetch(Cycle now) {
       }
       return {};
     };
-    u.src[0] = capture(oi.reads_int1, oi.reads_fp1, u.dyn.inst->rs1);
-    u.src[1] = capture(oi.reads_int2, oi.reads_fp2, u.dyn.inst->rs2);
+    u.src[0] = capture(oi.reads_int1, oi.reads_fp1, dyn.inst->rs1);
+    u.src[1] = capture(oi.reads_int2, oi.reads_fp2, dyn.inst->rs2);
     u.age = next_age_++;
     link_src(idx, 0, now);
     link_src(idx, 1, now);
@@ -875,11 +881,11 @@ void Cluster::fetch(Cycle now) {
     u.holds_fp_rename = oi.writes_fp;
     if (needs_int_rename) {
       ++int_rename_used_;
-      t.int_map[u.dyn.inst->rd] = {u.gen, idx, oi.is_load};
+      t.int_map[dyn.inst->rd] = {u.gen, idx, oi.is_load};
     }
     if (oi.writes_fp) {
       ++fp_rename_used_;
-      t.fp_map[u.dyn.inst->rd] = {u.gen, idx, oi.is_load};
+      t.fp_map[dyn.inst->rd] = {u.gen, idx, oi.is_load};
     }
 
     t.rob.push_back(idx);
@@ -889,9 +895,8 @@ void Cluster::fetch(Cycle now) {
 
     if (oi.is_cond_branch) {
       const bool correct = predictor_.predict_and_update(
-          u.dyn.pc, u.dyn.branch_taken, u.dyn.next_pc);
+          dyn.pc, dyn.branch_taken, dyn.next_pc);
       if (!correct) {
-        u.mispredicted = true;
         t.blocked_on = idx;
         t.blocked_gen = u.gen;
         t.blocked_sync = u.sync;

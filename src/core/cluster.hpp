@@ -42,16 +42,21 @@ struct SrcDep {
   bool producer_is_load = false;
 };
 
-/// One in-flight dynamic instruction. The decode-derived fields (`fu`,
-/// `latency`, the memory/sync bits) are cached here at dispatch so the
-/// issue stage never re-derives them through `dyn.inst`.
-struct Uop {
-  exec::DynInst dyn;
-  std::uint32_t gen = 0;
-  unsigned hw_thread = 0;
-  Cycle dispatched_at = 0;
+/// One in-flight dynamic instruction. Fetch copies out of the functional
+/// front end's DynInst only what the later stages read: the timing address
+/// of a memory op and the decode-derived bits (`fu`, `latency`, the
+/// memory/sync flags), so one uop fills one 64-byte host cache line.
+struct alignas(64) Uop {
+  Addr addr = 0;  ///< timing address (job offset applied) of a memory op
   Cycle complete_at = kNeverCycle;
   SrcDep src[2];
+  std::uint32_t gen = 0;
+
+  // Issue-stage links (DESIGN.md §9), derived from the IQ.
+  std::uint32_t age = 0;                         ///< dispatch order, see older()
+  std::uint32_t consumers = kNoSrc;              ///< sources awaiting our issue
+  std::uint32_t src_next[2] = {kNoSrc, kNoSrc};  ///< wheel bucket/consumer link
+
   isa::FuClass fu = isa::FuClass::kNone;  ///< cached OpInfo::fu
   std::uint8_t latency = 0;               ///< cached OpInfo::latency
   bool is_load = false;                   ///< cached OpInfo::is_load
@@ -62,14 +67,9 @@ struct Uop {
   bool issued = false;
   bool holds_int_rename = false;
   bool holds_fp_rename = false;
-  bool mispredicted = false;
-
-  // Issue-stage links (DESIGN.md §9), derived from the IQ.
-  std::uint32_t age = 0;                         ///< dispatch order, see older()
-  std::uint32_t consumers = kNoSrc;              ///< sources awaiting our issue
-  std::uint32_t src_next[2] = {kNoSrc, kNoSrc};  ///< wheel bucket/consumer link
-  std::uint8_t pending = 0;                      ///< bit s: src[s] not ready
+  std::uint8_t pending = 0;               ///< bit s: src[s] not ready
 };
+static_assert(sizeof(Uop) == 64, "a uop fills exactly one host cache line");
 
 /// Fixed-capacity FIFO of slot indices: the per-thread ROB view. Capacity is
 /// bounded by the cluster's ROB size, so after init() no push/pop ever
@@ -361,6 +361,24 @@ class Cluster {
   bool mispredict_blocked(const ThreadSlot& t, Cycle now) const;
   bool has_dispatch_room(const ThreadSlot& t) const;
 
+  /// Round-robin successor of thread slot `i` among `n` (compare and wrap).
+  static unsigned next_thread(unsigned i, unsigned n) {
+    return i + 1 == n ? 0 : i + 1;
+  }
+  /// First fetch candidate, fetch_rr_ % n: fetch_rr_ is one past a slot
+  /// index and the slot count never shrinks, so fetch_rr_ <= n.
+  unsigned fetch_start(unsigned n) const {
+    return fetch_rr_ < n ? fetch_rr_ : fetch_rr_ - n;
+  }
+  /// Advances commit_rr_ by one, keeping commit_start_ its residue. The
+  /// counter wraps at 2^32 like the unsigned it is, and 0 % n is 0.
+  void step_commit_rr() {
+    if (++commit_rr_ == 0 ||
+        ++commit_start_ == static_cast<unsigned>(threads_.size())) {
+      commit_start_ = 0;
+    }
+  }
+
   std::uint16_t alloc_slot();
   void free_slot(std::uint16_t idx);
 
@@ -411,8 +429,9 @@ class Cluster {
   std::uint32_t next_age_ = 0;
   unsigned int_rename_used_ = 0;
   unsigned fp_rename_used_ = 0;
-  unsigned fetch_rr_ = 0;
-  unsigned commit_rr_ = 0;
+  unsigned fetch_rr_ = 0;      ///< one past the last fetch turn
+  unsigned commit_rr_ = 0;     ///< commit() calls and replayed cycles
+  unsigned commit_start_ = 0;  ///< commit_rr_ % threads_.size(), kept in step
   unsigned last_running_ = 0;  ///< Figure 6 sample, updated each tick
 
   // Per-cycle accounting state (filled by issue(), consumed by account()).

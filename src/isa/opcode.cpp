@@ -1,116 +1,9 @@
 #include "isa/opcode.hpp"
 
-#include <array>
-
 #include "common/assert.hpp"
 
 namespace csmt::isa {
 namespace {
-
-// Compact row constructors so the table below stays readable.
-constexpr OpInfo int_rr(std::uint8_t lat = 1) {
-  return {FuClass::kInt, lat, true, false, true, true, false, false,
-          false, false, false, false, false, false};
-}
-constexpr OpInfo int_ri(std::uint8_t lat = 1) {
-  return {FuClass::kInt, lat, true, false, true, false, false, false,
-          false, false, false, false, false, false};
-}
-constexpr OpInfo branch_rr() {
-  return {FuClass::kInt, 1, false, false, true, true, false, false,
-          true, true, false, false, false, false};
-}
-constexpr OpInfo fp_rr(std::uint8_t lat) {
-  return {FuClass::kFp, lat, false, true, false, false, true, true,
-          false, false, false, false, false, false};
-}
-constexpr OpInfo fp_r1(std::uint8_t lat) {
-  return {FuClass::kFp, lat, false, true, false, false, true, false,
-          false, false, false, false, false, false};
-}
-
-constexpr std::array<OpInfo, kNumOps> make_table() {
-  std::array<OpInfo, kNumOps> t{};
-  auto set = [&t](Op op, OpInfo info) {
-    t[static_cast<std::size_t>(op)] = info;
-  };
-  set(Op::kAdd, int_rr());
-  set(Op::kSub, int_rr());
-  set(Op::kAnd, int_rr());
-  set(Op::kOr, int_rr());
-  set(Op::kXor, int_rr());
-  set(Op::kSll, int_rr());
-  set(Op::kSrl, int_rr());
-  set(Op::kSra, int_rr());
-  set(Op::kSlt, int_rr());
-  set(Op::kSltu, int_rr());
-  set(Op::kAddi, int_ri());
-  set(Op::kAndi, int_ri());
-  set(Op::kOri, int_ri());
-  set(Op::kXori, int_ri());
-  set(Op::kSlli, int_ri());
-  set(Op::kSrli, int_ri());
-  set(Op::kSrai, int_ri());
-  set(Op::kSlti, int_ri());
-  // li reads no sources at all.
-  set(Op::kLi, {FuClass::kInt, 1, true, false, false, false, false, false,
-                false, false, false, false, false, false});
-  set(Op::kMul, int_rr(2));
-  set(Op::kDiv, int_rr(8));
-  set(Op::kRem, int_rr(8));
-  set(Op::kBeq, branch_rr());
-  set(Op::kBne, branch_rr());
-  set(Op::kBlt, branch_rr());
-  set(Op::kBge, branch_rr());
-  set(Op::kBltu, branch_rr());
-  set(Op::kBgeu, branch_rr());
-  // Unconditional jump: a branch, but not a *conditional* one (no predictor).
-  set(Op::kJ, {FuClass::kInt, 1, false, false, false, false, false, false,
-               true, false, false, false, false, false});
-  set(Op::kLd, {FuClass::kLdSt, 2, true, false, true, false, false, false,
-                false, false, true, false, false, false});
-  set(Op::kSt, {FuClass::kLdSt, 1, false, false, true, true, false, false,
-                false, false, false, true, false, false});
-  set(Op::kFld, {FuClass::kLdSt, 2, false, true, true, false, false, false,
-                 false, false, true, false, false, false});
-  set(Op::kFst, {FuClass::kLdSt, 1, false, false, true, false, false, true,
-                 false, false, false, true, false, false});
-  set(Op::kAmoSwap, {FuClass::kLdSt, 2, true, false, true, true, false, false,
-                     false, false, true, true, true, false});
-  set(Op::kAmoAdd, {FuClass::kLdSt, 2, true, false, true, true, false, false,
-                    false, false, true, true, true, false});
-  set(Op::kSyncBarrier, {FuClass::kLdSt, 2, false, false, true, true, false,
-                         false, false, false, true, true, true, false});
-  set(Op::kSyncLockAcq, {FuClass::kLdSt, 2, false, false, true, false, false,
-                         false, false, false, true, true, true, false});
-  set(Op::kSyncLockRel, {FuClass::kLdSt, 1, false, false, true, false, false,
-                         false, false, false, false, true, false, false});
-  set(Op::kFadd, fp_rr(1));
-  set(Op::kFsub, fp_rr(1));
-  set(Op::kFmul, fp_rr(2));
-  set(Op::kFdivS, fp_rr(4));
-  set(Op::kFdivD, fp_rr(7));
-  set(Op::kFneg, fp_r1(1));
-  set(Op::kFabs, fp_r1(1));
-  set(Op::kFmov, fp_r1(1));
-  set(Op::kFcvtIF, {FuClass::kFp, 2, false, true, true, false, false, false,
-                    false, false, false, false, false, false});
-  set(Op::kFcvtFI, {FuClass::kFp, 2, true, false, false, false, true, false,
-                    false, false, false, false, false, false});
-  set(Op::kFcmpLt, {FuClass::kFp, 1, true, false, false, false, true, true,
-                    false, false, false, false, false, false});
-  set(Op::kFcmpLe, {FuClass::kFp, 1, true, false, false, false, true, true,
-                    false, false, false, false, false, false});
-  set(Op::kFcmpEq, {FuClass::kFp, 1, true, false, false, false, true, true,
-                    false, false, false, false, false, false});
-  set(Op::kNop, {FuClass::kNone, 1, false, false, false, false, false, false,
-                 false, false, false, false, false, false});
-  set(Op::kHalt, {FuClass::kNone, 1, false, false, false, false, false, false,
-                  false, false, false, false, false, true});
-  return t;
-}
-
-constexpr std::array<OpInfo, kNumOps> kOpTable = make_table();
 
 constexpr const char* kOpNames[kNumOps] = {
     "add", "sub", "and", "or", "xor", "sll", "srl", "sra", "slt", "sltu",
@@ -126,12 +19,6 @@ constexpr const char* kOpNames[kNumOps] = {
 };
 
 }  // namespace
-
-const OpInfo& op_info(Op op) {
-  const auto i = static_cast<std::size_t>(op);
-  CSMT_ASSERT(i < kNumOps);
-  return kOpTable[i];
-}
 
 const char* op_name(Op op) {
   const auto i = static_cast<std::size_t>(op);

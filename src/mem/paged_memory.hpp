@@ -1,6 +1,11 @@
 // Functional simulated memory: a sparse, paged, word-granular flat address
-// space shared by all threads of an application (and, in the high-end
-// machine, by all chips — coherence is a *timing* concern handled in noc/).
+// space shared by all simulated threads of an application (and, in the
+// high-end machine, by all chips — coherence is a *timing* concern handled
+// in noc/).
+//
+// A PagedMemory is never shared across host threads: one simulation owns it
+// from workload build to validation. Even const reads update its one-entry
+// last-page cache, so concurrent use would race.
 #pragma once
 
 #include <bit>
@@ -21,13 +26,18 @@ inline constexpr Addr page_of(Addr a) { return a / kPageBytes; }
 
 class PagedMemory {
  public:
+  PagedMemory() = default;
+  // The last-page cache points into this object's own pages, so a moved-
+  // from copy would keep a page it no longer owns: neither copy nor move.
+  PagedMemory(const PagedMemory&) = delete;
+  PagedMemory& operator=(const PagedMemory&) = delete;
+
   /// Reads the 64-bit word at byte address `a` (must be 8-byte aligned).
   /// Untouched memory reads as zero.
   std::uint64_t read(Addr a) const {
     check_aligned(a);
-    const auto it = pages_.find(page_of(a));
-    if (it == pages_.end()) return 0;
-    return it->second->words[word_index(a)];
+    const Page* p = find(page_of(a));
+    return p ? p->words[word_index(a)] : 0;
   }
 
   /// Writes the 64-bit word at byte address `a`.
@@ -69,6 +79,8 @@ class PagedMemory {
   /// run.
   void release() {
     std::unordered_map<Addr, std::unique_ptr<Page>>().swap(pages_);
+    last_page_ = kNoPage;
+    last_ = nullptr;
   }
 
  private:
@@ -84,13 +96,35 @@ class PagedMemory {
     return (a % kPageBytes) / kWordBytes;
   }
 
-  Page& page(Addr a) {
-    auto& slot = pages_[page_of(a)];
-    if (!slot) slot = std::make_unique<Page>();
-    return *slot;
+  /// The materialized page `pg`, or nullptr. Never materializes one, so a
+  /// miss leaves the last-page cache on whatever page it held.
+  Page* find(Addr pg) const {
+    if (pg == last_page_) return last_;
+    const auto it = pages_.find(pg);
+    if (it == pages_.end()) return nullptr;
+    last_page_ = pg;
+    last_ = it->second.get();
+    return last_;
   }
 
+  Page& page(Addr a) {
+    const Addr pg = page_of(a);
+    if (pg == last_page_) return *last_;
+    auto& slot = pages_[pg];  // find or insert: one map lookup on a miss
+    if (!slot) slot = std::make_unique<Page>();
+    last_page_ = pg;
+    last_ = slot.get();
+    return *last_;
+  }
+
+  /// No page number: page_of() of a 64-bit address is below 2^52.
+  static constexpr Addr kNoPage = ~Addr{0};
+
   std::unordered_map<Addr, std::unique_ptr<Page>> pages_;
+  // One-entry cache in front of the map. Pages are heap nodes that live
+  // until release(), so the pointer stays valid across rehashes.
+  mutable Addr last_page_ = kNoPage;
+  mutable Page* last_ = nullptr;
 };
 
 /// Bump allocator over a PagedMemory address space. Workloads use it to lay

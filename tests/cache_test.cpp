@@ -2,6 +2,8 @@
 // coherence state), MSHR file, and TLB.
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "cache/cache_array.hpp"
 #include "cache/mshr.hpp"
 #include "cache/tlb.hpp"
@@ -113,6 +115,62 @@ TEST(CacheArray, LineAddrMasksOffset) {
   EXPECT_EQ(c.line_addr_of(0x1040), 0x1040u);
 }
 
+// Addresses that stress the 64-bit arithmetic: multiprogram job offsets
+// (job j's timing addresses start at j << 48) and the top of the space.
+std::vector<Addr> wide_addresses() {
+  std::vector<Addr> out;
+  for (Addr j = 0; j < 8; ++j) {
+    for (const Addr a : {Addr{0}, Addr{64}, Addr{0x1238}, Addr{0xFFFFC0},
+                         Addr{0x7FFF'FFFF'FFC0}}) {
+      out.push_back((j << 48) + a);
+    }
+  }
+  for (Addr k = 0; k < 300; ++k) out.push_back(~Addr{0} - k * 61);
+  out.push_back(Addr{1} << 63);
+  out.push_back(Addr{0xFFFF'FFFF} << 6);  // line index 2^32 - 1
+  out.push_back(Addr{1} << 38);           // line index 2^32
+  return out;
+}
+
+TEST(CacheArray, BankOfMatchesDivisionForAnyBankCount) {
+  for (unsigned banks = 1; banks <= 16; ++banks) {
+    for (const std::size_t line : {std::size_t{32}, std::size_t{64}}) {
+      const CacheArray c({64 * 1024, line, 2, 8, banks, 1, 1});
+      for (const Addr a : wide_addresses()) {
+        ASSERT_EQ(c.bank_of(a), (a / line) % banks)
+            << "banks " << banks << " line " << line << " addr " << a;
+      }
+    }
+  }
+}
+
+TEST(CacheArray, EvictedLineAddrRoundTripsAtWideAddresses) {
+  // One set's worth of conflicting lines: the victim's reported address is
+  // rebuilt from its tag and set, so it must equal what was inserted.
+  CacheArray c(tiny_l1());  // 4 sets x 2 ways x 64 B
+  for (const Addr a : wide_addresses()) {
+    const Addr line = c.line_addr_of(a);
+    const Addr stride = 4 * 64;  // same set, next tag
+    c.insert(line, LineState::kExclusive, false);
+    c.insert(line + stride, LineState::kExclusive, false);
+    const CacheArray::Eviction ev =
+        c.insert(line + 2 * stride, LineState::kExclusive, false);
+    ASSERT_TRUE(ev.valid) << a;
+    EXPECT_EQ(ev.line_addr, line) << a;
+    // Clear the set for the next address.
+    c.invalidate(line + stride, nullptr);
+    c.invalidate(line + 2 * stride, nullptr);
+  }
+}
+
+TEST(CacheArrayDeath, NonPowerOfTwoGeometryAborts) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  // 3 sets of 2 x 64 B lines.
+  ASSERT_DEATH({ CacheArray c({384, 64, 2, 8, 7, 1, 1}); }, "power");
+  // 48-byte lines, 4 sets.
+  ASSERT_DEATH({ CacheArray c({384, 48, 2, 8, 7, 1, 1}); }, "power");
+}
+
 // ---------- MSHR ----------------------------------------------------------
 
 TEST(Mshr, AllocateAndExpire) {
@@ -145,6 +203,42 @@ TEST(Mshr, SlotReuseAfterExpiry) {
   m.allocate(0x2000, 20);
   EXPECT_EQ(m.outstanding(0x2000), 20u);
   EXPECT_EQ(m.stats().allocations, 2u);
+}
+
+TEST(Mshr, ExpireKeepsSurvivorsMergeable) {
+  MshrFile m(3);
+  m.allocate(0x1000, 30);
+  m.allocate(0x2000, 10);
+  m.allocate(0x3000, 20);
+  EXPECT_TRUE(m.full());
+  m.expire(15);  // retires the middle entry
+  EXPECT_EQ(m.in_flight(), 2u);
+  EXPECT_FALSE(m.full());
+  EXPECT_EQ(m.outstanding(0x1000), 30u);
+  EXPECT_EQ(m.outstanding(0x3000), 20u);
+  EXPECT_EQ(m.outstanding(0x2000), kNeverCycle);
+  EXPECT_EQ(m.next_ready(15), 20u);
+  // The freed room is reused, and the file is full at exactly capacity.
+  m.allocate(0x4000, 40);
+  EXPECT_TRUE(m.full());
+  EXPECT_EQ(m.outstanding(0x4000), 40u);
+  EXPECT_EQ(m.outstanding(0x1000), 30u);
+  m.expire(30);
+  EXPECT_EQ(m.in_flight(), 1u);
+  EXPECT_EQ(m.outstanding(0x4000), 40u);
+  EXPECT_EQ(m.next_ready(30), 40u);
+}
+
+TEST(MshrDeath, AllocateIntoFullFileAborts) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  ASSERT_DEATH(
+      {
+        MshrFile m(2);
+        m.allocate(0x1000, 100);
+        m.allocate(0x2000, 100);
+        m.allocate(0x3000, 100);  // a caller that skipped full()
+      },
+      "full");
 }
 
 TEST(Mshr, StatsCountMergesAndRejections) {

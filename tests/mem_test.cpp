@@ -53,6 +53,37 @@ TEST(PagedMemory, AmoAddAccumulates) {
   EXPECT_EQ(m.read(256), 10u);
 }
 
+TEST(PagedMemory, ReleaseForgetsTheLastPage) {
+  PagedMemory m;
+  m.write(64, 5);
+  EXPECT_EQ(m.read(64), 5u);  // the page is now the cached one
+  m.release();
+  EXPECT_EQ(m.read(64), 0u);
+  EXPECT_EQ(m.resident_pages(), 0u);
+}
+
+TEST(PagedMemory, ReadOfUnmappedNeighbourNeverMaterializes) {
+  PagedMemory m;
+  m.write(kPageBytes, 1);  // caches page 1
+  EXPECT_EQ(m.read(2 * kPageBytes), 0u);
+  EXPECT_EQ(m.read(0), 0u);
+  EXPECT_EQ(m.resident_pages(), 1u);
+  EXPECT_EQ(m.read(kPageBytes), 1u);
+}
+
+TEST(PagedMemory, AlternatingPagesBothLand) {
+  PagedMemory m;
+  for (std::uint64_t i = 0; i < 16; ++i) {
+    m.write(8 * i, i);
+    m.write(7 * kPageBytes + 8 * i, 100 + i);
+  }
+  EXPECT_EQ(m.resident_pages(), 2u);
+  for (std::uint64_t i = 0; i < 16; ++i) {
+    EXPECT_EQ(m.read(8 * i), i);
+    EXPECT_EQ(m.read(7 * kPageBytes + 8 * i), 100 + i);
+  }
+}
+
 TEST(PagedMemoryDeath, UnalignedAccessAborts) {
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
   ASSERT_DEATH(

@@ -3,14 +3,14 @@
 // components and the full machine sustain.
 //
 // After the google-benchmark suites, a skip-ahead A/B section runs a set of
-// machine points twice — quiescence scheduler vs --no-skip — and reports
+// machine points twice — skipping kernel vs --no-skip — and reports
 // the skipped-cycle fraction and speedup per point, appending a run record
 // to BENCH_simspeed.json (override with CSMT_SIMSPEED_JSON; empty
 // disables): the file is a trajectory, {"runs": [...]}, one record per
 // invocation (timestamped; CSMT_SIMSPEED_LABEL names the record, e.g. a
 // commit sha in CI), so the perf history across PRs accumulates instead of
 // being overwritten. Points are labeled by
-// regime — "idle" (long quiescent spans, the scheduler's target) vs "busy"
+// regime — "idle" (long quiescent spans, the skip's target) vs "busy"
 // (short or no gaps, where skip support must cost ~nothing) — and each
 // kernel timing is the best of CSMT_SIMSPEED_REPS runs (default 3) so the
 // small busy points aren't noise-dominated. Per-point peak RSS and the
@@ -110,7 +110,7 @@ BENCHMARK(BM_FullMachine)
     ->Arg(static_cast<int>(core::ArchKind::kSmt1));
 
 // ---------------------------------------------------------------------------
-// Skip-ahead A/B: quiescence scheduler vs per-cycle kernel (--no-skip).
+// Skip-ahead A/B: skipping kernel vs per-cycle kernel (--no-skip).
 
 /// One A/B point's outcome. `stats_equal` holds when every run validated
 /// and all of RunStats (by stats digest) agrees across kernels and reps;
@@ -305,7 +305,7 @@ void run_skip_ab() {
                                     "busy"));
 
   std::printf(
-      "\nskip-ahead A/B (quiescence scheduler vs --no-skip, best of %u)\n"
+      "\nskip-ahead A/B (skipping kernel vs --no-skip, best of %u)\n"
       "%-8s %-6s %-5s %5s %12s %8s %10s %10s %10s %8s %8s %6s\n",
       reps_from_env(), "point", "arch", "regime", "chips", "cycles", "quiet%",
       "cl-quiet", "skip-cps", "noskip-cps", "speedup", "drss-kb", "equal");
@@ -328,11 +328,20 @@ void run_skip_ab() {
 
 }  // namespace
 
+// Set by --benchmark_list_tests. The library defines and exports it but
+// declares it only in an internal header.
+namespace benchmark {
+extern bool FLAGS_benchmark_list_tests;
+}
+
 int main(int argc, char** argv) {
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
+  // A listing runs nothing, so it neither times the A/B nor appends a
+  // record to the trajectory.
+  if (benchmark::FLAGS_benchmark_list_tests) return 0;
   run_skip_ab();
   return 0;
 }

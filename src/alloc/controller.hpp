@@ -10,8 +10,8 @@
 //   -> detach (rename state flushed) -> attach (fetch resumes no earlier
 //   than detach + migration_cost).
 //
-// Epoch boundaries fire from the scheduler loop top; drain completion is
-// observed from the per-tick hook. Both run between full ticks, so the
+// Epoch boundaries fire from the run loop top; drain completion is
+// observed after every tick. Both run between full ticks, so the
 // whole protocol is deterministic.
 #pragma once
 
@@ -53,7 +53,7 @@ class Controller {
   void place_initial();
 
   /// Epoch boundary: snapshot telemetry, ask the policy for moves, start
-  /// the feasible ones. Fires from the scheduler loop top.
+  /// the feasible ones. Fires from the run loop top.
   void on_epoch(Cycle now);
 
   /// Per-tick: advance in-flight migrations (detach once drained, attach

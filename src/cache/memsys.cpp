@@ -73,7 +73,6 @@ void MemSys::cross_invalidate(unsigned port, Addr line_addr) {
 AccessResult MemSys::access(Addr addr, Cycle arrival, bool is_store,
                             bool is_atomic, unsigned port) {
   obs::ScopedPhase phase(prof_, obs::Phase::kMemory);
-  horizon_dirty_ = true;  // any access may move bank/MSHR completion times
   // The chip passes its cluster id; with the paper's shared L1 every port
   // is L1 0, and with private L1s the id is already in range.
   const unsigned n_l1 = static_cast<unsigned>(l1s_.size());

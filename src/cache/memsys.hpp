@@ -87,33 +87,6 @@ class MemSys {
                   port);
   }
 
-  /// Earliest cycle > `now` at which in-flight work completes: the soonest
-  /// MSHR fill or bank-occupancy release. kNeverCycle when nothing is in
-  /// flight. The hierarchy is call-driven (state expires lazily on access),
-  /// so this is purely a horizon for the quiescence scheduler — skipping
-  /// past it is conservative, never unsound.
-  ///
-  /// The result is cached (DESIGN.md §9): every access() marks the cache
-  /// dirty, so between accesses repeated probes cost O(1) instead of a scan
-  /// over every bank. A cached horizon is reusable at a later `now` exactly
-  /// when it is still in the future — if any completion fell inside
-  /// (cached-at, now] the cached minimum would be ≤ now, so `cache > now`
-  /// proves the event set is unchanged.
-  Cycle next_event(Cycle now) const {
-    if (!horizon_dirty_ && horizon_cache_ > now) return horizon_cache_;
-    Cycle ev = mshr_.next_ready(now);
-    const auto consider_banks = [&ev, now](const std::vector<Cycle>& busy) {
-      for (const Cycle b : busy) {
-        if (b > now && b < ev) ev = b;
-      }
-    };
-    for (const auto& banks : l1_bank_busy_) consider_banks(banks);
-    consider_banks(l2_bank_busy_);
-    horizon_cache_ = ev;
-    horizon_dirty_ = false;
-    return ev;
-  }
-
   // --- coherence entry points (called by the directory on the high end) ---
 
   /// Removes the line from L1+L2. Returns true if it was present;
@@ -164,8 +137,6 @@ class MemSys {
   /// Bank-queue overflow threshold, hoisted out of the per-access path:
   /// an access is rejected when the bank is busy past arrival + window.
   Cycle l1_reject_window_ = 0;
-  mutable Cycle horizon_cache_ = 0;   ///< last next_event() result
-  mutable bool horizon_dirty_ = true; ///< an access may have moved the horizon
   MemSysStats stats_;
   obs::TraceSink* trace_ = nullptr;
   obs::PhaseProfiler* prof_ = nullptr;

@@ -54,20 +54,6 @@ class MshrFile {
     return kNeverCycle;
   }
 
-  /// Earliest ready cycle > `now` among outstanding misses, or kNeverCycle
-  /// when none is still in flight (the next-event contract: entries are
-  /// retired lazily, so an entry ready at or before `now` is already dead).
-  Cycle next_ready(Cycle now) const {
-    if (count_ == 0) return kNeverCycle;
-    if (min_ready_ > now) return min_ready_;
-    Cycle ev = kNeverCycle;
-    for (unsigned i = 0; i < count_; ++i) {
-      const Cycle r = slots_[i].ready;
-      if (r > now && r < ev) ev = r;
-    }
-    return ev;
-  }
-
   /// Records a merge with an existing entry (statistics only).
   void note_merge() { ++stats_.merges; }
 

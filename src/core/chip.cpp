@@ -86,27 +86,6 @@ void Chip::tick(Cycle now) {
   last_active_ = any;
 }
 
-Cycle Chip::next_event(Cycle now) {
-  // Every awake cluster's next_event must run (it primes the quiet replay
-  // plan), so no early-out on a now+1 horizon. Sleepers keep the horizon
-  // captured at sleep time: re-probing would trip the already-primed-plan
-  // assertion, and nothing internal changed, so the stored answer is
-  // exactly what a probe would recompute.
-  Cycle ev = memsys_.next_event(now);
-  if (!wake_pending_.empty()) ev = now + 1;  // queued wake: work next cycle
-  for (auto& cl : clusters_) {
-    const Cycle c = cl->asleep() ? cl->sleep_until() : cl->next_event(now);
-    if (c < ev) ev = c;
-  }
-  return ev;
-}
-
-void Chip::quiet_span(Cycle from, Cycle n) {
-  for (Cluster* c = active_head_; c != nullptr; c = c->next_active_) {
-    c->quiet_span(from, n);
-  }
-}
-
 void Chip::settle(Cycle upto) {
   if (asleep_n_ == 0) return;
   for (auto& cl : clusters_) {

@@ -43,20 +43,15 @@ class Chip {
   /// True when any cluster changed observable state in the tick at `now`.
   bool active_last_tick() const { return last_active_; }
 
-  /// Earliest cycle > `now` at which a full tick could change observable
-  /// state: the minimum of the clusters' horizons and the memory system's
-  /// earliest in-flight completion. See Cluster::next_event for the
-  /// contract; like it, this primes the awake clusters' quiet plans.
-  /// Sleeping clusters contribute the horizon captured when they fell
-  /// asleep — never a re-probe, which would re-prime an already-primed
-  /// plan (and nothing internal changed, so the stored answer is exact).
-  Cycle next_event(Cycle now);
-
-  /// Replays the per-cycle accounting of the `n` cycles starting at `from`
-  /// of a machine-wide quiescent span on every *awake* cluster. Sleeping
-  /// clusters' span cycles are replayed once, at wake time, by
-  /// Cluster::settle — never twice.
-  void quiet_span(Cycle from, Cycle n);
+  /// While every cluster sleeps and no wake is queued, the earliest cycle
+  /// a sleeper wakes itself (kNeverCycle: none will); 0 otherwise. The
+  /// machine jumps its clock only across cycles every chip sleeps through
+  /// (DESIGN.md §8). A sleeper woken by a release leaves the stored
+  /// minimum early, never late: jumping to it costs one idle tick, which
+  /// recomputes it.
+  Cycle sleep_horizon() const {
+    return active_head_ || !wake_pending_.empty() ? 0 : next_wake_;
+  }
 
   /// Enables cluster-level sleep (off under --no-skip and under tracing,
   /// where lazy replay would emit events out of timestamp order).
@@ -121,7 +116,7 @@ class Chip {
   // Cluster-level quiescence state (DESIGN.md §14); all transient.
   Cluster* active_head_ = nullptr;      ///< awake clusters, id order
   std::vector<Cluster*> wake_pending_;  ///< hook wakes for the next tick
-  Cycle next_wake_ = kNeverCycle;       ///< earliest sleeper self-wake
+  Cycle next_wake_ = kNeverCycle;       ///< <= earliest sleeper self-wake
   unsigned asleep_n_ = 0;
   bool lazy_ = false;
   unsigned running_ = 0;  ///< sum of the clusters' running_threads()

@@ -250,9 +250,9 @@ Cycle Cluster::next_event(Cycle now) {
     }
     if (!t.tc || t.tc->done()) continue;
     if (t.tc->sync_blocked()) {
-      // Only another cluster's full tick can release this thread, and that
-      // tick is active, so the scheduler re-evaluates horizons then. The
-      // one self-event is latching was_sync_blocked on the next tick.
+      // Only another cluster's full tick can release this thread, and the
+      // release wakes us through the unblock hook. The one self-event is
+      // latching was_sync_blocked on the next tick.
       if (!t.was_sync_blocked) return next;
       continue;
     }
@@ -341,22 +341,19 @@ void Cluster::prime_quiet_plan(Cycle now) {
   }
 }
 
-void Cluster::quiet_tick(Cycle now) {
+void Cluster::quiet_tick() {
   bool stalled = quiet_fallback_stall_;
   if (!threads_.empty()) {
-    if (policy_ == FetchPolicy::kRoundRobin) {
-      // Strict RR burns a turn on the first live thread even when stalled;
-      // replay the pointer rotation (the other policies only move it on a
-      // successful fetch, which a quiescent span excludes).
-      const unsigned n = static_cast<unsigned>(threads_.size());
-      unsigned cand = fetch_start(n);
-      for (unsigned k = 0; k < n; ++k, cand = next_thread(cand, n)) {
-        const ThreadSlot& t = threads_[cand];
-        if (t.tc && !t.tc->done()) {
-          fetch_rr_ = cand + 1;
-          if (quiet_stall_if_selected_[cand]) stalled = true;
-          break;
-        }
+    // Strict RR burns a turn on the first live thread even when stalled;
+    // replay the pointer rotation.
+    const unsigned n = static_cast<unsigned>(threads_.size());
+    unsigned cand = fetch_start(n);
+    for (unsigned k = 0; k < n; ++k, cand = next_thread(cand, n)) {
+      const ThreadSlot& t = threads_[cand];
+      if (t.tc && !t.tc->done()) {
+        fetch_rr_ = cand + 1;
+        if (quiet_stall_if_selected_[cand]) stalled = true;
+        break;
       }
     }
     step_commit_rr();  // commit() advances its start pointer every cycle
@@ -365,17 +362,13 @@ void Cluster::quiet_tick(Cycle now) {
   for (std::size_t i = 0; i < kNumSlots; ++i) stats_.slots.slots[i] += d[i];
   if (stalled) ++stats_.dispatch_stall_cycles;
   ++stats_.cycles;
-  if (trace_) {
-    if (stalled) trace_->instant(track_, "dispatch_stall", now);
-    trace_thread_states(now);
-  }
 }
 
-void Cluster::quiet_span(Cycle from, Cycle n) {
+void Cluster::quiet_span(Cycle n) {
   // Strict RR moves the fetch pointer, and with it the stall check, every
-  // cycle; tracing emits per-cycle events. Both replay cycle by cycle.
-  if (policy_ == FetchPolicy::kRoundRobin || trace_) {
-    for (Cycle c = from; c < from + n; ++c) quiet_tick(c);
+  // cycle, so it replays cycle by cycle.
+  if (policy_ == FetchPolicy::kRoundRobin) {
+    for (Cycle c = 0; c < n; ++c) quiet_tick();
     return;
   }
   // Every other policy repeats one identical cycle: the fetch pointer only
@@ -396,10 +389,10 @@ void Cluster::quiet_span(Cycle from, Cycle n) {
 }
 
 bool Cluster::try_sleep(Cycle now) {
-  // Probe deferral mirrors the machine-level scheduler (DESIGN.md §9): a
-  // failed probe (horizon at now+1) doubles the number of inactive ticks
-  // the next probe waits for, so busy clusters with 1-cycle gaps do not pay
-  // the per-thread horizon walk and the wheel search every gap.
+  // Probe deferral (DESIGN.md §9): a failed probe (horizon at now+1)
+  // doubles the number of inactive ticks the next probe waits for, so busy
+  // clusters with 1-cycle gaps do not pay the per-thread horizon walk and
+  // the wheel search every gap.
   if (++idle_streak_ <= sleep_defer_) return false;
   idle_streak_ = 0;
   const Cycle h = next_event(now);
@@ -421,7 +414,7 @@ bool Cluster::try_sleep(Cycle now) {
 void Cluster::settle(Cycle upto) {
   if (quiet_from_ >= upto) return;
   const Cycle n = upto - quiet_from_;
-  quiet_span(quiet_from_, n);
+  quiet_span(n);
   quiet_from_ = upto;
   lazy_replayed_ += n;
 }
@@ -469,12 +462,8 @@ void Cluster::trace_cycle(Cycle now, std::uint64_t committed_before,
                     static_cast<std::int64_t>(committed));
   }
   if (dispatch_stalled_) trace_->instant(track_, "dispatch_stall", now);
-  trace_thread_states(now);
-}
-
-void Cluster::trace_thread_states(Cycle now) {
-  // Emit the previous slice when the state changes (so an unchanged state
-  // costs one compare per thread).
+  // Emit the previous slice when a thread's state changes (so an unchanged
+  // state costs one compare per thread).
   for (ThreadSlot& t : threads_) {
     const std::uint8_t st = thread_state(t, now);
     if (st == t.obs_state) continue;

@@ -185,26 +185,6 @@ class Cluster {
   /// active cluster must be ticked again next cycle.
   bool active_last_tick() const { return active_; }
 
-  /// Earliest cycle > `now` at which a full tick() could change observable
-  /// state, assuming no external input (another cluster waking one of our
-  /// sync-blocked threads is external; the scheduler re-evaluates after
-  /// every full tick, so such wakes are always observed). kNeverCycle when
-  /// nothing in flight can ever make progress on its own. Must be called
-  /// right after tick(now); when the horizon is beyond now+1 this also
-  /// primes the quiet replay plan for the span (now, horizon).
-  Cycle next_event(Cycle now);
-
-  /// Replays the per-cycle accounting of tick() for the `n` cycles
-  /// starting at `from` inside a quiescent span: the commit/fetch
-  /// round-robin pointers advance and the slot/stat accumulators receive
-  /// bit-identical increments, but no pipeline work is attempted (none is
-  /// possible, by construction of next_event()). Valid only for cycles
-  /// strictly before the horizon the last next_event() call returned.
-  /// Outside strict round-robin fetch and tracing every cycle of the span
-  /// is identical, so the whole span costs one repeat_add per slot
-  /// accumulator (DESIGN.md §8).
-  void quiet_span(Cycle from, Cycle n);
-
   /// True when every attached thread has halted and the pipeline is empty.
   bool finished() const;
 
@@ -213,17 +193,18 @@ class Cluster {
   // A cluster whose horizon is beyond now+1 can go to sleep: the owning
   // chip unlinks it from the per-chip active list and stops ticking it.
   // While asleep the primed quiet plan stays valid (nothing internal can
-  // change, and the one external input — a sync unblock — wakes it through
-  // the ThreadContext unblock hook), so the skipped cycles are replayed as
-  // one quiet_span() by settle() when the cluster next wakes or a stats
-  // consumer needs them.
+  // change, and every external input — a sync unblock, a migration — wakes
+  // it first), so the skipped cycles are replayed as one quiet_span() by
+  // settle() when the cluster next wakes or a stats consumer needs them.
+  // Sleep is the only way csmt skips work: the machine jumps its clock
+  // only while every cluster sleeps (DESIGN.md §8).
 
   /// Binds the owning chip for wake notifications (called at chip setup).
   void set_chip(Chip* chip) { chip_ = chip; }
 
   /// Called by the chip after an inactive tick at `now`: probes the horizon
-  /// (with exponential deferral mirroring the machine-level probe backoff)
-  /// and falls asleep when it is beyond now+1. Returns true when asleep.
+  /// (with exponential deferral, DESIGN.md §9) and falls asleep when it is
+  /// beyond now+1. Returns true when asleep.
   bool try_sleep(Cycle now);
 
   /// Replays quiet accounting for all skipped cycles < `upto`. Keeps
@@ -234,9 +215,6 @@ class Cluster {
   /// relinks it into the active list.
   void wake(Cycle now);
 
-  bool asleep() const { return asleep_; }
-  /// The horizon captured when the cluster fell asleep (valid while asleep).
-  Cycle sleep_until() const { return sleep_until_; }
   /// Cycles this cluster skipped and lazily replayed (host observability).
   std::uint64_t lazy_replayed() const { return lazy_replayed_; }
 
@@ -291,19 +269,33 @@ class Cluster {
   void fetch(Cycle now);
   void account(Cycle now);
 
-  /// One cycle of quiet_span(), for the spans that replay cycle by cycle.
-  /// With a trace sink attached it also emits the cycle's dispatch-stall
-  /// instant and thread-state slices.
-  void quiet_tick(Cycle now);
+  /// Earliest cycle > `now` at which a full tick() could change observable
+  /// state, assuming no external input (another cluster releasing one of
+  /// our sync-blocked threads is external: it wakes a sleeper through the
+  /// unblock hook). kNeverCycle when nothing in flight can ever make
+  /// progress on its own. Must be called right after tick(now); when the
+  /// horizon is beyond now+1 this also primes the quiet replay plan for
+  /// the span (now, horizon).
+  Cycle next_event(Cycle now);
+
+  /// Replays the per-cycle accounting of tick() for `n` skipped cycles of
+  /// a sleep: the commit/fetch round-robin pointers advance and the
+  /// slot/stat accumulators receive bit-identical increments, but no
+  /// pipeline work is attempted (none is possible, by construction of
+  /// next_event()). Valid only for cycles strictly before the horizon the
+  /// last next_event() call returned. Outside strict round-robin fetch
+  /// every cycle of the span is identical, so the whole span costs one
+  /// repeat_add per slot accumulator (DESIGN.md §8).
+  void quiet_span(Cycle n);
+  /// One cycle of quiet_span(), for strict round-robin fetch, whose stall
+  /// check rotates with the fetch pointer.
+  void quiet_tick();
 
   /// Per-cycle trace emission (only called when a sink is attached):
   /// fetch/issue/commit instants on the cluster pipeline track plus
   /// run/sync/stall/halt state slices on each thread's track.
   void trace_cycle(Cycle now, std::uint64_t committed_before,
                    std::uint64_t fetched_before);
-  /// The run/sync/stall/halt slices of trace_cycle(), shared with
-  /// quiet_tick() so a state that flips inside a quiet span is not lost.
-  void trace_thread_states(Cycle now);
   std::uint8_t thread_state(const ThreadSlot& t, Cycle now) const;
 
   // --- event-driven issue stage (DESIGN.md §9) ---
@@ -459,7 +451,7 @@ class Cluster {
   Cycle sleep_until_ = 0;         ///< horizon captured at sleep time
   Cycle quiet_from_ = 0;          ///< next skipped cycle not yet replayed
   Cycle idle_streak_ = 0;         ///< inactive ticks since last probe
-  Cycle sleep_defer_ = 0;         ///< probe backoff (mirrors kMaxDefer)
+  Cycle sleep_defer_ = 0;         ///< probe backoff, doubling up to 64
   std::uint64_t lazy_replayed_ = 0;
 
   ClusterStats stats_;

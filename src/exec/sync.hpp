@@ -52,10 +52,10 @@ class SyncManager {
 
   /// Threads currently blocked inside a barrier or lock. Part of the
   /// quiescence contract: a sync-blocked thread has no self-horizon (its
-  /// release rides on another thread's full tick), so the scheduler may
-  /// sleep a machine where every live thread is either here or waiting on
-  /// a known wake/completion cycle. A machine with blocked waiters and no
-  /// other horizon is deadlocked and skips straight to the watchdog.
+  /// release rides on another thread's full tick), so a cluster may sleep
+  /// while every live thread is either here or waiting on a known
+  /// wake/completion cycle. A machine with blocked waiters and no other
+  /// horizon is deadlocked and skips straight to the watchdog.
   std::uint64_t blocked_waiters() const {
     std::uint64_t n = 0;
     for (const auto& [addr, b] : barriers_) n += b.waiters.size();

@@ -43,14 +43,12 @@ void DashInterconnect::attach_chip(cache::MemSys* memsys) {
 Cycle DashInterconnect::occupy_directory(unsigned home, Cycle t) {
   const Cycle start = std::max(t, dir_busy_[home]);
   dir_busy_[home] = start + params_.directory_occupancy;
-  horizon_dirty_ = true;
   return start - t;
 }
 
 Cycle DashInterconnect::occupy_memory(unsigned home, Cycle t) {
   const Cycle start = std::max(t, mem_busy_[home]);
   mem_busy_[home] = start + mem_params_.memory_occupancy;
-  horizon_dirty_ = true;
   return start - t;
 }
 

@@ -53,28 +53,6 @@ class DashInterconnect final : public cache::MemoryBackend {
   Cycle upgrade_line(ChipId chip, Addr line_addr, Cycle t_request) override;
   void writeback_line(ChipId chip, Addr line_addr, Cycle t) override;
 
-  /// Earliest cycle > `now` at which an in-flight directory or memory-
-  /// controller occupancy drains, or kNeverCycle when all ports are idle.
-  /// Like MemSys::next_event this is a conservative horizon for the
-  /// quiescence scheduler: the interconnect is call-driven, so nothing
-  /// happens at that cycle unless a chip issues a request. Cached with the
-  /// same dirty-flag protocol (DESIGN.md §9): occupy_directory /
-  /// occupy_memory mark the cache dirty, and a clean still-in-the-future
-  /// horizon proves the port-drain set is unchanged.
-  Cycle next_event(Cycle now) const {
-    if (!horizon_dirty_ && horizon_cache_ > now) return horizon_cache_;
-    Cycle ev = kNeverCycle;
-    for (const Cycle b : dir_busy_) {
-      if (b > now && b < ev) ev = b;
-    }
-    for (const Cycle b : mem_busy_) {
-      if (b > now && b < ev) ev = b;
-    }
-    horizon_cache_ = ev;
-    horizon_dirty_ = false;
-    return ev;
-  }
-
   const DashStats& stats() const { return stats_; }
   const NetworkStats& network_stats() const { return net_.stats(); }
   const Directory& directory() const { return dir_; }
@@ -103,8 +81,6 @@ class DashInterconnect final : public cache::MemoryBackend {
   std::vector<cache::MemSys*> chips_;
   std::vector<Cycle> dir_busy_;
   std::vector<Cycle> mem_busy_;
-  mutable Cycle horizon_cache_ = 0;    ///< last next_event() result
-  mutable bool horizon_dirty_ = true;  ///< a port occupancy may have moved
   DashStats stats_;
   obs::TraceSink* trace_ = nullptr;
   obs::PhaseProfiler* prof_ = nullptr;

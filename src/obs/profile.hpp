@@ -100,13 +100,13 @@ struct SimSpeed {
   bool measured = false;
   double wall_seconds = 0.0;
   std::uint64_t sim_cycles = 0;
-  /// Simulated cycles the scheduler advanced through its quiet path
-  /// (idle-cycle skipping, DESIGN.md §8). Deterministic for a given spec,
-  /// but an execution-strategy detail rather than a machine statistic, so
-  /// it lives here and not in RunStats.
+  /// Simulated cycles the machine's clock jumped while every cluster
+  /// slept (DESIGN.md §8). Deterministic for a given spec, but an
+  /// execution-strategy detail rather than a machine statistic, so it
+  /// lives here and not in RunStats.
   std::uint64_t quiet_cycles = 0;
-  /// Per-cluster cycles skipped while the machine was busy and replayed
-  /// lazily at wake time (component-granular quiescence, DESIGN.md §14).
+  /// Per-cluster cycles skipped while asleep and replayed lazily at wake
+  /// time (component-granular quiescence, DESIGN.md §14).
   /// Counts cluster-cycles, so it can exceed sim_cycles on wide machines.
   std::uint64_t cluster_quiet_cycles = 0;
   std::uint64_t committed = 0;  ///< useful + sync instructions
@@ -116,7 +116,7 @@ struct SimSpeed {
   bool phases_measured = false;
   std::array<double, kNumPhases> phase_seconds = {};
 
-  /// Fraction of simulated cycles handled by the quiet path.
+  /// Fraction of simulated cycles the clock jumped.
   double quiet_fraction() const {
     return sim_cycles ? static_cast<double>(quiet_cycles) /
                             static_cast<double>(sim_cycles)

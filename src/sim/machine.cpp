@@ -1,8 +1,9 @@
 #include "sim/machine.hpp"
 
+#include <algorithm>
+
 #include "alloc/controller.hpp"
 #include "common/assert.hpp"
-#include "sim/scheduler.hpp"
 
 namespace csmt::sim {
 
@@ -77,6 +78,8 @@ void Machine::trace_flush(Cycle end) {
 }
 
 MultiRunStats Machine::run(const Mix& mix) {
+  // A run leaves its clock, clusters and caches behind.
+  CSMT_ASSERT_MSG(now_ == 0, "one Machine runs one mix");
   CSMT_ASSERT_MSG(!mix.jobs.empty(), "a mix needs at least one job");
   unsigned total = 0;
   for (const Job& j : mix.jobs) {
@@ -139,45 +142,113 @@ MultiRunStats Machine::run(const Mix& mix) {
   MultiRunStats out;
   out.job_finish.assign(mix.jobs.size(), 0);
   obs::EpochSampler sampler(cfg_.metrics_interval);
-  Scheduler sched(*this, sampler);
   if (cfg_.trace) {
     for (auto& g : groups) {
-      g->sync().set_trace(cfg_.trace, sched.clock());
+      g->sync().set_trace(cfg_.trace, &now_);
       trace_name_sync_tracks(*g);
     }
   }
-  if (dynamic) {
-    sched.set_alloc_epoch(cfg_.alloc.resolved_epoch(),
-                          [&ctl](Cycle now) { ctl.on_epoch(now); });
-  }
-
-  // Per-tick hook: advance in-flight migrations and observe job
-  // completions. A job can only finish on a full tick (its last thread has
-  // to fetch a halt), so the hook sees every completion exactly when the
-  // per-cycle kernel did. Single-job static mixes skip the hook entirely —
-  // the hot path of the paper-grid runs stays untouched — and their one
-  // job's finish cycle is the makespan by definition.
+  // Allocation epochs (DESIGN.md §11) fire at the top of the loop, after
+  // the exit checks and before the tick, on every multiple of the epoch.
+  // Static runs never reach the compare.
+  const Cycle alloc_interval = dynamic ? cfg_.alloc.resolved_epoch() : 0;
+  Cycle next_alloc = alloc_interval ? alloc_interval : kNeverCycle;
+  // Single-job static mixes skip the per-tick job bookkeeping, so the hot
+  // path of the paper-grid runs stays untouched; their one job's finish
+  // cycle is the makespan by definition.
   const bool track_jobs = !single || dynamic;
-  std::function<void(Cycle)> after_tick;
-  if (track_jobs) {
-    after_tick = [&](Cycle now) {
-      if (dynamic) ctl.on_tick(now);
+
+  double running_accum = 0.0;
+  std::int64_t last_running_traced = -1;
+  bool timed_out = false;
+  // A tick that changes nothing cannot finish the machine (finishing takes
+  // a halt commit, which is an active tick), so the finish check runs only
+  // after active ticks. `true` initially: nothing has ticked yet.
+  bool check_finished = true;
+  while (true) {
+    if (check_finished && all_finished()) break;
+    if (now_ >= cfg_.max_cycles) {
+      timed_out = true;
+      break;
+    }
+    if (now_ >= next_alloc) {
+      ctl.on_epoch(now_);
+      while (next_alloc <= now_) next_alloc += alloc_interval;
+    }
+    const bool active = tick_chips(now_);
+    check_finished = active;
+    const unsigned running = running_now();
+    running_accum += running;
+    if (cfg_.trace && running != last_running_traced) {
+      cfg_.trace->counter({0, 0}, "running_threads", now_, running);
+      last_running_traced = running;
+    }
+    ++now_;
+    if (sampler.enabled()) {
+      sampler.note_running(running);
+      if (sampler.due(now_)) {
+        // Epoch samples read cluster slot stats: settle sleepers first so
+        // the sample matches the per-cycle kernel's bit for bit.
+        settle_chips(now_);
+        sampler.close(now_, snapshot_counters());
+      }
+    }
+    if (track_jobs) {
+      // Advance in-flight migrations and observe job completions. Both
+      // change only on a tick that commits, so the cycles jumped below
+      // cannot hold one.
+      if (dynamic) ctl.on_tick(now_);
       for (std::size_t j = 0; j < mix.jobs.size(); ++j) {
         if (out.job_finish[j] == 0 && groups[j]->all_done()) {
-          out.job_finish[j] = now;
+          out.job_finish[j] = now_;
         }
       }
-    };
+    }
+
+    // Every cluster on every chip sleeps and no wake is queued: nothing can
+    // happen before the earliest sleeper wake. Jump there — clamped to the
+    // watchdog, so a deadlocked machine times out at exactly max_cycles,
+    // and to the next allocation epoch — and let each sleeper replay the
+    // span itself when it settles. The running-thread count holds across
+    // the span. Under no_skip and tracing no cluster sleeps, so every
+    // cycle ticks.
+    if (active) continue;
+    Cycle stop = sleep_horizon();
+    if (stop <= now_) continue;
+    if (all_finished()) {  // drained: let the loop header exit
+      check_finished = true;
+      continue;
+    }
+    stop = std::min({stop, cfg_.max_cycles, next_alloc});
+    while (now_ < stop) {
+      // A sample must close on its boundary cycle.
+      const Cycle end =
+          sampler.enabled() ? std::min(stop, sampler.epoch_end()) : stop;
+      const Cycle n = end - now_;
+      // An integer-valued accumulator far below 2^53: one exact addition.
+      running_accum += static_cast<double>(n * running);
+      quiet_cycles_ += n;
+      now_ = end;
+      if (sampler.enabled()) {
+        sampler.note_running(running, n);
+        if (sampler.due(now_)) {
+          settle_chips(now_);
+          sampler.close(now_, snapshot_counters());
+        }
+      }
+    }
   }
-  const Scheduler::Result r = sched.run(after_tick);
+  // Clusters still asleep at exit (deadlock clamp, or sleeping through the
+  // final commit elsewhere) replay their remaining span before any stats
+  // read.
+  settle_chips(now_);
   alloc_ctl_ = nullptr;
 
-  if (cfg_.trace) trace_flush(r.cycles);
-  sampler.finish(r.cycles, snapshot_counters());
-  quiet_cycles_ = sched.quiet_cycles();
-  out.makespan = r.cycles;
-  if (!track_jobs) out.job_finish[0] = r.cycles;
-  out.combined = collect_stats(r.cycles, r.running_accum, r.timed_out);
+  if (cfg_.trace) trace_flush(now_);
+  sampler.finish(now_, snapshot_counters());
+  out.makespan = now_;
+  if (!track_jobs) out.job_finish[0] = now_;
+  out.combined = collect_stats(now_, running_accum, timed_out);
   out.combined.epochs = sampler.take();
   out.combined.alloc = ctl.stats();
   return out;
@@ -211,27 +282,14 @@ unsigned Machine::running_now() const {
   return running;
 }
 
-Cycle Machine::next_event(Cycle now) {
-  Cycle ev = dash_ ? dash_->next_event(now) : kNeverCycle;
-  for (auto& chip : chips_) {
-    const Cycle c = chip->next_event(now);
-    if (c < ev) ev = c;
-  }
-  return ev;
+Cycle Machine::sleep_horizon() const {
+  Cycle h = kNeverCycle;
+  for (const auto& chip : chips_) h = std::min(h, chip->sleep_horizon());
+  return h;
 }
 
 void Machine::settle_chips(Cycle upto) {
   for (auto& chip : chips_) chip->settle(upto);
-}
-
-void Machine::quiet_span_chips(Cycle from, Cycle n) {
-  if (cfg_.trace) {
-    for (Cycle c = from; c < from + n; ++c) {
-      for (auto& chip : chips_) chip->quiet_span(c, 1);
-    }
-    return;
-  }
-  for (auto& chip : chips_) chip->quiet_span(from, n);
 }
 
 RunStats Machine::collect_stats(Cycle now, double running_accum,

@@ -24,8 +24,6 @@ class Controller;
 
 namespace csmt::sim {
 
-class Scheduler;
-
 struct MachineConfig {
   core::ArchConfig arch;
   unsigned chips = 1;  ///< 1 = low-end, 4 = high-end (paper's two machines)
@@ -34,10 +32,9 @@ struct MachineConfig {
   /// Watchdog: abort the run (timed_out=true) after this many cycles.
   Cycle max_cycles = 500'000'000;
 
-  /// Force the per-cycle kernel: disable the scheduler's idle-cycle
-  /// skipping (DESIGN.md §8). RunStats, epochs, and traces are
-  /// bit-identical either way — this is the A/B verification escape hatch,
-  /// not a fidelity knob.
+  /// Force the per-cycle kernel: no cluster sleeps, so no cycle is skipped
+  /// (DESIGN.md §8). RunStats, epochs, and traces are bit-identical either
+  /// way — this is the A/B verification escape hatch, not a fidelity knob.
   bool no_skip = false;
 
   // --- observability (all off by default; RunStats counters are
@@ -153,14 +150,14 @@ class Machine {
   core::Chip& chip(unsigned i) { return *chips_[i]; }
   unsigned num_chips() const { return static_cast<unsigned>(chips_.size()); }
 
-  /// Simulated cycles the last run() advanced through the scheduler's
-  /// quiet path (0 with no_skip). Observability only — it feeds SimSpeed,
-  /// never RunStats.
+  /// Simulated cycles run() jumped while every cluster slept (0 with
+  /// no_skip or tracing). Observability only — it feeds SimSpeed, never
+  /// RunStats.
   Cycle quiet_cycles() const { return quiet_cycles_; }
 
-  /// Per-cluster cycles skipped while the machine was busy and replayed
-  /// lazily at wake time (DESIGN.md §14; 0 with no_skip or tracing).
-  /// Observability only — it feeds SimSpeed, never RunStats.
+  /// Per-cluster cycles skipped while asleep and replayed lazily at wake
+  /// time (DESIGN.md §14; 0 with no_skip or tracing). Observability only —
+  /// it feeds SimSpeed, never RunStats.
   std::uint64_t cluster_quiet_cycles() const {
     std::uint64_t n = 0;
     for (const auto& chip : chips_) n += chip->lazy_replayed();
@@ -168,25 +165,18 @@ class Machine {
   }
 
  private:
-  friend class Scheduler;
-
   RunStats collect_stats(Cycle cycles, double running_accum, bool timed_out);
 
-  // --- Scheduler-facing stepping interface ---
   bool all_finished() const;
   /// Ticks every chip; returns true when any chip changed observable state
-  /// this cycle (the scheduler's activity signal — no second poll needed).
+  /// this cycle.
   bool tick_chips(Cycle now);
-  /// Running-thread count after the last tick (constant across a span).
+  /// Running-thread count after the last tick (constant while every
+  /// cluster sleeps).
   unsigned running_now() const;
-  /// Machine-wide horizon: min over chips and the interconnect. `now` is
-  /// the cycle of the tick just executed.
-  Cycle next_event(Cycle now);
-  /// Replays the `n` cycles of a machine-wide quiescent span starting at
-  /// `from` on every awake cluster. Untraced, each cluster replays the
-  /// span at once; traced, cycle by cycle with every chip inside each
-  /// cycle, so the trace file's event order is the per-cycle kernel's.
-  void quiet_span_chips(Cycle from, Cycle n);
+  /// The cycle run() may jump to: the earliest sleeper wake when every
+  /// cluster on every chip sleeps and no wake is queued, else at most now_.
+  Cycle sleep_horizon() const;
   /// Replays sleeping clusters' skipped cycles < `upto` (DESIGN.md §14);
   /// required before any external read of cluster stats (epoch closes, end
   /// of run).
@@ -203,6 +193,9 @@ class Machine {
   std::unique_ptr<cache::LocalMemoryBackend> local_backend_;
   std::unique_ptr<noc::DashInterconnect> dash_;
   std::vector<std::unique_ptr<core::Chip>> chips_;
+  /// The machine clock: the next cycle to tick. Sync tracing timestamps
+  /// its events from it.
+  Cycle now_ = 0;
   Cycle quiet_cycles_ = 0;
   /// Live only while run() executes a dynamic-allocation mix; all_finished
   /// consults it so a run cannot end with a thread mid-migration.

@@ -1,6 +1,6 @@
 // Run-regime classification (DESIGN.md §12): tags a completed point
 // busy/idle/mixed from its quiet-cycle fraction — the share of simulated
-// cycles the quiescence scheduler advanced through the quiet path
+// cycles the machine's clock jumped while every cluster slept
 // (DESIGN.md §8). The fraction is a pure function of the spec (quiet and
 // total cycles are deterministic counters), so the tag is deterministic
 // too: it rides in results JSON, the summary table and the sweep progress

@@ -238,7 +238,7 @@ class BarrierKernel final : public Workload {
 // ---------------------------------------------------------------------------
 // Speed probes. `chase`: per-thread chains of dependent loads, each a cold
 // miss on its own page, with nothing else to issue once the window fills —
-// the long-latency regime the quiescence scheduler targets.
+// the long-latency regime cluster sleep targets.
 
 constexpr Addr kChaseBase = 1 << 20;
 constexpr std::uint64_t kChaseRegionBytes = 8ull << 20;  ///< per thread

@@ -217,16 +217,29 @@ TEST(Mshr, ExpireKeepsSurvivorsMergeable) {
   EXPECT_EQ(m.outstanding(0x1000), 30u);
   EXPECT_EQ(m.outstanding(0x3000), 20u);
   EXPECT_EQ(m.outstanding(0x2000), kNeverCycle);
-  EXPECT_EQ(m.next_ready(15), 20u);
+  // The survivors' minimum ready cycle is 20: one cycle earlier nothing
+  // retires, at 20 exactly that entry does.
+  m.expire(19);
+  EXPECT_EQ(m.in_flight(), 2u);
+  m.expire(20);
+  EXPECT_EQ(m.in_flight(), 1u);
+  EXPECT_EQ(m.outstanding(0x3000), kNeverCycle);
+  EXPECT_EQ(m.outstanding(0x1000), 30u);
   // The freed room is reused, and the file is full at exactly capacity.
   m.allocate(0x4000, 40);
+  m.allocate(0x5000, 50);
   EXPECT_TRUE(m.full());
   EXPECT_EQ(m.outstanding(0x4000), 40u);
   EXPECT_EQ(m.outstanding(0x1000), 30u);
   m.expire(30);
-  EXPECT_EQ(m.in_flight(), 1u);
+  EXPECT_EQ(m.in_flight(), 2u);
   EXPECT_EQ(m.outstanding(0x4000), 40u);
-  EXPECT_EQ(m.next_ready(30), 40u);
+  // The new minimum is 40, the earlier of the two survivors.
+  m.expire(39);
+  EXPECT_EQ(m.in_flight(), 2u);
+  m.expire(40);
+  EXPECT_EQ(m.in_flight(), 1u);
+  EXPECT_EQ(m.outstanding(0x5000), 50u);
 }
 
 TEST(MshrDeath, AllocateIntoFullFileAborts) {

@@ -199,5 +199,23 @@ TEST(MultiProgramDeath, ZeroThreadJobAborts) {
       "at least one thread");
 }
 
+TEST(MultiProgramDeath, SecondRunOnOneMachineAborts) {
+  // A run leaves its clock, clusters and caches behind, so a second mix
+  // would start mid-state.
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  ASSERT_DEATH(
+      {
+        MachineConfig mc;
+        mc.arch = core::arch_preset(core::ArchKind::kSmt2);
+        Machine machine(mc);
+        const isa::Program p = counted_loop(10);
+        mem::PagedMemory mem_a;
+        mem::PagedMemory mem_b;
+        machine.run(Mix{{{&p, &mem_a, 0, 8}}});
+        machine.run(Mix{{{&p, &mem_b, 0, 8}}});
+      },
+      "one mix");
+}
+
 }  // namespace
 }  // namespace csmt::sim

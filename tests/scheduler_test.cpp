@@ -1,6 +1,7 @@
-// Kernel-equivalence tests for the quiescence-aware scheduler (DESIGN.md
-// §8): the skip-ahead kernel must produce bit-identical results to the
-// per-cycle kernel — same RunStats, same epoch series, same trace counters,
+// Kernel-equivalence tests for quiescence (DESIGN.md §8, §14): the
+// skipping kernel — per-cluster sleep, and the machine's clock jump while
+// every cluster sleeps — must produce bit-identical results to the
+// per-cycle kernel: same RunStats, same epoch series, same trace counters,
 // same timeout clamp. Comparison goes through render_json so every counter
 // (including the FP slot histogram and avg_running_threads) is compared at
 // full serialized precision.
@@ -195,9 +196,9 @@ std::size_t first_diff_line(const std::string& a, const std::string& b) {
 
 TEST(KernelEquivalence, TracedPointsWriteIdenticalFiles) {
   // The scale-1 paper-grid points where a thread's run/sync/stall/halt
-  // state flips on a cycle the skip kernel replays through the quiet path.
-  // The whole trace file, event order included, must be the per-cycle
-  // kernel's.
+  // state flips on a cycle an untraced run skips. Tracing turns sleep off,
+  // so a traced run skips nothing: it takes the per-cycle kernel, and the
+  // whole trace file, event order included, is the --no-skip run's.
   using core::ArchKind;
   const struct {
     const char* workload;
@@ -224,7 +225,8 @@ TEST(KernelEquivalence, TracedPointsWriteIdenticalFiles) {
     spec.trace_path = slow_path;
     spec.no_skip = true;
     run_experiment(spec);
-    EXPECT_GT(fast.sim_speed.quiet_cycles, 0u);
+    EXPECT_EQ(fast.sim_speed.quiet_cycles, 0u);
+    EXPECT_EQ(fast.sim_speed.cluster_quiet_cycles, 0u);
 
     const std::string skip = read_file(skip_path);
     const std::string slow = read_file(slow_path);
@@ -284,8 +286,8 @@ TEST(KernelEquivalence, RunJobsTracesRunningThreadsLikeRun) {
 /// The component-granular quiescence target (DESIGN.md §14): one
 /// long-running thread, `busy_tid`, keeps the machine busy while the other
 /// seven — each alone on its own FA2 cluster across four chips — sit
-/// blocked at a barrier. Machine-level skip never fires on such a span
-/// (some cluster is always active); per-cluster sleep must, and every
+/// blocked at a barrier. The machine's clock never jumps on such a span
+/// (one cluster is always awake); per-cluster sleep must skip, and every
 /// artifact must stay bit-identical across skip and no-skip. The busy
 /// thread's final arrival releases the sleepers inside its chip's tick, so
 /// where it runs picks the wake order.
@@ -330,9 +332,9 @@ void check_asymmetric_mix(std::uint64_t busy_tid) {
   const RunStats noskip = run_once(true);
   EXPECT_EQ(stats_json(ref), stats_json(noskip));
 
-  // Trace leg: tracing disables lazy sleep (wake-time replay would emit
-  // events out of timestamp order), and the counter series must match the
-  // per-cycle kernel's exactly.
+  // Trace leg: tracing turns sleep off (wake-time replay would emit events
+  // out of timestamp order), so both traced runs take the per-cycle kernel
+  // and their counter series must match exactly.
   auto traced = [&](bool no_skip, const std::string& path) {
     obs::ChromeTraceWriter writer(path);
     ASSERT_TRUE(writer.ok());
@@ -368,8 +370,9 @@ TEST(KernelEquivalence, AsymmetricMixLastChipReleaseWakesNextCycle) {
 }
 
 TEST(Scheduler, QuietCyclesEngageOnSyncHeavyPoints) {
-  // The skip path must actually fire where it matters: a high-end sync-
-  // heavy point spends a measurable fraction of cycles quiescent.
+  // The clock jump must actually fire where it matters: a high-end sync-
+  // heavy point spends a measurable fraction of cycles with every cluster
+  // asleep.
   ExperimentSpec spec;
   spec.workload = "ocean";
   spec.arch = core::ArchKind::kSmt2;

@@ -138,8 +138,9 @@ inline bool all_validated(const std::vector<sim::ExperimentResult>& results) {
 /// here, so --jobs, --cache-dir, --trace and --no-skip mean the same thing
 /// in each.
 /// Tracing (--trace / CSMT_TRACE) stamps a per-point trace path on every
-/// point (see trace_path_for); traced points bypass the result cache so
-/// the trace file is actually produced.
+/// point (see trace_path_for). Traced and --no-skip points bypass the
+/// result cache, so the trace file is actually produced and the per-cycle
+/// kernel actually runs.
 inline std::vector<sim::ExperimentResult> run_points(
     const BenchOptions& opt, std::vector<sim::ExperimentSpec> points) {
   for (std::size_t i = 0; i < points.size(); ++i) {

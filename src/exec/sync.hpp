@@ -50,19 +50,6 @@ class SyncManager {
   std::uint64_t barrier_episodes() const { return barrier_episodes_; }
   std::uint64_t lock_contentions() const { return lock_contentions_; }
 
-  /// Threads currently blocked inside a barrier or lock. Part of the
-  /// quiescence contract: a sync-blocked thread has no self-horizon (its
-  /// release rides on another thread's full tick), so a cluster may sleep
-  /// while every live thread is either here or waiting on a known
-  /// wake/completion cycle. A machine with blocked waiters and no other
-  /// horizon is deadlocked and skips straight to the watchdog.
-  std::uint64_t blocked_waiters() const {
-    std::uint64_t n = 0;
-    for (const auto& [addr, b] : barriers_) n += b.waiters.size();
-    for (const auto& [addr, l] : locks_) n += l.waiters.size();
-    return n;
-  }
-
  private:
   struct BarrierState {
     std::uint64_t arrived = 0;

@@ -4,7 +4,7 @@
 // is nullptr when tracing is off and guards the call behind that single
 // branch — the disabled path costs one predictable compare per site, no
 // virtual dispatch, no allocation (verified by the null-sink fast-path test
-// and the micro_simspeed budget in DESIGN.md §7). When enabled, events
+// and the perf_gate budget in DESIGN.md §7). When enabled, events
 // stream to a sink; the stock sink writes Chrome trace-event JSON that
 // loads directly in ui.perfetto.dev or chrome://tracing.
 //

@@ -48,11 +48,12 @@ struct ExperimentSpec {
   /// Force the per-cycle kernel (no idle-cycle skipping, DESIGN.md §8).
   /// Excluded from identity like the other knobs here: the two kernels
   /// produce bit-identical RunStats, they just spend different host time.
+  /// Traced and no_skip points never touch the sweep's result cache.
   bool no_skip = false;
 
   /// Specs are value types; equality is what the sweep cache keys on.
-  /// trace_path and profile_phases are deliberately not compared: two runs
-  /// differing only in them produce identical RunStats.
+  /// trace_path, profile_phases and no_skip are deliberately not compared:
+  /// two runs differing only in them produce identical RunStats.
   bool operator==(const ExperimentSpec& o) const {
     return workload == o.workload && arch == o.arch && chips == o.chips &&
            scale == o.scale && fetch_policy == o.fetch_policy &&

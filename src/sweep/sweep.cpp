@@ -39,6 +39,16 @@ namespace fs = std::filesystem;
 /// workload name may be a multiprogrammed mix.
 constexpr const char* kCacheKeyVersion = "csmt-sweep-v7";
 
+/// Whether a point may be served from or written to the result cache.
+/// Neither a traced nor a --no-skip point may: each must run the kernel it
+/// asks for (a traced run's trace file is a side effect a hit would not
+/// produce, and --no-skip is the per-cycle reference), and neither lets a
+/// cluster sleep, so its sim_speed would misreport a skipping run served
+/// later from the same entry. Neither knob is part of the cache key.
+bool cacheable(const sim::ExperimentSpec& spec) {
+  return spec.trace_path.empty() && !spec.no_skip;
+}
+
 /// Progress rendering picks between two stderr styles: a `\r`-rewritten
 /// status line on a terminal, whole newline-terminated (and throttled)
 /// lines when stderr is piped to a file or a log collector.
@@ -228,16 +238,14 @@ std::vector<sim::ExperimentResult> SweepRunner::run(
 
   // Cache probes are serial (they are file reads, not simulations); only
   // the misses go to the pool. Each worker writes results[i], so ordering
-  // and bit-identity are independent of scheduling. Every finished point
-  // is published as it completes, so rerunning an interrupted sweep
-  // against the same cache dir simulates only the points it lacks.
+  // and bit-identity are independent of scheduling. Every finished
+  // cacheable point is published as it completes, so rerunning an
+  // interrupted sweep against the same cache dir simulates only the points
+  // it lacks.
   std::vector<std::size_t> misses;
   for (std::size_t i = 0; i < points.size(); ++i) {
-    // A traced point must actually simulate: the cached counters would be
-    // identical, but the side effect — the trace file — would not exist.
-    std::optional<sim::ExperimentResult> cached;
-    if (points[i].trace_path.empty())
-      cached = cache_probe(options_.cache_dir, points[i]);
+    std::optional<sim::ExperimentResult> cached =
+        cache_probe(options_.cache_dir, points[i]);
     if (cached) {
       results[i] = std::move(*cached);
       ++counters_.cache_hits;
@@ -269,7 +277,7 @@ std::vector<sim::ExperimentResult> SweepRunner::run(
 
 std::optional<sim::ExperimentResult> cache_probe(
     const std::string& cache_dir, const sim::ExperimentSpec& spec) {
-  if (cache_dir.empty()) return std::nullopt;
+  if (cache_dir.empty() || !cacheable(spec)) return std::nullopt;
   const fs::path path = fs::path(cache_dir) / cache_entry_name(spec);
   std::ifstream in(path, std::ios::binary);
   if (!in) return std::nullopt;
@@ -296,7 +304,8 @@ std::optional<sim::ExperimentResult> cache_probe(
 
 void cache_publish(const std::string& cache_dir,
                    const sim::ExperimentResult& result) {
-  if (cache_dir.empty() || !result.validated) return;
+  if (cache_dir.empty() || !cacheable(result.spec) || !result.validated)
+    return;
   const fs::path path = fs::path(cache_dir) / cache_entry_name(result.spec);
   // Write-then-rename so no reader ever observes a torn entry. The tmp name
   // carries the pid: in-process workers already serialize per point, but

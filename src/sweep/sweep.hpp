@@ -96,7 +96,8 @@ std::uint64_t entry_seal(const sim::ExperimentSpec& spec,
                          const json::Value& stats);
 
 /// Single-entry cache probe: the cached result for `spec` in `cache_dir`,
-/// or nullopt on a miss. Entries fail closed: a missing or unparsable
+/// or nullopt on a miss. A traced or --no-skip spec always misses: it must
+/// run the kernel it asks for. Entries fail closed: a missing or unparsable
 /// file, a spec mismatch, any field the decoder rejects, a seal that does
 /// not match `spec` and the decoded stats, and a `validated` other than
 /// true are all misses, which the runner recomputes and overwrites. Safe
@@ -108,7 +109,8 @@ std::optional<sim::ExperimentResult> cache_probe(
 /// Atomically publishes `result` into `cache_dir` (write-tmp-then-rename
 /// with a pid-unique tmp name, so any number of processes can race the same
 /// entry and readers still only ever see a complete file). No-op on an
-/// empty dir, an unwritable path, or a result that did not validate: only
+/// empty dir, an unwritable path, a traced or --no-skip spec (whose
+/// sim_speed skipped nothing), or a result that did not validate: only
 /// validated points are served from the cache.
 void cache_publish(const std::string& cache_dir,
                    const sim::ExperimentResult& result);

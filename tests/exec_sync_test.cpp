@@ -92,23 +92,6 @@ TEST_F(SyncManagerTest, LockBlocksAndHandsOffFifo) {
   EXPECT_TRUE(sync_.lock_acquire(64, threads_[3].get()));
 }
 
-TEST_F(SyncManagerTest, BlockedWaitersTracksBarriersAndLocks) {
-  // The scheduler's quiescence accounting reads this (DESIGN.md §8): it
-  // must count barrier arrivals and lock queue entries, not lock holders.
-  EXPECT_EQ(sync_.blocked_waiters(), 0u);
-  sync_.barrier_arrive(64, threads_[0].get(), 3);
-  EXPECT_EQ(sync_.blocked_waiters(), 1u);
-  sync_.lock_acquire(128, threads_[1].get());  // uncontended: not blocked
-  EXPECT_EQ(sync_.blocked_waiters(), 1u);
-  sync_.lock_acquire(128, threads_[2].get());  // queued behind t1
-  EXPECT_EQ(sync_.blocked_waiters(), 2u);
-  sync_.lock_release(128, threads_[1].get());  // hands off to t2
-  EXPECT_EQ(sync_.blocked_waiters(), 1u);
-  sync_.barrier_arrive(64, threads_[1].get(), 3);
-  sync_.barrier_arrive(64, threads_[3].get(), 3);  // releases the barrier
-  EXPECT_EQ(sync_.blocked_waiters(), 0u);
-}
-
 TEST_F(SyncManagerTest, ReleaseByNonHolderAborts) {
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
   ASSERT_TRUE(sync_.lock_acquire(64, threads_[0].get()));

@@ -7,6 +7,7 @@
 #include <filesystem>
 #include <fstream>
 #include <functional>
+#include <iterator>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -193,6 +194,54 @@ TEST(SweepRunner, CachedResultIsReturnedWithoutRerun) {
   EXPECT_EQ(b[0].stats.cycles, tampered);
 
   fs::remove_all(dir);
+}
+
+TEST(SweepRunner, NoSkipAndTracedPointsNeverTouchTheCache) {
+  // A --no-skip point must run the per-cycle kernel it asks for and a
+  // traced point must write its trace, so neither is served from the
+  // cache. Neither lets a cluster sleep either, so neither may publish an
+  // entry that a later skipping run would be served.
+  const fs::path dir = scratch_dir("sweep_bypass");
+  const fs::path trace = scratch_dir("sweep_bypass_trace");
+  fs::remove_all(dir);
+  SweepSpec grid = small_grid();
+  grid.workloads = {"swim"};
+  grid.archs = {core::ArchKind::kSmt2};
+  const sim::ExperimentSpec skip = grid.expand().at(0);
+  sim::ExperimentSpec no_skip = skip;
+  no_skip.no_skip = true;
+  sim::ExperimentSpec traced = skip;
+  traced.trace_path = trace.string();
+  auto entries = [&dir] {
+    return std::distance(fs::directory_iterator(dir),
+                         fs::directory_iterator());
+  };
+
+  for (const sim::ExperimentSpec& spec : {no_skip, traced}) {
+    SweepRunner runner(quiet(1, dir.string()));
+    const auto r = runner.run(std::vector<sim::ExperimentSpec>{spec});
+    EXPECT_EQ(runner.counters().executed, 1u);
+    EXPECT_TRUE(r.at(0).validated);
+    EXPECT_EQ(entries(), 0) << "a bypassing point wrote a cache entry";
+  }
+
+  SweepRunner first(quiet(1, dir.string()));
+  const auto clean = first.run(std::vector<sim::ExperimentSpec>{skip});
+  const fs::path entry = dir / cache_entry_name(skip);
+  ASSERT_TRUE(fs::exists(entry));
+  const std::string bytes = read_text(entry);
+  for (const sim::ExperimentSpec& spec : {no_skip, traced}) {
+    SweepRunner runner(quiet(1, dir.string()));
+    const auto r = runner.run(std::vector<sim::ExperimentSpec>{spec});
+    EXPECT_EQ(runner.counters().cache_hits, 0u);
+    EXPECT_EQ(runner.counters().executed, 1u);
+    EXPECT_EQ(r.at(0).sim_speed.quiet_cycles, 0u);
+    EXPECT_EQ(stats_digest(r.at(0)), stats_digest(clean.at(0)));
+    EXPECT_EQ(read_text(entry), bytes) << "a bypassing point rewrote the entry";
+  }
+
+  fs::remove_all(dir);
+  fs::remove(trace);
 }
 
 TEST(SweepRunner, CorruptCacheEntryFallsBackToSimulation) {

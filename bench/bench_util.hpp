@@ -161,7 +161,6 @@ inline std::vector<sim::ExperimentResult> run_figure_grid(
   spec.archs = archs;
   spec.chips = {chips};
   spec.scales = {opt.scale};
-  spec.metrics_interval = opt.metrics_interval;
   spec.alloc_policy = opt.alloc_policy;
   spec.alloc_epoch = opt.alloc_epoch;
   return run_points(opt, spec.expand());

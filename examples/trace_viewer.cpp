@@ -1,6 +1,5 @@
 // Trace viewer companion: run one experiment with full observability on —
-// Chrome trace events, interval metrics, and phase profiling — then print
-// where to look.
+// Chrome trace events and phase profiling — then print where to look.
 //
 //   ./trace_viewer [workload] [arch] [chips] [trace.json]
 //
@@ -32,7 +31,6 @@ int main(int argc, char** argv) {
   spec.chips = argc > 3 ? static_cast<unsigned>(std::atoi(argv[3])) : 1;
   spec.scale = 2;
   spec.trace_path = argc > 4 ? argv[4] : "csmt_trace.json";
-  spec.metrics_interval = 2000;
   spec.profile_phases = true;
 
   std::printf("Tracing %s on %s (%u chip%s) -> %s ...\n",
@@ -41,8 +39,7 @@ int main(int argc, char** argv) {
   const sim::ExperimentResult r = sim::run_experiment(spec);
 
   std::printf("\n%s\n", sim::render_summary_table({r}).c_str());
-  std::printf("%s", sim::render_epoch_sparklines({r}).c_str());
-  std::printf("\nSim speed: %s\n", r.sim_speed.summary().c_str());
+  std::printf("Sim speed: %s\n", r.sim_speed.summary().c_str());
   if (r.sim_speed.phases_measured) {
     std::printf("Phase breakdown (self time):\n");
     for (std::size_t p = 0; p < obs::kNumPhases; ++p) {

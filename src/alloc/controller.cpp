@@ -15,7 +15,7 @@ Controller::Controller(const MachineShape& shape, const AllocConfig& cfg,
                        std::vector<const cache::MemSys*> memsys,
                        std::vector<exec::ThreadContext*> threads,
                        std::vector<unsigned> job_threads,
-                       obs::TraceSink* trace)
+                       obs::ChromeTraceWriter* trace)
     : shape_(shape),
       cfg_(cfg),
       policy_(make_policy(cfg)),

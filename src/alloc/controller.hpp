@@ -31,7 +31,7 @@ namespace csmt::exec {
 class ThreadContext;
 }
 namespace csmt::obs {
-class TraceSink;
+class ChromeTraceWriter;
 }
 
 namespace csmt::alloc {
@@ -45,7 +45,7 @@ class Controller {
              std::vector<core::Cluster*> clusters,
              std::vector<const cache::MemSys*> memsys,
              std::vector<exec::ThreadContext*> threads,
-             std::vector<unsigned> job_threads, obs::TraceSink* trace);
+             std::vector<unsigned> job_threads, obs::ChromeTraceWriter* trace);
 
   /// Computes the policy's initial placement and attaches every thread, in
   /// cluster order then placement order — the same fill order the machine
@@ -97,7 +97,7 @@ class Controller {
   std::vector<const cache::MemSys*> memsys_;
   std::vector<exec::ThreadContext*> threads_;
   std::vector<unsigned> job_threads_;
-  obs::TraceSink* trace_ = nullptr;
+  obs::ChromeTraceWriter* trace_ = nullptr;
 
   std::vector<Location> loc_;  ///< per mix thread; kNoCluster = unbound
   std::vector<PendingMove> pending_;

@@ -63,8 +63,6 @@ CacheArray::Eviction CacheArray::insert(Addr addr, LineState state,
     ev.dirty = victim->dirty;
     ev.state = victim->state;
     ev.line_addr = rebuild_addr(victim->tag, set);
-    ++stats_.evictions;
-    if (victim->dirty) ++stats_.dirty_evictions;
   }
   victim->tag = tag;
   victim->state = state;
@@ -79,7 +77,6 @@ bool CacheArray::invalidate(Addr addr, bool* was_dirty) {
   if (was_dirty) *was_dirty = line->dirty;
   line->state = LineState::kInvalid;
   line->dirty = false;
-  ++stats_.invalidations;
   return true;
 }
 

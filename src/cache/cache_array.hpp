@@ -33,9 +33,6 @@ struct CacheLine {
 struct CacheArrayStats {
   std::uint64_t hits = 0;
   std::uint64_t misses = 0;
-  std::uint64_t evictions = 0;
-  std::uint64_t dirty_evictions = 0;
-  std::uint64_t invalidations = 0;
 
   double miss_rate() const {
     const auto total = hits + misses;

@@ -50,9 +50,6 @@ CacheArrayStats MemSys::l1_stats() const {
     const CacheArrayStats& s = l1.stats();
     out.hits += s.hits;
     out.misses += s.misses;
-    out.evictions += s.evictions;
-    out.dirty_evictions += s.dirty_evictions;
-    out.invalidations += s.invalidations;
   }
   return out;
 }
@@ -102,7 +99,6 @@ AccessResult MemSys::access(Addr addr, Cycle arrival, bool is_store,
   };
   auto reject_mshr = [&] {
     ++stats_.mshr_rejections;
-    mshr_.note_full_rejection();
     if (trace_) trace_->instant(track_, "mshr_reject", arrival);
     return AccessResult{false, 0, ServiceLevel::kL1, RejectReason::kMshrFull};
   };
@@ -121,7 +117,6 @@ AccessResult MemSys::access(Addr addr, Cycle arrival, bool is_store,
     // Secondary miss to a line already in flight: piggyback on that fetch.
     const Cycle outstanding = mshr_.outstanding(line);
     if (outstanding != kNeverCycle) {
-      mshr_.note_merge();
       Cycle done = std::max(outstanding, t + 1);
       if (is_store && !is_atomic) done = t + 1;  // drains via the write buffer
       return accept(done, ServiceLevel::kMergedMshr);
@@ -252,7 +247,6 @@ bool MemSys::coherence_invalidate(Addr line_addr, bool* was_dirty) {
   present |= l2_.invalidate(line_addr, &d2);
   dirty |= d2;
   if (was_dirty) *was_dirty = dirty;
-  if (present) ++stats_.coherence_invalidations;
   return present;
 }
 
@@ -268,7 +262,6 @@ bool MemSys::coherence_downgrade(Addr line_addr, bool* was_dirty) {
   present |= l2_.downgrade(line_addr, &d2);
   dirty |= d2;
   if (was_dirty) *was_dirty = dirty;
-  if (present) ++stats_.coherence_downgrades;
   return present;
 }
 

@@ -50,8 +50,6 @@ struct MemSysStats {
   std::uint64_t bank_rejections = 0;
   std::uint64_t mshr_rejections = 0;
   std::uint64_t upgrades = 0;
-  std::uint64_t coherence_invalidations = 0;
-  std::uint64_t coherence_downgrades = 0;
   /// Write-invalidate traffic between private L1s (0 with a shared L1).
   std::uint64_t l1_cross_invalidations = 0;
 };
@@ -101,7 +99,7 @@ class MemSys {
 
   /// Attaches observability hooks (nullptr = off). Miss/rejection events
   /// land on the chip's memsys track; host time is charged to Phase::kMemory.
-  void set_obs(obs::TraceSink* trace, obs::PhaseProfiler* prof) {
+  void set_obs(obs::ChromeTraceWriter* trace, obs::PhaseProfiler* prof) {
     trace_ = trace;
     prof_ = prof;
     track_ = {obs::kChipPidBase + chip_, obs::kMemsysTid};
@@ -114,7 +112,6 @@ class MemSys {
   const CacheArrayStats& l2_stats() const { return l2_.stats(); }
   unsigned l1_count() const { return static_cast<unsigned>(l1s_.size()); }
   const TlbStats& tlb_stats() const { return tlb_.stats(); }
-  const MshrStats& mshr_stats() const { return mshr_.stats(); }
   const MemSysParams& params() const { return params_; }
   ChipId chip() const { return chip_; }
 
@@ -138,7 +135,7 @@ class MemSys {
   /// an access is rejected when the bank is busy past arrival + window.
   Cycle l1_reject_window_ = 0;
   MemSysStats stats_;
-  obs::TraceSink* trace_ = nullptr;
+  obs::ChromeTraceWriter* trace_ = nullptr;
   obs::PhaseProfiler* prof_ = nullptr;
   obs::Track track_;
 };

@@ -11,19 +11,12 @@
 // an answer.
 #pragma once
 
-#include <cstdint>
 #include <vector>
 
 #include "common/assert.hpp"
 #include "common/types.hpp"
 
 namespace csmt::cache {
-
-struct MshrStats {
-  std::uint64_t allocations = 0;
-  std::uint64_t merges = 0;
-  std::uint64_t full_rejections = 0;
-};
 
 class MshrFile {
  public:
@@ -54,9 +47,6 @@ class MshrFile {
     return kNeverCycle;
   }
 
-  /// Records a merge with an existing entry (statistics only).
-  void note_merge() { ++stats_.merges; }
-
   bool full() const { return count_ >= entries_; }
 
   /// Allocates an entry. The caller must have checked !full(); allocating
@@ -65,14 +55,9 @@ class MshrFile {
     CSMT_ASSERT_MSG(count_ < entries_, "MSHR allocation into a full file");
     slots_[count_++] = {line_addr, ready};
     if (ready < min_ready_) min_ready_ = ready;
-    ++stats_.allocations;
   }
 
-  void note_full_rejection() { ++stats_.full_rejections; }
-
   unsigned in_flight() const { return count_; }
-
-  const MshrStats& stats() const { return stats_; }
 
  private:
   struct Entry {
@@ -83,7 +68,6 @@ class MshrFile {
   std::vector<Entry> slots_;     ///< live entries in [0, count_)
   unsigned count_ = 0;           ///< live entries
   Cycle min_ready_ = kNeverCycle;  ///< exact min ready over live entries
-  MshrStats stats_;
 };
 
 }  // namespace csmt::cache

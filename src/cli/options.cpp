@@ -16,8 +16,6 @@ Options Options::from_env(unsigned default_scale) {
   opt.json_path = env_string("CSMT_JSON");
   opt.trace_path = env_string("CSMT_TRACE");
   opt.no_skip = env_flag("CSMT_NO_SKIP");
-  opt.metrics_interval =
-      env_u64("CSMT_METRICS_INTERVAL", 0, 0, "a cycle count, 0 = off");
   if (const char* s = std::getenv("CSMT_ALLOC_POLICY")) {
     if (const auto kind = alloc::policy_from_name(s)) {
       opt.alloc_policy = *kind;
@@ -48,10 +46,6 @@ Options parse_options(int argc, char** argv, unsigned default_scale) {
       opt.json_path = v;
     } else if (const char* v = flag_value(argc, argv, i, "--trace")) {
       opt.trace_path = v;
-    } else if (const char* v =
-                   flag_value(argc, argv, i, "--metrics-interval")) {
-      opt.metrics_interval =
-          flag_u64(v, "--metrics-interval", 0, "a cycle count");
     } else if (const char* v = flag_value(argc, argv, i, "--alloc-policy")) {
       const auto kind = alloc::policy_from_name(v);
       if (!kind) {
@@ -71,11 +65,11 @@ Options parse_options(int argc, char** argv, unsigned default_scale) {
       std::fprintf(
           stderr,
           "usage: %s [--scale N] [--jobs N] [--cache-dir PATH] "
-          "[--json PATH] [--trace PATH] [--metrics-interval N] "
-          "[--no-skip] [--alloc-policy NAME] [--alloc-epoch N]\n"
+          "[--json PATH] [--trace PATH] [--no-skip] "
+          "[--alloc-policy NAME] [--alloc-epoch N]\n"
           "  (env: CSMT_SCALE, CSMT_JOBS, CSMT_CACHE_DIR, CSMT_JSON, "
-          "CSMT_TRACE, CSMT_METRICS_INTERVAL, CSMT_NO_SKIP, "
-          "CSMT_ALLOC_POLICY, CSMT_ALLOC_EPOCH)\n"
+          "CSMT_TRACE, CSMT_NO_SKIP, CSMT_ALLOC_POLICY, "
+          "CSMT_ALLOC_EPOCH)\n"
           "  allocation policies: static, greedy-util, symbiosis, "
           "ipc-migrate\n",
           argv[0]);

@@ -21,10 +21,9 @@ struct Options {
   sweep::SweepOptions sweep;    ///< workers, cache dir
   std::string json_path;        ///< JSON artifact path; empty = none
   std::string trace_path;       ///< Chrome-trace path; empty = none
-  Cycle metrics_interval = 0;   ///< epoch length in cycles; 0 = no epochs
   /// Force the per-cycle kernel (A/B verification, DESIGN.md §8). Results
-  /// are bit-identical either way, so cached results are reused as-is;
-  /// use a fresh --cache-dir when the point of the run is timing.
+  /// are bit-identical either way; --no-skip points neither read nor write
+  /// the result cache, so the per-cycle kernel always runs.
   bool no_skip = false;
 
   // --- thread-to-cluster allocation (csmt::alloc, DESIGN.md §11) ---
@@ -34,18 +33,16 @@ struct Options {
   Cycle alloc_epoch = 0;
 
   /// Environment defaults only: CSMT_SCALE, CSMT_JOBS, CSMT_CACHE_DIR,
-  /// CSMT_JSON, CSMT_TRACE, CSMT_METRICS_INTERVAL, CSMT_NO_SKIP,
-  /// CSMT_ALLOC_POLICY, CSMT_ALLOC_EPOCH. Malformed values warn and keep
-  /// the default.
+  /// CSMT_JSON, CSMT_TRACE, CSMT_NO_SKIP, CSMT_ALLOC_POLICY,
+  /// CSMT_ALLOC_EPOCH. Malformed values warn and keep the default.
   static Options from_env(unsigned default_scale = 4);
 };
 
 /// from_env() overridden by flags: --scale N, --jobs N, --cache-dir PATH,
-/// --json PATH, --trace PATH, --metrics-interval N, --no-skip,
-/// --alloc-policy NAME, --alloc-epoch N (both "--flag value" and
-/// "--flag=value"). Unknown arguments and malformed flag values abort with
-/// a usage message (exit 2) so typos don't silently run the wrong
-/// experiment.
+/// --json PATH, --trace PATH, --no-skip, --alloc-policy NAME,
+/// --alloc-epoch N (both "--flag value" and "--flag=value"). Unknown
+/// arguments and malformed flag values abort with a usage message (exit 2)
+/// so typos don't silently run the wrong experiment.
 Options parse_options(int argc, char** argv, unsigned default_scale = 4);
 
 }  // namespace csmt::cli

@@ -4,14 +4,6 @@
 
 namespace csmt {
 
-double Histogram::mean() const {
-  if (total_ == 0) return 0.0;
-  double acc = 0.0;
-  for (std::size_t i = 0; i < counts_.size(); ++i)
-    acc += static_cast<double>(i) * static_cast<double>(counts_[i]);
-  return acc / static_cast<double>(total_);
-}
-
 std::string format_count(std::uint64_t v) {
   // Group digits with commas: 1234567 -> "1,234,567".
   std::string raw = std::to_string(v);

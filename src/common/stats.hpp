@@ -1,78 +1,10 @@
-// Lightweight statistics primitives: named counters, running means, and
-// histograms, with stable formatting for reports.
+// Stable number formatting for reports and bench tables.
 #pragma once
 
 #include <cstdint>
 #include <string>
-#include <vector>
 
 namespace csmt {
-
-/// Running mean / min / max over a stream of samples.
-class RunningStat {
- public:
-  void add(double x) {
-    ++n_;
-    sum_ += x;
-    if (x < min_ || n_ == 1) min_ = x;
-    if (x > max_ || n_ == 1) max_ = x;
-  }
-
-  std::uint64_t count() const { return n_; }
-  double sum() const { return sum_; }
-  double mean() const { return n_ ? sum_ / static_cast<double>(n_) : 0.0; }
-  double min() const { return n_ ? min_ : 0.0; }
-  double max() const { return n_ ? max_ : 0.0; }
-
-  void merge(const RunningStat& o) {
-    if (o.n_ == 0) return;
-    if (n_ == 0) {
-      *this = o;
-      return;
-    }
-    n_ += o.n_;
-    sum_ += o.sum_;
-    if (o.min_ < min_) min_ = o.min_;
-    if (o.max_ > max_) max_ = o.max_;
-  }
-
- private:
-  std::uint64_t n_ = 0;
-  double sum_ = 0.0;
-  double min_ = 0.0;
-  double max_ = 0.0;
-};
-
-/// Fixed-bucket histogram over [0, buckets); out-of-range samples clamp to
-/// the last bucket. A zero-bucket histogram is clamped to one bucket, so
-/// add()'s clamp arithmetic (`counts_.size() - 1`) never underflows.
-class Histogram {
- public:
-  explicit Histogram(std::size_t buckets) : counts_(buckets ? buckets : 1, 0) {}
-
-  void add(std::size_t bucket, std::uint64_t weight = 1) {
-    if (bucket >= counts_.size()) bucket = counts_.size() - 1;
-    counts_[bucket] += weight;
-    total_ += weight;
-  }
-
-  std::uint64_t at(std::size_t bucket) const { return counts_[bucket]; }
-  std::size_t buckets() const { return counts_.size(); }
-  std::uint64_t total() const { return total_; }
-
-  /// Fraction of mass in the given bucket (0 when empty).
-  double fraction(std::size_t bucket) const {
-    return total_ ? static_cast<double>(counts_[bucket]) /
-                        static_cast<double>(total_)
-                  : 0.0;
-  }
-
-  double mean() const;
-
- private:
-  std::vector<std::uint64_t> counts_;
-  std::uint64_t total_ = 0;
-};
 
 /// Format helpers used by the report / bench output paths.
 std::string format_count(std::uint64_t v);

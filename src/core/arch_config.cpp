@@ -44,14 +44,6 @@ ArchConfig arch_preset(ArchKind kind) {
   return {};
 }
 
-std::vector<ArchKind> fa_kinds() {
-  return {ArchKind::kFa8, ArchKind::kFa4, ArchKind::kFa2, ArchKind::kFa1};
-}
-
-std::vector<ArchKind> smt_kinds() {
-  return {ArchKind::kSmt8, ArchKind::kSmt4, ArchKind::kSmt2, ArchKind::kSmt1};
-}
-
 const char* arch_name(ArchKind kind) {
   switch (kind) {
     case ArchKind::kFa8: return "FA8";

@@ -7,7 +7,6 @@
 #include <optional>
 #include <string>
 #include <string_view>
-#include <vector>
 
 #include "common/types.hpp"
 
@@ -58,12 +57,6 @@ enum class ArchKind {
 
 /// Builds the Table 2 preset for `kind`.
 ArchConfig arch_preset(ArchKind kind);
-
-/// All distinct FA presets, widest thread count first (FA8, FA4, FA2, FA1).
-std::vector<ArchKind> fa_kinds();
-
-/// SMT presets in Figure 7/8 order (SMT8, SMT4, SMT2, SMT1).
-std::vector<ArchKind> smt_kinds();
 
 const char* arch_name(ArchKind kind);
 

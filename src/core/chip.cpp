@@ -6,7 +6,7 @@ namespace csmt::core {
 
 Chip::Chip(ChipId id, const ArchConfig& cfg,
            const cache::MemSysParams& mem_params,
-           cache::MemoryBackend& backend, obs::TraceSink* trace,
+           cache::MemoryBackend& backend, obs::ChromeTraceWriter* trace,
            obs::PhaseProfiler* prof)
     : id_(id),
       cfg_(cfg),
@@ -190,7 +190,6 @@ ChipStats Chip::stats() const {
     s.committed_useful += c.committed_useful;
     s.committed_sync += c.committed_sync;
     s.fetched += c.fetched;
-    s.mem_rejections += c.mem_rejections;
     const branch::PredictorStats& p = cl->predictor_stats();
     s.predictor.cond_lookups += p.cond_lookups;
     s.predictor.cond_mispredicts += p.cond_mispredicts;

@@ -17,7 +17,6 @@ struct ChipStats {
   std::uint64_t committed_useful = 0;
   std::uint64_t committed_sync = 0;
   std::uint64_t fetched = 0;
-  std::uint64_t mem_rejections = 0;
   branch::PredictorStats predictor;
 };
 
@@ -26,7 +25,7 @@ class Chip {
   /// `trace`/`prof` attach observability hooks (nullptr = off); they are
   /// forwarded to the chip's MemSys and Clusters.
   Chip(ChipId id, const ArchConfig& cfg, const cache::MemSysParams& mem_params,
-       cache::MemoryBackend& backend, obs::TraceSink* trace = nullptr,
+       cache::MemoryBackend& backend, obs::ChromeTraceWriter* trace = nullptr,
        obs::PhaseProfiler* prof = nullptr);
 
   /// Binds a thread to the next cluster with a free hardware context.
@@ -58,8 +57,7 @@ class Chip {
   void set_lazy(bool lazy) { lazy_ = lazy; }
 
   /// Replays all sleeping clusters' skipped cycles < `upto` (they stay
-  /// asleep). Called before any external stats read: epoch-sampler
-  /// closes and the end of the run.
+  /// asleep). Called before the end-of-run stats read.
   void settle(Cycle upto);
 
   /// Wake request from a cluster's unblock hook. Mid-tick wakes of a

@@ -26,7 +26,7 @@ const char* thread_state_name(std::uint8_t s) {
 }  // namespace
 
 Cluster::Cluster(ClusterId id, const ClusterConfig& cfg, FetchPolicy policy,
-                 cache::MemSys& memsys, obs::TraceSink* trace,
+                 cache::MemSys& memsys, obs::ChromeTraceWriter* trace,
                  obs::PhaseProfiler* prof, std::uint32_t trace_pid)
     : id_(id),
       cfg_(cfg),
@@ -221,7 +221,6 @@ void Cluster::tick(Cycle now) {
     fetch(now);
   }
   account(now);
-  ++stats_.cycles;
   // Any commit, issue, fetch, memory-system access (accepted or rejected),
   // or sync-wake assignment means next cycle's tick may differ from this
   // one: the cluster is active and must be stepped for real.
@@ -360,8 +359,6 @@ void Cluster::quiet_tick() {
   }
   const double* d = quiet_delta_[stalled ? 1 : 0];
   for (std::size_t i = 0; i < kNumSlots; ++i) stats_.slots.slots[i] += d[i];
-  if (stalled) ++stats_.dispatch_stall_cycles;
-  ++stats_.cycles;
 }
 
 void Cluster::quiet_span(Cycle n) {
@@ -379,13 +376,10 @@ void Cluster::quiet_span(Cycle n) {
     commit_rr_ += static_cast<unsigned>(n);
     commit_start_ = commit_rr_ % static_cast<unsigned>(threads_.size());
   }
-  const bool stalled = quiet_fallback_stall_;
-  const double* d = quiet_delta_[stalled ? 1 : 0];
+  const double* d = quiet_delta_[quiet_fallback_stall_ ? 1 : 0];
   for (std::size_t i = 0; i < kNumSlots; ++i) {
     stats_.slots.slots[i] = repeat_add(stats_.slots.slots[i], d[i], n);
   }
-  if (stalled) stats_.dispatch_stall_cycles += n;
-  stats_.cycles += n;
 }
 
 bool Cluster::try_sleep(Cycle now) {
@@ -921,10 +915,7 @@ void Cluster::account(Cycle now) {
     }
     if (!t.in_sync) ++last_running_;
   }
-  if (dispatch_stalled_) {
-    ++cycle_hist_[static_cast<std::size_t>(Slot::kOther)];
-    ++stats_.dispatch_stall_cycles;
-  }
+  if (dispatch_stalled_) ++cycle_hist_[static_cast<std::size_t>(Slot::kOther)];
 
   SlotStats& s = stats_.slots;
   s[Slot::kUseful] += issued_useful_;

@@ -111,13 +111,13 @@ class UopFifo {
 
 struct ClusterStats {
   SlotStats slots;
-  std::uint64_t cycles = 0;
   std::uint64_t fetched = 0;
   std::uint64_t issued = 0;
   std::uint64_t committed_useful = 0;
   std::uint64_t committed_sync = 0;
+  /// Memory accesses the memory system turned away; tick()'s activity
+  /// check reads it (a rejected access keeps the cluster awake).
   std::uint64_t mem_rejections = 0;
-  std::uint64_t dispatch_stall_cycles = 0;
 };
 
 class Cluster {
@@ -125,7 +125,7 @@ class Cluster {
   /// `trace`/`prof` attach observability hooks (nullptr = off);
   /// `trace_pid` is the owning chip's trace process id.
   Cluster(ClusterId id, const ClusterConfig& cfg, FetchPolicy policy,
-          cache::MemSys& memsys, obs::TraceSink* trace = nullptr,
+          cache::MemSys& memsys, obs::ChromeTraceWriter* trace = nullptr,
           obs::PhaseProfiler* prof = nullptr, std::uint32_t trace_pid = 0);
 
   /// Binds a software thread to the next free hardware context. At most
@@ -258,7 +258,7 @@ class Cluster {
     bool in_sync = false;               ///< last fetched inst was sync-tagged
     UopFifo rob;                        ///< program order (indices into slots_)
 
-    // Tracing-only state (untouched when the sink is null).
+    // Tracing-only state (untouched when the writer is null).
     obs::Track obs_track;               ///< this thread's trace track
     std::uint8_t obs_state = 0;         ///< ThreadState of the open slice
     Cycle obs_since = 0;                ///< where the open slice began
@@ -291,7 +291,7 @@ class Cluster {
   /// check rotates with the fetch pointer.
   void quiet_tick();
 
-  /// Per-cycle trace emission (only called when a sink is attached):
+  /// Per-cycle trace emission (only called when a writer is attached):
   /// fetch/issue/commit instants on the cluster pipeline track plus
   /// run/sync/stall/halt state slices on each thread's track.
   void trace_cycle(Cycle now, std::uint64_t committed_before,
@@ -395,7 +395,7 @@ class Cluster {
   FetchPolicy policy_;
   cache::MemSys& memsys_;
   branch::BranchPredictor predictor_;
-  obs::TraceSink* trace_ = nullptr;
+  obs::ChromeTraceWriter* trace_ = nullptr;
   obs::PhaseProfiler* prof_ = nullptr;
   obs::Track track_;  ///< this cluster's pipeline track
 

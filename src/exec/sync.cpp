@@ -26,7 +26,6 @@ bool SyncManager::barrier_arrive(Addr addr, ThreadContext* t,
     for (ThreadContext* w : bs.waiters) w->set_sync_blocked(false);
     bs.waiters.clear();
     bs.arrived = 0;
-    ++barrier_episodes_;
     return true;
   }
   bs.waiters.push_back(t);
@@ -44,7 +43,6 @@ bool SyncManager::lock_acquire(Addr addr, ThreadContext* t) {
   if (trace_) trace_sync("lock_wait", t, addr);
   ls.waiters.push_back(t);
   t->set_sync_blocked(true);
-  ++lock_contentions_;
   return false;
 }
 

@@ -25,10 +25,10 @@ class ThreadContext;
 
 class SyncManager {
  public:
-  /// Attaches a trace sink plus the machine clock to timestamp sync events
-  /// with (the manager is functional and has no clock of its own; `clock`
-  /// must outlive the attached sink's use).
-  void set_trace(obs::TraceSink* trace, const Cycle* clock) {
+  /// Attaches a trace writer plus the machine clock to timestamp sync
+  /// events with (the manager is functional and has no clock of its own;
+  /// `clock` must outlive the attached writer's use).
+  void set_trace(obs::ChromeTraceWriter* trace, const Cycle* clock) {
     trace_ = trace;
     clock_ = clock;
   }
@@ -47,9 +47,6 @@ class SyncManager {
   /// granted ownership and unblocked.
   void lock_release(Addr addr, ThreadContext* t);
 
-  std::uint64_t barrier_episodes() const { return barrier_episodes_; }
-  std::uint64_t lock_contentions() const { return lock_contentions_; }
-
  private:
   struct BarrierState {
     std::uint64_t arrived = 0;
@@ -65,9 +62,7 @@ class SyncManager {
 
   std::unordered_map<Addr, BarrierState> barriers_;
   std::unordered_map<Addr, LockState> locks_;
-  std::uint64_t barrier_episodes_ = 0;
-  std::uint64_t lock_contentions_ = 0;
-  obs::TraceSink* trace_ = nullptr;
+  obs::ChromeTraceWriter* trace_ = nullptr;
   const Cycle* clock_ = nullptr;
 };
 

@@ -18,10 +18,4 @@ bool ThreadGroup::all_done() const {
   return true;
 }
 
-std::uint64_t ThreadGroup::total_instret() const {
-  std::uint64_t n = 0;
-  for (const auto& t : threads_) n += t->instret();
-  return n;
-}
-
 }  // namespace csmt::exec

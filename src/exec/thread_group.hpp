@@ -27,9 +27,6 @@ class ThreadGroup {
 
   bool all_done() const;
 
-  /// Total dynamically executed instructions across all threads.
-  std::uint64_t total_instret() const;
-
   SyncManager& sync() { return sync_; }
 
  private:

@@ -20,7 +20,7 @@ DashInterconnect::DashInterconnect(const NocParams& noc_params,
                   "full-bit-map directory supports at most 32 chips");
 }
 
-void DashInterconnect::set_obs(obs::TraceSink* trace,
+void DashInterconnect::set_obs(obs::ChromeTraceWriter* trace,
                                obs::PhaseProfiler* prof) {
   trace_ = trace;
   prof_ = prof;

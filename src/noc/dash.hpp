@@ -54,12 +54,11 @@ class DashInterconnect final : public cache::MemoryBackend {
   void writeback_line(ChipId chip, Addr line_addr, Cycle t) override;
 
   const DashStats& stats() const { return stats_; }
-  const NetworkStats& network_stats() const { return net_.stats(); }
   const Directory& directory() const { return dir_; }
 
   /// Attaches observability hooks (nullptr = off). Directory transactions
   /// land on per-home-node tracks; host time is charged to Phase::kNoc.
-  void set_obs(obs::TraceSink* trace, obs::PhaseProfiler* prof);
+  void set_obs(obs::ChromeTraceWriter* trace, obs::PhaseProfiler* prof);
 
  private:
   MemoryBackend::FetchResult fetch_line_impl(ChipId chip, Addr line_addr,
@@ -82,7 +81,7 @@ class DashInterconnect final : public cache::MemoryBackend {
   std::vector<Cycle> dir_busy_;
   std::vector<Cycle> mem_busy_;
   DashStats stats_;
-  obs::TraceSink* trace_ = nullptr;
+  obs::ChromeTraceWriter* trace_ = nullptr;
   obs::PhaseProfiler* prof_ = nullptr;
 };
 

@@ -35,18 +35,7 @@ class Directory {
     return it == entries_.end() ? DirEntry{} : it->second;
   }
 
-  std::size_t tracked_lines() const { return entries_.size(); }
-
   static std::uint32_t bit(std::uint32_t chip) { return 1u << chip; }
-
-  static unsigned popcount(std::uint32_t sharers) {
-    unsigned n = 0;
-    while (sharers) {
-      sharers &= sharers - 1;
-      ++n;
-    }
-    return n;
-  }
 
  private:
   std::unordered_map<Addr, DirEntry> entries_;

@@ -8,7 +8,6 @@
 #pragma once
 
 #include <algorithm>
-#include <cstdint>
 #include <vector>
 
 #include "common/assert.hpp"
@@ -16,11 +15,6 @@
 #include "noc/params.hpp"
 
 namespace csmt::noc {
-
-struct NetworkStats {
-  std::uint64_t messages = 0;
-  std::uint64_t queued_cycles = 0;  ///< total delay attributable to contention
-};
 
 class Network {
  public:
@@ -37,18 +31,13 @@ class Network {
     const Cycle start = std::max({t, out_busy_[src], in_busy_[dst]});
     out_busy_[src] = start + occupancy_;
     in_busy_[dst] = start + occupancy_;
-    ++stats_.messages;
-    stats_.queued_cycles += start - t;
     return start - t;
   }
-
-  const NetworkStats& stats() const { return stats_; }
 
  private:
   unsigned occupancy_;
   std::vector<Cycle> out_busy_;
   std::vector<Cycle> in_busy_;
-  NetworkStats stats_;
 };
 
 }  // namespace csmt::noc

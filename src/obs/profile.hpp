@@ -35,8 +35,8 @@ const char* phase_name(Phase p);
 /// Accumulates host time per phase using self-time semantics: nested scopes
 /// pause the enclosing phase, so each nanosecond lands in exactly one
 /// bucket (e.g. memory time inside issue() counts as kMemory, not kIssue).
-/// Like TraceSink, instrumentation sites hold a raw pointer that is nullptr
-/// when profiling is off.
+/// Like the trace writer, instrumentation sites hold a raw pointer that is
+/// nullptr when profiling is off.
 class PhaseProfiler {
  public:
   using clock = std::chrono::steady_clock;

@@ -1,12 +1,12 @@
 // csmt::obs event tracing.
 //
-// Every instrumentation site in the simulator holds a raw `TraceSink*` that
-// is nullptr when tracing is off and guards the call behind that single
-// branch — the disabled path costs one predictable compare per site, no
-// virtual dispatch, no allocation (verified by the null-sink fast-path test
-// and the perf_gate budget in DESIGN.md §7). When enabled, events
-// stream to a sink; the stock sink writes Chrome trace-event JSON that
-// loads directly in ui.perfetto.dev or chrome://tracing.
+// Every instrumentation site in the simulator holds a raw
+// `ChromeTraceWriter*` that is nullptr when tracing is off and guards the
+// call behind that single branch — the disabled path costs one predictable
+// compare per site and no allocation (verified by the null-writer
+// fast-path test and the perf_gate budget in DESIGN.md §7). When enabled,
+// events stream to the writer as Chrome trace-event JSON that loads
+// directly in ui.perfetto.dev or chrome://tracing.
 //
 // Track model: a Chrome trace groups events into processes (pid) and
 // threads (tid). We map one process per chip (pipeline tracks per cluster,
@@ -62,18 +62,31 @@ struct TraceEvent {
                               ///< for counters)
 };
 
-/// Receives trace events. Implementations are not required to be
-/// thread-safe: one sink serves one Machine, and the simulator ticks a
-/// machine from a single thread (sweep points each own their sink).
-class TraceSink {
+/// Streams events as Chrome trace-event JSON ("ts" is the simulated cycle,
+/// shown as microseconds by the viewers). The file is written incrementally
+/// — a multi-million-event run never buffers more than one event — and
+/// closed into a valid JSON document by finish() (or the destructor). Not
+/// thread-safe: one writer serves one Machine, and the simulator ticks a
+/// machine from a single thread (sweep points each own their writer).
+class ChromeTraceWriter {
  public:
-  virtual ~TraceSink() = default;
+  explicit ChromeTraceWriter(const std::string& path);
+  ~ChromeTraceWriter();
+  ChromeTraceWriter(const ChromeTraceWriter&) = delete;
+  ChromeTraceWriter& operator=(const ChromeTraceWriter&) = delete;
 
-  virtual void event(const TraceEvent& e) = 0;
+  /// False when the output file could not be opened (events are dropped).
+  bool ok() const { return f_ != nullptr; }
+  std::uint64_t events_written() const { return events_; }
+
+  /// Closes the JSON document; idempotent. After this, events are dropped.
+  void finish();
+
+  void event(const TraceEvent& e);
 
   /// Track-naming metadata; emitted once, at construction/attach time.
-  virtual void name_process(std::uint32_t pid, const std::string& name) = 0;
-  virtual void name_track(Track track, const std::string& name) = 0;
+  void name_process(std::uint32_t pid, const std::string& name);
+  void name_track(Track track, const std::string& name);
 
   // Convenience wrappers over event().
   void instant(Track t, const char* name, Cycle at,
@@ -106,29 +119,6 @@ class TraceSink {
     e.arg = value;
     event(e);
   }
-};
-
-/// Streams events as Chrome trace-event JSON ("ts" is the simulated cycle,
-/// shown as microseconds by the viewers). The file is written incrementally
-/// — a multi-million-event run never buffers more than one event — and
-/// closed into a valid JSON document by finish() (or the destructor).
-class ChromeTraceWriter final : public TraceSink {
- public:
-  explicit ChromeTraceWriter(const std::string& path);
-  ~ChromeTraceWriter() override;
-  ChromeTraceWriter(const ChromeTraceWriter&) = delete;
-  ChromeTraceWriter& operator=(const ChromeTraceWriter&) = delete;
-
-  /// False when the output file could not be opened (events are dropped).
-  bool ok() const { return f_ != nullptr; }
-  std::uint64_t events_written() const { return events_; }
-
-  /// Closes the JSON document; idempotent. After this, events are dropped.
-  void finish();
-
-  void event(const TraceEvent& e) override;
-  void name_process(std::uint32_t pid, const std::string& name) override;
-  void name_track(Track track, const std::string& name) override;
 
  private:
   void begin_record();

@@ -20,7 +20,6 @@ ExperimentResult run_experiment(const ExperimentSpec& spec) {
   }
   if (spec.l1_private) mc.mem.l1_private = *spec.l1_private;
   mc.chips = spec.chips;
-  mc.metrics_interval = spec.metrics_interval;
   mc.alloc.policy = spec.alloc_policy;
   mc.alloc.epoch = spec.alloc_epoch;
   mc.no_skip = spec.no_skip;

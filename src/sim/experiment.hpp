@@ -28,10 +28,6 @@ struct ExperimentSpec {
   /// private L1s, false = the paper's shared L1.
   std::optional<bool> l1_private;
 
-  /// Epoch length for interval metrics, in cycles (0 = off). Part of spec
-  /// identity: the epoch series lives in the cached RunStats.
-  Cycle metrics_interval = 0;
-
   // --- thread-to-cluster allocation (csmt::alloc, DESIGN.md §11) — part of
   // spec identity: a dynamic policy migrates threads and changes RunStats ---
   /// Placement policy; `static` reproduces the historical fill bit for bit.
@@ -58,7 +54,6 @@ struct ExperimentSpec {
     return workload == o.workload && arch == o.arch && chips == o.chips &&
            scale == o.scale && fetch_policy == o.fetch_policy &&
            window_size == o.window_size && l1_private == o.l1_private &&
-           metrics_interval == o.metrics_interval &&
            alloc_policy == o.alloc_policy && alloc_epoch == o.alloc_epoch;
   }
 };

@@ -46,26 +46,6 @@ Machine::Machine(const MachineConfig& cfg) : cfg_(cfg) {
 
 Machine::~Machine() = default;
 
-obs::EpochCounters Machine::snapshot_counters() const {
-  obs::EpochCounters c;
-  for (const auto& chip : chips_) {
-    const core::ChipStats cs = chip->stats();
-    c.committed_useful += cs.committed_useful;
-    c.committed_sync += cs.committed_sync;
-    c.fetched += cs.fetched;
-    c.slots.merge(cs.slots);
-    const cache::MemSys& ms = chip->memsys();
-    c.loads += ms.stats().loads;
-    c.stores += ms.stats().stores;
-    c.l1_misses += ms.l1_stats().misses;
-    c.l2_misses += ms.l2_stats().misses;
-    c.tlb_misses += ms.tlb_stats().misses;
-    c.bank_rejections += ms.stats().bank_rejections;
-    c.mshr_rejections += ms.stats().mshr_rejections;
-  }
-  return c;
-}
-
 void Machine::trace_name_sync_tracks(const exec::ThreadGroup& group) {
   for (unsigned t = 0; t < group.size(); ++t) {
     cfg_.trace->name_track({obs::kSyncPid, group.thread(t).tid()},
@@ -141,7 +121,6 @@ MultiRunStats Machine::run(const Mix& mix) {
 
   MultiRunStats out;
   out.job_finish.assign(mix.jobs.size(), 0);
-  obs::EpochSampler sampler(cfg_.metrics_interval);
   if (cfg_.trace) {
     for (auto& g : groups) {
       g->sync().set_trace(cfg_.trace, &now_);
@@ -184,15 +163,6 @@ MultiRunStats Machine::run(const Mix& mix) {
       last_running_traced = running;
     }
     ++now_;
-    if (sampler.enabled()) {
-      sampler.note_running(running);
-      if (sampler.due(now_)) {
-        // Epoch samples read cluster slot stats: settle sleepers first so
-        // the sample matches the per-cycle kernel's bit for bit.
-        settle_chips(now_);
-        sampler.close(now_, snapshot_counters());
-      }
-    }
     if (track_jobs) {
       // Advance in-flight migrations and observe job completions. Both
       // change only on a tick that commits, so the cycles jumped below
@@ -206,12 +176,12 @@ MultiRunStats Machine::run(const Mix& mix) {
     }
 
     // Every cluster on every chip sleeps and no wake is queued: nothing can
-    // happen before the earliest sleeper wake. Jump there — clamped to the
-    // watchdog, so a deadlocked machine times out at exactly max_cycles,
-    // and to the next allocation epoch — and let each sleeper replay the
-    // span itself when it settles. The running-thread count holds across
-    // the span. Under no_skip and tracing no cluster sleeps, so every
-    // cycle ticks.
+    // happen before the earliest sleeper wake. Jump there in one step —
+    // clamped to the watchdog, so a deadlocked machine times out at exactly
+    // max_cycles, and to the next allocation epoch — and let each sleeper
+    // replay the span itself when it wakes or the run ends. The
+    // running-thread count holds across the span. Under no_skip and
+    // tracing no cluster sleeps, so every cycle ticks.
     if (active) continue;
     Cycle stop = sleep_horizon();
     if (stop <= now_) continue;
@@ -220,23 +190,10 @@ MultiRunStats Machine::run(const Mix& mix) {
       continue;
     }
     stop = std::min({stop, cfg_.max_cycles, next_alloc});
-    while (now_ < stop) {
-      // A sample must close on its boundary cycle.
-      const Cycle end =
-          sampler.enabled() ? std::min(stop, sampler.epoch_end()) : stop;
-      const Cycle n = end - now_;
-      // An integer-valued accumulator far below 2^53: one exact addition.
-      running_accum += static_cast<double>(n * running);
-      quiet_cycles_ += n;
-      now_ = end;
-      if (sampler.enabled()) {
-        sampler.note_running(running, n);
-        if (sampler.due(now_)) {
-          settle_chips(now_);
-          sampler.close(now_, snapshot_counters());
-        }
-      }
-    }
+    // An integer-valued accumulator far below 2^53: one exact addition.
+    running_accum += static_cast<double>((stop - now_) * running);
+    quiet_cycles_ += stop - now_;
+    now_ = stop;
   }
   // Clusters still asleep at exit (deadlock clamp, or sleeping through the
   // final commit elsewhere) replay their remaining span before any stats
@@ -245,11 +202,9 @@ MultiRunStats Machine::run(const Mix& mix) {
   alloc_ctl_ = nullptr;
 
   if (cfg_.trace) trace_flush(now_);
-  sampler.finish(now_, snapshot_counters());
   out.makespan = now_;
   if (!track_jobs) out.job_finish[0] = now_;
   out.combined = collect_stats(now_, running_accum, timed_out);
-  out.combined.epochs = sampler.take();
   out.combined.alloc = ctl.stats();
   return out;
 }

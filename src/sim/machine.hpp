@@ -14,7 +14,6 @@
 #include "exec/thread_group.hpp"
 #include "isa/program.hpp"
 #include "noc/dash.hpp"
-#include "obs/metrics.hpp"
 #include "obs/profile.hpp"
 #include "obs/trace.hpp"
 
@@ -33,18 +32,16 @@ struct MachineConfig {
   Cycle max_cycles = 500'000'000;
 
   /// Force the per-cycle kernel: no cluster sleeps, so no cycle is skipped
-  /// (DESIGN.md §8). RunStats, epochs, and traces are bit-identical either
+  /// (DESIGN.md §8). RunStats and traces are bit-identical either
   /// way — this is the A/B verification escape hatch, not a fidelity knob.
   bool no_skip = false;
 
   // --- observability (all off by default; RunStats counters are
   // bit-identical with these on or off, see DESIGN.md §7) ---
-  /// Event sink for the whole machine; not owned, must outlive the machine.
-  obs::TraceSink* trace = nullptr;
+  /// Trace writer for the whole machine; not owned, must outlive the machine.
+  obs::ChromeTraceWriter* trace = nullptr;
   /// Host-time phase profiler; not owned, must outlive the machine.
   obs::PhaseProfiler* profiler = nullptr;
-  /// Epoch length for interval metrics, in cycles; 0 = no epochs.
-  Cycle metrics_interval = 0;
 
   // --- thread-to-cluster allocation (csmt::alloc, DESIGN.md §11) ---
   /// Placement policy and dynamic-migration knobs. The default (`static`,
@@ -91,11 +88,6 @@ struct RunStats {
 
   /// Allocation-subsystem counters (all zero for `static` runs).
   alloc::AllocStats alloc;
-
-  /// Interval-metrics time series; empty unless
-  /// MachineConfig::metrics_interval was set. Deterministic (pure cycle
-  /// counters), so it participates in result caching like any counter.
-  std::vector<obs::EpochSample> epochs;
 
   /// Useful instructions committed per cycle across the machine — the
   /// Figure 6 y-axis when measured on FA1.
@@ -178,12 +170,9 @@ class Machine {
   /// cluster on every chip sleeps and no wake is queued, else at most now_.
   Cycle sleep_horizon() const;
   /// Replays sleeping clusters' skipped cycles < `upto` (DESIGN.md §14);
-  /// required before any external read of cluster stats (epoch closes, end
-  /// of run).
+  /// required before the end-of-run stats read.
   void settle_chips(Cycle upto);
 
-  /// Cumulative machine-wide counters for the epoch sampler.
-  obs::EpochCounters snapshot_counters() const;
   /// Names the trace tracks of `group`'s threads on the sync pseudo-process.
   void trace_name_sync_tracks(const exec::ThreadGroup& group);
   /// Closes open trace slices at end of run.

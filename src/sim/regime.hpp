@@ -16,9 +16,10 @@ enum class Regime {
 };
 
 /// Classification thresholds on the quiet-cycle fraction. Calibrated
-/// against BENCH_simspeed.json: the busy-labeled A/B points sit below 0.25
-/// (mgrid/ocean/swim and chase/SMT2), the idle-labeled ones above 0.75
-/// (chase/FA1 at ~0.75+ quiet).
+/// against perf_gate's points in BENCH_simspeed.json (the `one-harness`
+/// record): the busy ones sit below 0.25 (chase SMT2x4 0.163, mgrid FA1x4
+/// 0.088, ocean SMT2x4 0.109, swim SMT2x4 0.222), the idle one above 0.75
+/// (chase FA1x4 0.859), and the one-chip chase SMT2x1, at 0.549, is mixed.
 inline constexpr double kBusyCeiling = 0.25;
 inline constexpr double kIdleFloor = 0.75;
 

@@ -131,33 +131,6 @@ std::string render_summary_table(
   return table.render();
 }
 
-std::string render_epoch_sparklines(
-    const std::vector<ExperimentResult>& results) {
-  std::string out;
-  for (const ExperimentResult& r : results) {
-    if (r.stats.epochs.empty()) continue;
-    std::vector<double> ipc, threads, l2;
-    ipc.reserve(r.stats.epochs.size());
-    for (const obs::EpochSample& e : r.stats.epochs) {
-      ipc.push_back(e.useful_ipc());
-      threads.push_back(e.avg_running_threads);
-      l2.push_back(static_cast<double>(e.counters.l2_misses));
-    }
-    const auto minmax = [](const std::vector<double>& xs) {
-      const auto [lo, hi] = std::minmax_element(xs.begin(), xs.end());
-      return " [" + format_fixed(*lo, 2) + ", " + format_fixed(*hi, 2) + "]";
-    };
-    out += r.spec.workload + "/" + core::arch_name(r.spec.arch) + " x" +
-           std::to_string(r.spec.chips) + "  (" +
-           std::to_string(r.stats.epochs.size()) + " epochs of " +
-           format_count(r.spec.metrics_interval) + " cycles)\n";
-    out += "  useful IPC  " + obs::sparkline(ipc) + minmax(ipc) + "\n";
-    out += "  run threads " + obs::sparkline(threads) + minmax(threads) + "\n";
-    out += "  L2 misses   " + obs::sparkline(l2) + minmax(l2) + "\n";
-  }
-  return out;
-}
-
 namespace {
 
 /// The spec alone — the object to_json() nests under "spec". Knobs outside
@@ -172,7 +145,6 @@ json::Value spec_to_json(const ExperimentSpec& sp) {
     spec["fetch_policy"] = core::fetch_policy_name(*sp.fetch_policy);
   if (sp.window_size) spec["window_size"] = *sp.window_size;
   if (sp.l1_private) spec["l1_private"] = *sp.l1_private;
-  if (sp.metrics_interval) spec["metrics_interval"] = sp.metrics_interval;
   // Allocation fields appear only for dynamic policies, so artifacts of
   // `static` runs are byte-identical to pre-§11 ones.
   if (sp.alloc_policy != alloc::PolicyKind::kStatic)
@@ -281,7 +253,6 @@ std::optional<ExperimentSpec> spec_from_json(const json::Value& v) {
     f.flag(&v, "l1_private", p);
     spec.l1_private = p;
   }
-  f.count(&v, "metrics_interval", spec.metrics_interval);
   if (const json::Value* a = v.find("alloc_policy")) {
     const auto kind_a = alloc::policy_from_name(a->as_string());
     if (!kind_a) return std::nullopt;
@@ -362,35 +333,6 @@ json::Value to_json(const ExperimentResult& r) {
     alloc["drain_cycles"] = s.alloc.drain_cycles;
     alloc["stall_cycles"] = s.alloc.stall_cycles;
     stats["alloc"] = std::move(alloc);
-  }
-  if (!s.epochs.empty()) {
-    json::Value epochs = json::Value::array();
-    for (const obs::EpochSample& e : s.epochs) {
-      json::Value ep = json::Value::object();
-      ep["begin"] = e.begin;
-      ep["end"] = e.end;
-      ep["avg_running_threads"] = e.avg_running_threads;
-      ep["committed_useful"] = e.counters.committed_useful;
-      ep["committed_sync"] = e.counters.committed_sync;
-      ep["fetched"] = e.counters.fetched;
-      {
-        json::Value slots_ep = json::Value::object();
-        for (std::size_t i = 0; i < core::kNumSlots; ++i) {
-          slots_ep[core::slot_name(static_cast<Slot>(i))] =
-              e.counters.slots.slots[i];
-        }
-        ep["slots"] = std::move(slots_ep);
-      }
-      ep["loads"] = e.counters.loads;
-      ep["stores"] = e.counters.stores;
-      ep["l1_misses"] = e.counters.l1_misses;
-      ep["l2_misses"] = e.counters.l2_misses;
-      ep["tlb_misses"] = e.counters.tlb_misses;
-      ep["bank_rejections"] = e.counters.bank_rejections;
-      ep["mshr_rejections"] = e.counters.mshr_rejections;
-      epochs.push_back(std::move(ep));
-    }
-    stats["epochs"] = std::move(epochs);
   }
 
   json::Value out = json::Value::object();
@@ -503,30 +445,6 @@ std::optional<ExperimentResult> result_from_json(const json::Value& v) {
   f.count(a, "rejected", s.alloc.rejected);
   f.count(a, "drain_cycles", s.alloc.drain_cycles);
   f.count(a, "stall_cycles", s.alloc.stall_cycles);
-  if (const json::Value* epochs = stats->find("epochs")) {
-    for (const json::Value& ev : epochs->items()) {
-      obs::EpochSample e;
-      f.count(&ev, "begin", e.begin);
-      f.count(&ev, "end", e.end);
-      f.amount(&ev, "avg_running_threads", e.avg_running_threads);
-      f.count(&ev, "committed_useful", e.counters.committed_useful);
-      f.count(&ev, "committed_sync", e.counters.committed_sync);
-      f.count(&ev, "fetched", e.counters.fetched);
-      const json::Value* slots_ep = ev.find("slots");
-      for (std::size_t i = 0; i < core::kNumSlots; ++i) {
-        f.amount(slots_ep, core::slot_name(static_cast<Slot>(i)),
-                 e.counters.slots.slots[i]);
-      }
-      f.count(&ev, "loads", e.counters.loads);
-      f.count(&ev, "stores", e.counters.stores);
-      f.count(&ev, "l1_misses", e.counters.l1_misses);
-      f.count(&ev, "l2_misses", e.counters.l2_misses);
-      f.count(&ev, "tlb_misses", e.counters.tlb_misses);
-      f.count(&ev, "bank_rejections", e.counters.bank_rejections);
-      f.count(&ev, "mshr_rejections", e.counters.mshr_rejections);
-      s.epochs.push_back(e);
-    }
-  }
   if (const json::Value* speed = v.find("sim_speed")) {
     r.sim_speed.measured = true;
     f.amount(speed, "wall_seconds", r.sim_speed.wall_seconds);

@@ -29,12 +29,6 @@ std::string render_normalized_table(
 std::string render_summary_table(
     const std::vector<ExperimentResult>& results);
 
-/// Compact interval-metrics view: per run with a non-empty epoch series,
-/// sparklines of useful IPC, running threads, and L2 misses over time.
-/// Empty string when no result carries epochs.
-std::string render_epoch_sparklines(
-    const std::vector<ExperimentResult>& results);
-
 /// Full machine-readable form of one result: the spec, every RunStats
 /// counter (slot shares by name, predictor, memory, DASH when present), a
 /// mix's per-job finish cycles and the validation flag. Round-trips through

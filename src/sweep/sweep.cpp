@@ -25,8 +25,8 @@ namespace fs = std::filesystem;
 
 /// Bump when the result schema or any timing-relevant default changes, so
 /// stale cache entries stop matching.
-/// v2: results carry sim_speed + optional epoch series; specs carry
-/// metrics_interval.
+/// v2: results carry sim_speed + an optional interval-metrics series;
+/// specs carry the interval length.
 /// v3: specs carry the allocation policy and epoch (csmt::alloc).
 /// v4: results schema v3 (derived sim_speed.regime tag, DESIGN.md §12).
 /// v5: multi-chip timing — cross-chip traffic resolved at an end-of-cycle
@@ -37,7 +37,9 @@ namespace fs = std::filesystem;
 /// v7: entries are sealed over the spec's canonical encoding as well as
 /// the stats, so a spec spliced onto another point's stats misses; a
 /// workload name may be a multiprogrammed mix.
-constexpr const char* kCacheKeyVersion = "csmt-sweep-v7";
+/// v8: interval metrics removed — specs lose the interval length (the
+/// encoding's `|mi=` field) and results the series it sampled.
+constexpr const char* kCacheKeyVersion = "csmt-sweep-v8";
 
 /// Whether a point may be served from or written to the result cache.
 /// Neither a traced nor a --no-skip point may: each must run the kernel it
@@ -95,7 +97,6 @@ std::string canonical_encoding(const sim::ExperimentSpec& spec) {
   if (spec.window_size) out << *spec.window_size;
   out << "|l1p=";
   if (spec.l1_private) out << (*spec.l1_private ? 1 : 0);
-  out << "|mi=" << spec.metrics_interval;
   out << "|ap=" << alloc::policy_name(spec.alloc_policy);
   out << "|ae=" << spec.alloc_epoch;
   out << "|preset=" << arch.clusters << ',' << cl.width << ',' << cl.threads
@@ -121,10 +122,6 @@ std::vector<sim::ExperimentSpec> SweepSpec::expand() const {
           spec.arch = a;
           spec.chips = c;
           spec.scale = s;
-          spec.fetch_policy = fetch_policy;
-          spec.window_size = window_size;
-          spec.l1_private = l1_private;
-          spec.metrics_interval = metrics_interval;
           spec.alloc_policy = alloc_policy;
           spec.alloc_epoch = alloc_epoch;
           points.push_back(std::move(spec));

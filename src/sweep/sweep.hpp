@@ -20,18 +20,14 @@ namespace csmt::sweep {
 
 /// A cartesian grid of experiment points: workloads x archs x chips x
 /// scales, expanded workload-major (the order the paper's figures group
-/// bars in), with grid-wide overrides applied to every point.
+/// bars in), with the allocation policy applied to every point. The
+/// ablations' per-point overrides (fetch policy, window, L1 organization)
+/// are set on the expanded ExperimentSpecs.
 struct SweepSpec {
   std::vector<std::string> workloads;
   std::vector<core::ArchKind> archs;
   std::vector<unsigned> chips = {1};
   std::vector<unsigned> scales = {3};
-  /// Overrides stamped onto every expanded point (ablation knobs).
-  std::optional<core::FetchPolicy> fetch_policy;
-  std::optional<unsigned> window_size;
-  std::optional<bool> l1_private;
-  /// Interval-metrics epoch length stamped onto every point (0 = off).
-  Cycle metrics_interval = 0;
   /// Thread-to-cluster allocation policy stamped onto every point
   /// (DESIGN.md §11); `static` is the paper's fixed placement.
   alloc::PolicyKind alloc_policy = alloc::PolicyKind::kStatic;

@@ -99,7 +99,6 @@ TEST(AllocPolicy, StaticParityAcrossGrid) {
       plain.arch = arch;
       plain.chips = chips;
       plain.scale = 1;
-      plain.metrics_interval = 128;
 
       ExperimentSpec tagged = plain;
       tagged.alloc_policy = alloc::PolicyKind::kStatic;

@@ -1,6 +1,5 @@
-// Unit tests for src/common: statistics primitives, formatting, tables,
-// the stacked-bar renderer, the deterministic RNG, and the closed-form
-// repeated addition.
+// Unit tests for src/common: number formatting, tables, the stacked-bar
+// renderer, the deterministic RNG, and the closed-form repeated addition.
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -15,78 +14,6 @@
 
 namespace csmt {
 namespace {
-
-TEST(RunningStat, EmptyIsZero) {
-  RunningStat s;
-  EXPECT_EQ(s.count(), 0u);
-  EXPECT_EQ(s.mean(), 0.0);
-  EXPECT_EQ(s.min(), 0.0);
-  EXPECT_EQ(s.max(), 0.0);
-}
-
-TEST(RunningStat, TracksMinMaxMean) {
-  RunningStat s;
-  for (const double v : {3.0, -1.0, 7.0, 5.0}) s.add(v);
-  EXPECT_EQ(s.count(), 4u);
-  EXPECT_DOUBLE_EQ(s.mean(), 3.5);
-  EXPECT_DOUBLE_EQ(s.min(), -1.0);
-  EXPECT_DOUBLE_EQ(s.max(), 7.0);
-}
-
-TEST(RunningStat, MergeMatchesCombinedStream) {
-  RunningStat a, b, all;
-  for (int i = 0; i < 10; ++i) {
-    const double v = i * 1.5 - 3.0;
-    (i % 2 ? a : b).add(v);
-    all.add(v);
-  }
-  a.merge(b);
-  EXPECT_EQ(a.count(), all.count());
-  EXPECT_DOUBLE_EQ(a.sum(), all.sum());
-  EXPECT_DOUBLE_EQ(a.min(), all.min());
-  EXPECT_DOUBLE_EQ(a.max(), all.max());
-}
-
-TEST(RunningStat, MergeWithEmptySides) {
-  RunningStat a, empty;
-  a.add(2.0);
-  a.merge(empty);
-  EXPECT_EQ(a.count(), 1u);
-  RunningStat c;
-  c.merge(a);
-  EXPECT_EQ(c.count(), 1u);
-  EXPECT_DOUBLE_EQ(c.mean(), 2.0);
-}
-
-TEST(Histogram, BucketsAndClamping) {
-  Histogram h(4);
-  h.add(0);
-  h.add(3, 2);
-  h.add(99);  // clamps into the last bucket
-  EXPECT_EQ(h.at(0), 1u);
-  EXPECT_EQ(h.at(3), 3u);
-  EXPECT_EQ(h.total(), 4u);
-  EXPECT_DOUBLE_EQ(h.fraction(3), 0.75);
-}
-
-TEST(Histogram, ZeroBucketsClampsToOne) {
-  // Regression: Histogram(0) used to underflow `counts_.size() - 1` in
-  // add()'s clamp and write out of bounds.
-  Histogram h(0);
-  EXPECT_EQ(h.buckets(), 1u);
-  h.add(0);
-  h.add(99, 2);  // clamps into the single bucket
-  EXPECT_EQ(h.at(0), 3u);
-  EXPECT_EQ(h.total(), 3u);
-  EXPECT_DOUBLE_EQ(h.fraction(0), 1.0);
-}
-
-TEST(Histogram, MeanWeighted) {
-  Histogram h(10);
-  h.add(2, 3);
-  h.add(8, 1);
-  EXPECT_DOUBLE_EQ(h.mean(), (2.0 * 3 + 8.0) / 4.0);
-}
 
 TEST(Format, CountGroupsDigits) {
   EXPECT_EQ(format_count(0), "0");

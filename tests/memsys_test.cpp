@@ -48,6 +48,9 @@ TEST_F(MemSysTest, SecondaryMissMergesOnMshr) {
   ASSERT_TRUE(second.accepted);
   EXPECT_EQ(second.level, ServiceLevel::kMergedMshr);
   EXPECT_EQ(second.done, first.done);  // piggybacks on the same fill
+  EXPECT_EQ(memsys_.stats().by_level[static_cast<int>(
+                ServiceLevel::kMergedMshr)],
+            1u);
 }
 
 TEST_F(MemSysTest, L2HitAfterL1Eviction) {
@@ -129,6 +132,7 @@ TEST_F(MemSysTest, MshrExhaustionRejects) {
   }
   EXPECT_TRUE(saw_mshr_reject);
   EXPECT_EQ(accepted, params_.max_outstanding_loads);
+  EXPECT_EQ(memsys_.stats().mshr_rejections, 1u);
 }
 
 TEST_F(MemSysTest, CoherenceInvalidateRemovesDirtyLine) {

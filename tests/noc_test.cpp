@@ -24,7 +24,7 @@ TEST(Network, IntraNodeMessagesAreFree) {
   NocParams p;
   Network net(p);
   EXPECT_EQ(net.send(2, 2, 100), 0u);
-  EXPECT_EQ(net.stats().messages, 0u);
+  EXPECT_EQ(net.send(2, 1, 100), 0u);  // and it occupied no port
 }
 
 TEST(Network, PortContentionSerializes) {
@@ -33,19 +33,19 @@ TEST(Network, PortContentionSerializes) {
   EXPECT_EQ(net.send(0, 1, 100), 0u);
   EXPECT_EQ(net.send(0, 2, 100), 2u);  // output port of node 0 busy
   EXPECT_EQ(net.send(3, 1, 100), 2u);  // input port of node 1 busy until 102
-  EXPECT_EQ(net.stats().queued_cycles, 4u);
 }
 
 TEST(Directory, BitHelpers) {
   EXPECT_EQ(Directory::bit(0), 1u);
   EXPECT_EQ(Directory::bit(3), 8u);
-  EXPECT_EQ(Directory::popcount(0b1011), 3u);
 }
 
 TEST(Directory, PeekDefaultsToUncached) {
   Directory d;
   EXPECT_EQ(d.peek(0x1000).state, DirState::kUncached);
-  EXPECT_EQ(d.tracked_lines(), 0u);
+  d.entry(0x2000).state = DirState::kShared;
+  EXPECT_EQ(d.peek(0x2000).state, DirState::kShared);
+  EXPECT_EQ(d.peek(0x1000).state, DirState::kUncached);
 }
 
 // ---------- full protocol through DashInterconnect ------------------------

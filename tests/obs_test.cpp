@@ -1,7 +1,6 @@
-// Unit tests for csmt::obs: Chrome trace writer output stability, the
-// epoch sampler, phase profiling, sparklines, the no-perturbation contract
-// (tracing, the phase profiler and epoch metrics must not change RunStats),
-// and the JSON round trip of the new observability fields.
+// Unit tests for csmt::obs: Chrome trace writer output stability, phase
+// profiling, the no-perturbation contract (tracing and the phase profiler
+// must not change RunStats), and the JSON round trip of SimSpeed.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -11,7 +10,6 @@
 
 #include "common/json.hpp"
 #include "isa/builder.hpp"
-#include "obs/metrics.hpp"
 #include "obs/profile.hpp"
 #include "obs/trace.hpp"
 #include "sim/experiment.hpp"
@@ -100,91 +98,6 @@ TEST(ChromeTraceWriter, UnopenableFileIsNotOk) {
   EXPECT_EQ(w.events_written(), 0u);
 }
 
-// --- EpochSampler --------------------------------------------------------
-
-TEST(EpochSampler, ZeroIntervalIsDisabled) {
-  obs::EpochSampler s(0);
-  EXPECT_FALSE(s.enabled());
-  EXPECT_FALSE(s.due(1'000'000));
-  s.finish(1'000'000, {});
-  EXPECT_TRUE(s.samples().empty());
-}
-
-TEST(EpochSampler, ClosesOnBoundariesAndPartialTail) {
-  obs::EpochSampler s(10);
-  obs::EpochCounters cum;
-  // 25 cycles: 3 useful commits and 2 running threads per cycle, the way
-  // the machine loop drives the sampler.
-  for (Cycle cyc = 1; cyc <= 25; ++cyc) {
-    cum.committed_useful += 3;
-    s.note_running(2);
-    if (s.due(cyc)) s.close(cyc, cum);
-  }
-  s.finish(25, cum);
-  ASSERT_EQ(s.samples().size(), 3u);
-  const auto& e0 = s.samples()[0];
-  const auto& e2 = s.samples()[2];
-  EXPECT_EQ(e0.begin, 0u);
-  EXPECT_EQ(e0.end, 10u);
-  EXPECT_EQ(e0.counters.committed_useful, 30u);
-  EXPECT_DOUBLE_EQ(e0.avg_running_threads, 2.0);
-  EXPECT_DOUBLE_EQ(e0.useful_ipc(), 3.0);
-  EXPECT_EQ(e2.begin, 20u);
-  EXPECT_EQ(e2.end, 25u);  // partial tail
-  EXPECT_EQ(e2.length(), 5u);
-  EXPECT_EQ(e2.counters.committed_useful, 15u);
-}
-
-TEST(EpochSampler, FinishOnExactBoundaryAddsNothing) {
-  obs::EpochSampler s(10);
-  obs::EpochCounters cum;
-  for (Cycle cyc = 1; cyc <= 20; ++cyc) {
-    cum.fetched += 1;
-    s.note_running(1);
-    if (s.due(cyc)) s.close(cyc, cum);
-  }
-  s.finish(20, cum);  // epoch already closed at 20 — no empty tail
-  EXPECT_EQ(s.samples().size(), 2u);
-}
-
-TEST(EpochCounters, MergeAndMinus) {
-  obs::EpochCounters a, b;
-  a.committed_useful = 10;
-  a.l2_misses = 4;
-  a.slots[core::Slot::kUseful] = 1.5;
-  b.committed_useful = 7;
-  b.l2_misses = 1;
-  b.slots[core::Slot::kUseful] = 0.5;
-  obs::EpochCounters m = a;
-  m.merge(b);  // per-chip counters -> machine-wide snapshot
-  EXPECT_EQ(m.committed_useful, 17u);
-  EXPECT_EQ(m.l2_misses, 5u);
-  EXPECT_DOUBLE_EQ(m.slots[core::Slot::kUseful], 2.0);
-  const obs::EpochCounters d = m.minus(b);  // snapshot delta
-  EXPECT_EQ(d.committed_useful, 10u);
-  EXPECT_EQ(d.l2_misses, 4u);
-  EXPECT_DOUBLE_EQ(d.slots[core::Slot::kUseful], 1.5);
-}
-
-// --- Sparklines ----------------------------------------------------------
-
-TEST(Sparkline, ScalesToSeriesRange) {
-  const std::string s = obs::sparkline({0.0, 1.0, 2.0, 3.0});
-  // 4 glyphs, 3 bytes each (UTF-8 block characters).
-  EXPECT_EQ(s.size(), 12u);
-  EXPECT_EQ(s.substr(0, 3), "▁");  // the min
-  EXPECT_EQ(s.substr(9, 3), "█");  // the max
-}
-
-TEST(Sparkline, FlatSeriesIsMidRow) {
-  const std::string s = obs::sparkline({5.0, 5.0, 5.0});
-  EXPECT_EQ(s, "▅▅▅");
-}
-
-TEST(Sparkline, EmptySeriesIsEmpty) {
-  EXPECT_EQ(obs::sparkline({}), "");
-}
-
 // --- PhaseProfiler -------------------------------------------------------
 
 TEST(PhaseProfiler, SelfTimeAttribution) {
@@ -217,12 +130,11 @@ TEST(PhaseProfiler, ProfiledRunHasIdenticalStats) {
   spec.arch = core::ArchKind::kSmt2;
   spec.chips = 4;
   spec.scale = 1;
-  spec.metrics_interval = 128;
   const sim::ExperimentResult plain = sim::run_experiment(spec);
   spec.profile_phases = true;
   const sim::ExperimentResult profiled = sim::run_experiment(spec);
   EXPECT_TRUE(profiled.sim_speed.phases_measured);
-  // Every RunStats counter and the epoch series, compared as serialized.
+  // Every RunStats counter, compared as serialized.
   EXPECT_EQ(sim::to_json(profiled).find("stats")->dump(),
             sim::to_json(plain).find("stats")->dump());
 }
@@ -247,11 +159,10 @@ isa::Program busy_program(unsigned iters) {
   return b.take();
 }
 
-sim::RunStats run_busy(obs::TraceSink* trace, Cycle metrics_interval) {
+sim::RunStats run_busy(obs::ChromeTraceWriter* trace) {
   sim::MachineConfig mc;
   mc.arch = core::arch_preset(core::ArchKind::kSmt2);
   mc.trace = trace;
-  mc.metrics_interval = metrics_interval;
   sim::Machine m(mc);
   mem::PagedMemory memory;
   return m
@@ -266,7 +177,7 @@ TEST(MachineTrace, ProducesLoadableTracksAndIdenticalStats) {
   {
     obs::ChromeTraceWriter w(path);
     ASSERT_TRUE(w.ok());
-    traced = run_busy(&w, 0);
+    traced = run_busy(&w);
     w.finish();
     EXPECT_GT(w.events_written(), 0u);
   }
@@ -283,9 +194,9 @@ TEST(MachineTrace, ProducesLoadableTracksAndIdenticalStats) {
   EXPECT_NE(text.find("\"running_threads\""), std::string::npos);
   std::remove(path.c_str());
 
-  // Null-sink fast path: turning tracing off must leave every architectural
-  // counter bit-identical.
-  const sim::RunStats base = run_busy(nullptr, 0);
+  // Null-writer fast path: turning tracing off must leave every
+  // architectural counter bit-identical.
+  const sim::RunStats base = run_busy(nullptr);
   EXPECT_EQ(base.cycles, traced.cycles);
   EXPECT_EQ(base.committed_useful, traced.committed_useful);
   EXPECT_EQ(base.committed_sync, traced.committed_sync);
@@ -302,49 +213,15 @@ TEST(MachineTrace, ProducesLoadableTracksAndIdenticalStats) {
   EXPECT_DOUBLE_EQ(base.mem.l2_miss_rate, traced.mem.l2_miss_rate);
 }
 
-TEST(MachineTrace, EpochSeriesCoversTheRunAndIsDeterministic) {
-  const sim::RunStats a = run_busy(nullptr, 200);
-  ASSERT_FALSE(a.epochs.empty());
-  // Contiguous coverage [0, cycles) in interval-sized steps.
-  Cycle expect_begin = 0;
-  for (const obs::EpochSample& e : a.epochs) {
-    EXPECT_EQ(e.begin, expect_begin);
-    EXPECT_GT(e.end, e.begin);
-    EXPECT_LE(e.length(), 200u);
-    expect_begin = e.end;
-  }
-  EXPECT_EQ(a.epochs.back().end, a.cycles);
-  // Epoch totals must sum to the run totals (pure counter differencing).
-  std::uint64_t useful = 0;
-  for (const obs::EpochSample& e : a.epochs)
-    useful += e.counters.committed_useful;
-  EXPECT_EQ(useful, a.committed_useful);
-  // And the sampler itself must not perturb the run.
-  const sim::RunStats b = run_busy(nullptr, 0);
-  EXPECT_EQ(a.cycles, b.cycles);
-  EXPECT_EQ(a.committed_useful, b.committed_useful);
-}
-
 // --- JSON round trip -----------------------------------------------------
 
-TEST(ObsJson, EpochsAndSimSpeedRoundTrip) {
+TEST(ObsJson, SimSpeedRoundTrip) {
   sim::ExperimentResult r;
   r.spec.workload = "ocean";
   r.spec.arch = core::ArchKind::kSmt2;
-  r.spec.metrics_interval = 500;
   r.stats.cycles = 1000;
   r.stats.committed_useful = 4000;
   r.validated = true;
-  for (int i = 0; i < 2; ++i) {
-    obs::EpochSample e;
-    e.begin = i * 500;
-    e.end = e.begin + 500;
-    e.avg_running_threads = 6.25 + i;
-    e.counters.committed_useful = 2000u + i;
-    e.counters.l2_misses = 11u * (i + 1);
-    e.counters.slots[core::Slot::kUseful] = 1234.5 + i;
-    r.stats.epochs.push_back(e);
-  }
   r.sim_speed.measured = true;
   r.sim_speed.wall_seconds = 0.25;
   r.sim_speed.sim_cycles = 1000;
@@ -356,20 +233,6 @@ TEST(ObsJson, EpochsAndSimSpeedRoundTrip) {
   const auto back = sim::result_from_json(sim::to_json(r));
   ASSERT_TRUE(back.has_value());
   EXPECT_TRUE(back->spec == r.spec);
-  EXPECT_EQ(back->spec.metrics_interval, 500u);
-  ASSERT_EQ(back->stats.epochs.size(), 2u);
-  for (int i = 0; i < 2; ++i) {
-    const obs::EpochSample& e = back->stats.epochs[i];
-    EXPECT_EQ(e.begin, r.stats.epochs[i].begin);
-    EXPECT_EQ(e.end, r.stats.epochs[i].end);
-    EXPECT_DOUBLE_EQ(e.avg_running_threads,
-                     r.stats.epochs[i].avg_running_threads);
-    EXPECT_EQ(e.counters.committed_useful,
-              r.stats.epochs[i].counters.committed_useful);
-    EXPECT_EQ(e.counters.l2_misses, r.stats.epochs[i].counters.l2_misses);
-    EXPECT_DOUBLE_EQ(e.counters.slots[core::Slot::kUseful],
-                     r.stats.epochs[i].counters.slots[core::Slot::kUseful]);
-  }
   EXPECT_TRUE(back->sim_speed.measured);
   EXPECT_DOUBLE_EQ(back->sim_speed.wall_seconds, 0.25);
   EXPECT_EQ(back->sim_speed.sim_cycles, 1000u);
@@ -379,11 +242,6 @@ TEST(ObsJson, EpochsAndSimSpeedRoundTrip) {
       back->sim_speed
           .phase_seconds[static_cast<std::size_t>(obs::Phase::kMemory)],
       0.125);
-
-  // Sparkline rendering picks the series up from the parsed result.
-  const std::string spark = sim::render_epoch_sparklines({*back});
-  EXPECT_NE(spark.find("useful IPC"), std::string::npos);
-  EXPECT_NE(spark.find("2 epochs of 500 cycles"), std::string::npos);
 }
 
 TEST(ObsJson, SpecIdentityIgnoresTraceKnobs) {
@@ -391,9 +249,8 @@ TEST(ObsJson, SpecIdentityIgnoresTraceKnobs) {
   a.workload = b.workload = "fft";
   b.trace_path = "somewhere.json";
   b.profile_phases = true;
-  EXPECT_TRUE(a == b);  // trace knobs never perturb RunStats
-  b.metrics_interval = 100;
-  EXPECT_FALSE(a == b);  // but the epoch series is part of the result
+  b.no_skip = true;
+  EXPECT_TRUE(a == b);  // observation knobs never perturb RunStats
 }
 
 }  // namespace

@@ -1,8 +1,8 @@
 // Kernel-equivalence tests for quiescence (DESIGN.md §8, §14): the
 // skipping kernel — per-cluster sleep, and the machine's clock jump while
 // every cluster sleeps — must produce bit-identical results to the
-// per-cycle kernel: same RunStats, same epoch series, same trace counters,
-// same timeout clamp. Comparison goes through render_json so every counter
+// per-cycle kernel: same RunStats, same trace counters, same timeout
+// clamp. Comparison goes through render_json so every counter
 // (including the FP slot histogram and avg_running_threads) is compared at
 // full serialized precision.
 #include <gtest/gtest.h>
@@ -11,6 +11,7 @@
 #include <cstdio>
 #include <fstream>
 #include <iterator>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -44,9 +45,26 @@ std::string stats_json(const RunStats& stats) {
   return stats_json(std::move(r));
 }
 
+/// 1-based number of the first line where `a` and `b` differ (0 if equal).
+std::size_t first_diff_line(const std::string& a, const std::string& b) {
+  const auto [ia, ib] = std::mismatch(a.begin(), a.end(), b.begin(), b.end());
+  if (ia == a.end() && ib == b.end()) return 0;
+  return 1 + static_cast<std::size_t>(std::count(a.begin(), ia, '\n'));
+}
+
+/// Line `n` (1-based) of `text`, empty past its end.
+std::string line_at(const std::string& text, std::size_t n) {
+  std::istringstream in(text);
+  std::string line;
+  for (std::size_t i = 0; i < n && std::getline(in, line); ++i) {
+  }
+  return line;
+}
+
 TEST(KernelEquivalence, WorkloadGridIsBitIdentical) {
-  // The ISSUE grid: {FA1, FA2, SMT2, SMT4} x {low-end, high-end} x three
-  // workloads, with interval metrics on so the epoch series is covered.
+  // {FA1, FA2, SMT2, SMT4} x {low-end, high-end} x three workloads. The
+  // rendering prints one field per line and doubles at full precision, so
+  // the first differing line names the counter that moved.
   const std::vector<core::ArchKind> archs = {
       core::ArchKind::kFa1, core::ArchKind::kFa2, core::ArchKind::kSmt2,
       core::ArchKind::kSmt4};
@@ -59,7 +77,6 @@ TEST(KernelEquivalence, WorkloadGridIsBitIdentical) {
         spec.arch = arch;
         spec.chips = chips;
         spec.scale = 1;
-        spec.metrics_interval = 128;
 
         spec.no_skip = false;
         const ExperimentResult fast = run_experiment(spec);
@@ -68,8 +85,12 @@ TEST(KernelEquivalence, WorkloadGridIsBitIdentical) {
 
         EXPECT_TRUE(fast.validated);
         EXPECT_EQ(slow.sim_speed.quiet_cycles, 0u);
-        EXPECT_EQ(stats_json(fast), stats_json(slow))
-            << wl << " " << core::arch_name(arch) << " chips=" << chips;
+        const std::string a = stats_json(fast), b = stats_json(slow);
+        const std::size_t line = first_diff_line(a, b);
+        EXPECT_EQ(line, 0u)
+            << wl << " " << core::arch_name(arch) << " chips=" << chips
+            << ": skip `" << line_at(a, line) << "` vs no-skip `"
+            << line_at(b, line) << "`";
       }
     }
   }
@@ -92,7 +113,6 @@ TEST(KernelEquivalence, FetchPoliciesMatchPerCycleKernel) {
       spec.chips = pt.chips;
       spec.scale = 1;
       spec.fetch_policy = policy;
-      spec.metrics_interval = 128;
 
       spec.no_skip = false;
       const ExperimentResult fast = run_experiment(spec);
@@ -187,12 +207,6 @@ std::string read_file(const std::string& path) {
   return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
 }
 
-/// 1-based number of the first line where `a` and `b` differ (0 if equal).
-std::size_t first_diff_line(const std::string& a, const std::string& b) {
-  const auto [ia, ib] = std::mismatch(a.begin(), a.end(), b.begin(), b.end());
-  if (ia == a.end() && ib == b.end()) return 0;
-  return 1 + static_cast<std::size_t>(std::count(a.begin(), ia, '\n'));
-}
 
 TEST(KernelEquivalence, TracedPointsWriteIdenticalFiles) {
   // The scale-1 paper-grid points where a thread's run/sync/stall/halt
@@ -296,7 +310,6 @@ void check_asymmetric_mix(std::uint64_t busy_tid) {
   MachineConfig base;
   base.arch = core::arch_preset(core::ArchKind::kFa2);
   base.chips = kChips;
-  base.metrics_interval = 128;
 
   ProgramBuilder b("asym");
   isa::Reg bar = b.ireg(), n = b.ireg(), r = b.ireg(), i = b.ireg(),

@@ -114,7 +114,8 @@ std::string seal_hex(const sim::ExperimentSpec& spec,
 TEST(SweepSpec, ExpandsWorkloadMajor) {
   SweepSpec spec = small_grid();
   spec.chips = {1, 4};
-  spec.fetch_policy = core::FetchPolicy::kIcount;
+  spec.alloc_policy = alloc::PolicyKind::kSymbiosis;
+  spec.alloc_epoch = 1000;
   const auto points = spec.expand();
   ASSERT_EQ(points.size(), 2u * 2u * 2u);
   // Workload-major, then arch, then chips.
@@ -125,7 +126,8 @@ TEST(SweepSpec, ExpandsWorkloadMajor) {
   EXPECT_EQ(points[2].arch, core::ArchKind::kSmt2);
   EXPECT_EQ(points[4].workload, "tomcatv");
   for (const auto& p : points) {
-    EXPECT_EQ(p.fetch_policy, core::FetchPolicy::kIcount);
+    EXPECT_EQ(p.alloc_policy, alloc::PolicyKind::kSymbiosis);
+    EXPECT_EQ(p.alloc_epoch, 1000u);
     EXPECT_EQ(p.scale, 1u);
   }
 }
@@ -307,12 +309,11 @@ void expect_recomputed(const std::string& name, const SweepSpec& grid,
   fs::remove_all(dir);
 }
 
-SweepSpec one_point(unsigned chips, Cycle metrics_interval = 0) {
+SweepSpec one_point(unsigned chips) {
   SweepSpec grid = small_grid();
   grid.workloads = {"swim"};
   grid.archs = {core::ArchKind::kSmt2};
   grid.chips = {chips};
-  grid.metrics_interval = metrics_interval;
   return grid;
 }
 
@@ -340,14 +341,6 @@ TEST(SweepCacheCorruption, FractionalDashCounterIsRecomputed) {
     json::Value& fetches = doc["stats"]["dash"]["remote_fetches"];
     ASSERT_TRUE(fetches.is_number());
     fetches = fetches.as_number() + 0.5;
-  }, true);
-}
-
-TEST(SweepCacheCorruption, OutOfRangeEpochFieldIsRecomputed) {
-  expect_recomputed("corrupt_epoch", one_point(1, 128), [](json::Value& doc) {
-    json::Array& epochs = doc["stats"]["epochs"].items();
-    ASSERT_GE(epochs.size(), 2u);
-    epochs[1]["l1_misses"] = 1e20;  // above 2^64
   }, true);
 }
 
@@ -505,8 +498,8 @@ TEST(SweepCacheCorruption, SeededMutantsMissOrMatchTheEntry) {
   // A fixed-seed mutation harness over one sealed entry. Every mutant must
   // probe as a miss or as the entry it came from (same spec, stats digest
   // and validated flag): never a crash, UB, or a different result. A
-  // 4-chip point with epochs and a dynamic policy carries every optional
-  // block the decoder reads: dash, epochs, by_level and alloc.
+  // 4-chip point with a dynamic policy carries every optional block the
+  // decoder reads: dash, by_level and alloc.
   const fs::path dir = scratch_dir("sweep_mutants");
   fs::remove_all(dir);
   fs::create_directories(dir);
@@ -515,7 +508,6 @@ TEST(SweepCacheCorruption, SeededMutantsMissOrMatchTheEntry) {
   spec.arch = core::ArchKind::kSmt2;
   spec.chips = 4;
   spec.scale = 1;
-  spec.metrics_interval = 2048;
   spec.alloc_policy = alloc::PolicyKind::kSymbiosis;
   spec.alloc_epoch = 1000;
   const sim::ExperimentResult original = sim::run_experiment(spec);
@@ -528,8 +520,8 @@ TEST(SweepCacheCorruption, SeededMutantsMissOrMatchTheEntry) {
   const fs::path entry = dir / cache_entry_name(spec);
   const std::string text = read_text(entry);
   const std::string donor = read_text(dir / cache_entry_name(other_spec));
-  for (const char* key : {"\"dash\"", "\"epochs\"", "\"by_level\"",
-                          "\"alloc\"", "\"validated\""}) {
+  for (const char* key :
+       {"\"dash\"", "\"by_level\"", "\"alloc\"", "\"validated\""}) {
     ASSERT_NE(text.find(key), std::string::npos) << key;
   }
   ASSERT_TRUE(cache_probe(dir.string(), spec)) << "clean entry must hit";
@@ -642,7 +634,11 @@ TEST(SweepHash, DistinguishesEveryAxis) {
   ws.window_size = 32;
   sim::ExperimentSpec l1 = base;
   l1.l1_private = true;
-  for (const auto& other : {w, a, c, s, f, ws, l1}) {
+  sim::ExperimentSpec ap = base;
+  ap.alloc_policy = alloc::PolicyKind::kSymbiosis;
+  sim::ExperimentSpec ae = base;
+  ae.alloc_epoch = 1000;
+  for (const auto& other : {w, a, c, s, f, ws, l1, ap, ae}) {
     EXPECT_NE(spec_hash(other), h);
   }
   // And the hash is stable for equal specs.

@@ -78,8 +78,8 @@ inline bool same_stats(const sim::ExperimentResult& a,
 }
 
 /// Per-binary options: the consolidated csmt::cli set (sweep controls,
-/// problem scale, observability, allocation policy). The alias keeps the
-/// figure binaries' historical spelling.
+/// problem scale, observability). The alias keeps the figure binaries'
+/// historical spelling.
 using BenchOptions = cli::Options;
 
 /// Trace output path for point `index` of an `n`-point grid: the configured
@@ -161,8 +161,6 @@ inline std::vector<sim::ExperimentResult> run_figure_grid(
   spec.archs = archs;
   spec.chips = {chips};
   spec.scales = {opt.scale};
-  spec.alloc_policy = opt.alloc_policy;
-  spec.alloc_epoch = opt.alloc_epoch;
   return run_points(opt, spec.expand());
 }
 

@@ -63,27 +63,26 @@ int main(int argc, char** argv) {
   const bench::BenchOptions opt = bench::parse_options(argc, argv);
   const unsigned scale = std::max(2u, opt.scale / 2);
 
-  // Pairs first (static, default epoch), then the policy sweep, in print
-  // order.
+  // Pairs first (static), then the policy sweep, in print order. Every
+  // point runs at the default epoch (alloc_epoch 0).
   std::vector<sim::ExperimentSpec> points;
   const auto add = [&](const std::string& workload, core::ArchKind arch,
-                       alloc::PolicyKind policy, Cycle epoch) {
+                       alloc::PolicyKind policy) {
     sim::ExperimentSpec spec;
     spec.workload = workload;
     spec.arch = arch;
     spec.scale = scale;
     spec.alloc_policy = policy;
-    spec.alloc_epoch = epoch;
     points.push_back(std::move(spec));
   };
   for (const auto& [a, b] : kPairMixes) {
     for (const core::ArchKind arch : kPairArchs)
-      add(std::string(a) + "+" + b, arch, alloc::PolicyKind::kStatic, 0);
+      add(std::string(a) + "+" + b, arch, alloc::PolicyKind::kStatic);
   }
   for (const auto& [label, workload] : kPolicyMixes) {
     for (const core::ArchKind arch : kPolicyArchs) {
       for (const alloc::PolicyKind policy : kPolicies)
-        add(workload, arch, policy, opt.alloc_epoch);
+        add(workload, arch, policy);
     }
   }
   // A share that is not a whole, nonzero number of contexts stops the
@@ -126,12 +125,10 @@ int main(int argc, char** argv) {
   // -------------------------------------------------------------------
   // Allocation-policy sweep: mixes under every csmt::alloc policy, on the
   // two organizations that bracket the design space.
-  alloc::AllocConfig base;
-  base.epoch = opt.alloc_epoch;  // 0 -> the policy default
   std::printf("== Allocation-policy sweep (epoch %llu cycles, "
               "migration cost %llu) ==\n\n",
-              static_cast<unsigned long long>(base.resolved_epoch()),
-              static_cast<unsigned long long>(base.migration_cost));
+              static_cast<unsigned long long>(alloc::kDefaultEpoch),
+              static_cast<unsigned long long>(alloc::kMigrationCost));
   for (const auto& [label, workload] : kPolicyMixes) {
     for (std::size_t a = 0; a < std::size(kPolicyArchs); ++a) {
       AsciiTable t;
@@ -172,7 +169,7 @@ int main(int argc, char** argv) {
       "clusters) or when complementary threads share an SMT cluster; they\n"
       "cost drain + %llu-cycle restarts per migration when they guess\n"
       "wrong.\n",
-      static_cast<unsigned long long>(base.migration_cost));
+      static_cast<unsigned long long>(alloc::kMigrationCost));
   bench::export_json(opt, results);
   return 0;
 }

@@ -23,7 +23,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <ctime>
 #include <fstream>
 #include <memory>
@@ -33,6 +32,7 @@
 #include <vector>
 
 #include "bench_util.hpp"
+#include "cli/parse.hpp"
 #include "common/json.hpp"
 #include "exec/thread_group.hpp"
 #include "obs/profile.hpp"
@@ -259,7 +259,7 @@ Verdict judge(const std::vector<Row>& rows) {
 
 json::Value run_record(const std::vector<Row>& rows, const Verdict& v) {
   json::Value rec = json::Value::object();
-  if (const char* label = std::getenv("CSMT_SIMSPEED_LABEL"))
+  if (const char* label = cli::env("CSMT_SIMSPEED_LABEL"))
     rec["label"] = std::string(label);
   char stamp[32];
   const std::time_t now = std::time(nullptr);
@@ -350,6 +350,7 @@ int main(int argc, char** argv) {
                  argv[0]);
     return 2;
   }
+  cli::warn_unknown_env();
   std::vector<Row> rows;
   for (const Point& pt : kPoints) {
     rows.push_back(run_point(pt));
@@ -374,7 +375,7 @@ int main(int argc, char** argv) {
       v.passed() ? "PASS" : "FAIL", v.speed, kMinSpeed, v.calibration,
       reasons.c_str());
 
-  const char* path = std::getenv("CSMT_SIMSPEED_JSON");
+  const char* path = cli::env("CSMT_SIMSPEED_JSON");
   if (path && *path) append_record(path, run_record(rows, v));
   return v.passed() ? 0 : 1;
 }

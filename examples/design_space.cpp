@@ -6,6 +6,7 @@
 #include <cstdio>
 #include <cstdlib>
 
+#include "cli/options.hpp"
 #include "csmt.hpp"
 
 int main(int argc, char** argv) {
@@ -28,7 +29,7 @@ int main(int argc, char** argv) {
                 core::ArchKind::kSmt1};
   grid.chips = {chips};
   grid.scales = {scale};
-  sweep::SweepRunner runner;
+  sweep::SweepRunner runner(cli::Options::from_env().sweep);
   const std::vector<sim::ExperimentResult> results = runner.run(grid);
 
   std::printf("%s\n", sim::render_summary_table(results).c_str());

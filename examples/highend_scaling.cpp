@@ -4,10 +4,14 @@
 // added, the effect §5.1 discusses.
 //
 //   ./highend_scaling [workload] [arch] [scale]
+//
+// The arch is a Table 2 name in any case ("smt2", "FA1"); an unknown one
+// exits 2 with a usage line.
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 
+#include "cli/options.hpp"
+#include "cli/parse.hpp"
 #include "csmt.hpp"
 
 int main(int argc, char** argv) {
@@ -16,12 +20,15 @@ int main(int argc, char** argv) {
   const std::string workload = argc > 1 ? argv[1] : "ocean";
   core::ArchKind arch = core::ArchKind::kSmt2;
   if (argc > 2) {
-    for (const core::ArchKind k :
-         {core::ArchKind::kFa8, core::ArchKind::kFa4, core::ArchKind::kFa2,
-          core::ArchKind::kFa1, core::ArchKind::kSmt4, core::ArchKind::kSmt2,
-          core::ArchKind::kSmt1}) {
-      if (std::strcmp(core::arch_name(k), argv[2]) == 0) arch = k;
+    const auto named = cli::arch_arg(argv[2]);
+    if (!named) {
+      std::fprintf(stderr,
+                   "usage: %s [workload] [arch: FA1|FA2|FA4|FA8|SMT1|SMT2|"
+                   "SMT4|SMT8, any case] [scale]\n",
+                   argv[0]);
+      return 2;
     }
+    arch = *named;
   }
   const unsigned scale = argc > 3 ? static_cast<unsigned>(atoi(argv[3])) : 4;
 
@@ -35,7 +42,7 @@ int main(int argc, char** argv) {
   grid.archs = {arch};
   grid.chips = {1u, 2u, 4u};
   grid.scales = {scale};
-  sweep::SweepRunner runner;
+  sweep::SweepRunner runner(cli::Options::from_env().sweep);
   const auto results = runner.run(grid);
 
   AsciiTable t;

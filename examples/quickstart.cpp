@@ -3,11 +3,13 @@
 //
 //   ./quickstart [workload] [arch] [chips] [scale]
 //
-// Defaults: ocean on SMT2, low-end machine, scale 2.
+// Defaults: ocean on SMT2, low-end machine, scale 2. The arch is a Table 2
+// name in any case ("smt2", "FA1"); an unknown one exits 2 with a usage
+// line.
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 
+#include "cli/parse.hpp"
 #include "csmt.hpp"
 
 int main(int argc, char** argv) {
@@ -17,12 +19,15 @@ int main(int argc, char** argv) {
   spec.workload = argc > 1 ? argv[1] : "ocean";
   spec.arch = core::ArchKind::kSmt2;
   if (argc > 2) {
-    for (const core::ArchKind k :
-         {core::ArchKind::kFa8, core::ArchKind::kFa4, core::ArchKind::kFa2,
-          core::ArchKind::kFa1, core::ArchKind::kSmt4, core::ArchKind::kSmt2,
-          core::ArchKind::kSmt1}) {
-      if (std::strcmp(core::arch_name(k), argv[2]) == 0) spec.arch = k;
+    const auto arch = cli::arch_arg(argv[2]);
+    if (!arch) {
+      std::fprintf(stderr,
+                   "usage: %s [workload] [arch: FA1|FA2|FA4|FA8|SMT1|SMT2|"
+                   "SMT4|SMT8, any case] [chips] [scale]\n",
+                   argv[0]);
+      return 2;
     }
+    spec.arch = *arch;
   }
   spec.chips = argc > 3 ? static_cast<unsigned>(std::atoi(argv[3])) : 1;
   spec.scale = argc > 4 ? static_cast<unsigned>(std::atoi(argv[4])) : 2;

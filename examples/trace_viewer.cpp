@@ -3,15 +3,17 @@
 //
 //   ./trace_viewer [workload] [arch] [chips] [trace.json]
 //
-// Defaults: ocean on SMT2, one chip, trace written to csmt_trace.json.
+// Defaults: ocean on SMT2, one chip, trace written to csmt_trace.json. The
+// arch is a Table 2 name in any case ("smt2", "FA1"); an unknown one exits
+// 2 with a usage line.
 // Load the trace at https://ui.perfetto.dev (or chrome://tracing): each
 // chip is a process with per-cluster pipeline tracks, a memsys track, and
 // one track per thread showing run/spin/halt slices; sync events live on
 // their own process, DASH directory traffic on another.
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 
+#include "cli/parse.hpp"
 #include "csmt.hpp"
 
 int main(int argc, char** argv) {
@@ -21,12 +23,15 @@ int main(int argc, char** argv) {
   spec.workload = argc > 1 ? argv[1] : "ocean";
   spec.arch = core::ArchKind::kSmt2;
   if (argc > 2) {
-    for (const core::ArchKind k :
-         {core::ArchKind::kFa8, core::ArchKind::kFa4, core::ArchKind::kFa2,
-          core::ArchKind::kFa1, core::ArchKind::kSmt4, core::ArchKind::kSmt2,
-          core::ArchKind::kSmt1}) {
-      if (std::strcmp(core::arch_name(k), argv[2]) == 0) spec.arch = k;
+    const auto arch = cli::arch_arg(argv[2]);
+    if (!arch) {
+      std::fprintf(stderr,
+                   "usage: %s [workload] [arch: FA1|FA2|FA4|FA8|SMT1|SMT2|"
+                   "SMT4|SMT8, any case] [chips] [trace.json]\n",
+                   argv[0]);
+      return 2;
     }
+    spec.arch = *arch;
   }
   spec.chips = argc > 3 ? static_cast<unsigned>(std::atoi(argv[3])) : 1;
   spec.scale = 2;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "cache/memsys.hpp"
 #include "common/assert.hpp"
 #include "core/cluster.hpp"
 #include "exec/thread_context.hpp"
@@ -10,40 +9,21 @@
 
 namespace csmt::alloc {
 
-Controller::Controller(const MachineShape& shape, const AllocConfig& cfg,
+Controller::Controller(const AllocConfig& cfg,
                        std::vector<core::Cluster*> clusters,
-                       std::vector<const cache::MemSys*> memsys,
                        std::vector<exec::ThreadContext*> threads,
-                       std::vector<unsigned> job_threads,
                        obs::ChromeTraceWriter* trace)
-    : shape_(shape),
-      cfg_(cfg),
-      policy_(make_policy(cfg)),
+    : epoch_len_(cfg.resolved_epoch()),
+      policy_(make_policy(cfg.policy)),
       clusters_(std::move(clusters)),
-      memsys_(std::move(memsys)),
       threads_(std::move(threads)),
-      job_threads_(std::move(job_threads)),
       trace_(trace) {
-  CSMT_ASSERT(clusters_.size() == shape_.clusters());
-  CSMT_ASSERT(memsys_.size() == clusters_.size());
+  CSMT_ASSERT(!clusters_.empty());
   loc_.assign(threads_.size(), Location{});
   prev_instret_.assign(threads_.size(), 0);
-  prev_issued_.assign(clusters_.size(), 0);
-  prev_l1_hits_.assign(clusters_.size(), 0);
-  prev_l1_miss_.assign(clusters_.size(), 0);
-  prev_tlb_hits_.assign(clusters_.size(), 0);
-  prev_tlb_miss_.assign(clusters_.size(), 0);
-}
-
-void Controller::place_initial() {
-  const Placement p = policy_->initial_placement(shape_, job_threads_);
-  CSMT_ASSERT_MSG(p.by_cluster.size() == clusters_.size(),
-                  "placement does not cover every cluster");
   for (unsigned c = 0; c < clusters_.size(); ++c) {
-    for (const unsigned t : p.by_cluster[c]) {
-      CSMT_ASSERT_MSG(t < threads_.size(), "placement names an unknown thread");
-      clusters_[c]->attach_thread(threads_[t]);
-      loc_[t] = {c, clusters_[c]->attached_threads() - 1};
+    for (unsigned i = 0; i < clusters_[c]->attached_threads(); ++i) {
+      loc_[mix_index_of(clusters_[c]->context_thread(i))] = {c, i};
     }
   }
 }
@@ -65,59 +45,20 @@ bool Controller::move_pending(unsigned mix_thread) const {
 
 void Controller::on_epoch(Cycle now) {
   ++stats_.epochs;
-  const Cycle epoch_len = cfg_.resolved_epoch();
 
   EpochView view;
-  view.now = now;
-  view.epoch_len = epoch_len;
+  view.clusters = static_cast<unsigned>(clusters_.size());
+  view.capacity = clusters_[0]->config().threads;
   view.threads.resize(threads_.size());
-  view.clusters.resize(clusters_.size());
-
   for (unsigned i = 0; i < threads_.size(); ++i) {
     ThreadSample& t = view.threads[i];
-    t.mix_thread = i;
     t.cluster = loc_[i].cluster;
     t.done = threads_[i]->done();
     t.migrating = move_pending(i);
     const std::uint64_t instret = threads_[i]->instret();
-    t.instret_delta = instret - prev_instret_[i];
+    t.ipc = static_cast<double>(instret - prev_instret_[i]) /
+            static_cast<double>(epoch_len_);
     prev_instret_[i] = instret;
-    t.ipc = static_cast<double>(t.instret_delta) /
-            static_cast<double>(epoch_len);
-  }
-  for (unsigned c = 0; c < clusters_.size(); ++c) {
-    ClusterSample& cs = view.clusters[c];
-    cs.capacity = clusters_[c]->config().threads;
-    const std::uint64_t issued = clusters_[c]->stats().issued;
-    cs.issue_util =
-        static_cast<double>(issued - prev_issued_[c]) /
-        static_cast<double>(clusters_[c]->config().width) /
-        static_cast<double>(epoch_len);
-    prev_issued_[c] = issued;
-    const cache::MemSys& ms = *memsys_[c];
-    const std::uint64_t l1h = ms.l1_stats().hits, l1m = ms.l1_stats().misses;
-    const std::uint64_t th = ms.tlb_stats().hits, tm = ms.tlb_stats().misses;
-    const std::uint64_t dl1 = (l1h - prev_l1_hits_[c]) + (l1m - prev_l1_miss_[c]);
-    const std::uint64_t dtlb = (th - prev_tlb_hits_[c]) + (tm - prev_tlb_miss_[c]);
-    cs.l1_miss_rate =
-        dl1 ? static_cast<double>(l1m - prev_l1_miss_[c]) /
-                  static_cast<double>(dl1)
-            : 0.0;
-    cs.tlb_miss_rate =
-        dtlb ? static_cast<double>(tm - prev_tlb_miss_[c]) /
-                   static_cast<double>(dtlb)
-             : 0.0;
-    prev_l1_hits_[c] = l1h;
-    prev_l1_miss_[c] = l1m;
-    prev_tlb_hits_[c] = th;
-    prev_tlb_miss_[c] = tm;
-  }
-  for (unsigned i = 0; i < threads_.size(); ++i) {
-    const Location& l = loc_[i];
-    if (l.cluster != kNoCluster && !view.threads[i].done &&
-        !view.threads[i].migrating) {
-      ++view.clusters[l.cluster].live;
-    }
   }
 
   std::vector<Migration> proposed;
@@ -160,7 +101,7 @@ void Controller::on_epoch(Cycle now) {
     }
     unsigned over = kNoCluster;
     for (unsigned c = 0; c < clusters_.size(); ++c) {
-      if (occ[c] > view.clusters[c].capacity) {
+      if (occ[c] > view.capacity) {
         over = c;
         break;
       }
@@ -241,7 +182,7 @@ void Controller::advance_pending(Cycle now) {
         ++k;
         continue;
       }
-      const Cycle wake = std::max(m.resume_floor, now + cfg_.migration_cost);
+      const Cycle wake = std::max(m.resume_floor, now + kMigrationCost);
       const unsigned slot =
           dst.attach_migrated(threads_[m.mix_thread], m.in_sync, now, wake);
       loc_[m.mix_thread] = {m.to_cluster, slot};

@@ -1,14 +1,17 @@
 // alloc::Controller — executes an AllocationPolicy against the live machine
 // (DESIGN.md §11).
 //
-// The controller owns the mechanics the policies abstract over: applying
-// the initial placement, snapshotting per-thread/per-cluster telemetry at
-// each epoch boundary, feasibility-checking proposed migrations, and
-// driving every accepted move through the deterministic cost model
+// The controller owns the mechanics the policies abstract over:
+// snapshotting per-thread telemetry at each epoch boundary,
+// feasibility-checking proposed migrations, and driving every accepted
+// move through the deterministic cost model
 //
 //   freeze (fetch fenced) -> drain (window empties via normal commit)
 //   -> detach (rename state flushed) -> attach (fetch resumes no earlier
-//   than detach + migration_cost).
+//   than detach + kMigrationCost).
+//
+// Only a dynamic run builds one, after the machine has attached every
+// thread in initial_placement order.
 //
 // Epoch boundaries fire from the run loop top; drain completion is
 // observed after every tick. Both run between full ticks, so the
@@ -24,9 +27,6 @@
 namespace csmt::core {
 class Cluster;
 }
-namespace csmt::cache {
-class MemSys;
-}
 namespace csmt::exec {
 class ThreadContext;
 }
@@ -38,19 +38,12 @@ namespace csmt::alloc {
 
 class Controller {
  public:
-  /// `clusters` in global (chip-major) order; `memsys[c]` is cluster c's
-  /// chip-level memory system; `threads` in mix order (job-major);
-  /// `job_threads[j]` = thread count of job j. `trace` may be null.
-  Controller(const MachineShape& shape, const AllocConfig& cfg,
-             std::vector<core::Cluster*> clusters,
-             std::vector<const cache::MemSys*> memsys,
+  /// `cfg` names a dynamic policy; `clusters` in global (chip-major)
+  /// order, every thread already attached; `threads` in mix order
+  /// (job-major). `trace` may be null.
+  Controller(const AllocConfig& cfg, std::vector<core::Cluster*> clusters,
              std::vector<exec::ThreadContext*> threads,
-             std::vector<unsigned> job_threads, obs::ChromeTraceWriter* trace);
-
-  /// Computes the policy's initial placement and attaches every thread, in
-  /// cluster order then placement order — the same fill order the machine
-  /// used before this API existed, so `static` stays bit-identical.
-  void place_initial();
+             obs::ChromeTraceWriter* trace);
 
   /// Epoch boundary: snapshot telemetry, ask the policy for moves, start
   /// the feasible ones. Fires from the run loop top.
@@ -86,29 +79,21 @@ class Controller {
   /// Frees a context on cluster `c` by detaching a done, drained thread.
   /// Returns false when no such victim exists yet.
   bool reclaim_done_context(unsigned c, Cycle now);
-  /// Mix index of the thread bound to cluster `c`, slot `i`.
+  /// Mix index of thread `tc`.
   unsigned mix_index_of(const exec::ThreadContext* tc) const;
   bool move_pending(unsigned mix_thread) const;
 
-  MachineShape shape_;
-  AllocConfig cfg_;
+  Cycle epoch_len_ = 0;
   std::unique_ptr<AllocationPolicy> policy_;
   std::vector<core::Cluster*> clusters_;
-  std::vector<const cache::MemSys*> memsys_;
   std::vector<exec::ThreadContext*> threads_;
-  std::vector<unsigned> job_threads_;
   obs::ChromeTraceWriter* trace_ = nullptr;
 
   std::vector<Location> loc_;  ///< per mix thread; kNoCluster = unbound
   std::vector<PendingMove> pending_;
-
-  // Epoch telemetry baselines (deltas against the previous boundary).
-  std::vector<std::uint64_t> prev_instret_;   ///< per mix thread
-  std::vector<std::uint64_t> prev_issued_;    ///< per cluster
-  std::vector<std::uint64_t> prev_l1_hits_;   ///< per cluster (chip-level)
-  std::vector<std::uint64_t> prev_l1_miss_;
-  std::vector<std::uint64_t> prev_tlb_hits_;
-  std::vector<std::uint64_t> prev_tlb_miss_;
+  /// Per mix thread: instret at the previous boundary (the epoch's IPC is
+  /// the delta).
+  std::vector<std::uint64_t> prev_instret_;
 
   AllocStats stats_;
 };

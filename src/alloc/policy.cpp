@@ -27,19 +27,12 @@ unsigned least_loaded(const std::vector<unsigned>& live) {
 }
 
 std::vector<unsigned> live_counts(const EpochView& view) {
-  std::vector<unsigned> live(view.clusters.size(), 0);
+  std::vector<unsigned> live(view.clusters, 0);
   for (const ThreadSample& t : view.threads) {
     if (!t.done && !t.migrating && t.cluster != kNoCluster) ++live[t.cluster];
   }
   return live;
 }
-
-class StaticPolicy final : public AllocationPolicy {
- public:
-  explicit StaticPolicy(const AllocConfig& cfg)
-      : AllocationPolicy(PolicyKind::kStatic, cfg) {}
-  void plan_epoch(const EpochView&, std::vector<Migration>&) override {}
-};
 
 /// SET-style utilization packing: whenever one cluster holds strictly more
 /// live threads than another has headroom for, peel its weakest (lowest
@@ -47,17 +40,14 @@ class StaticPolicy final : public AllocationPolicy {
 /// the mix drains, this re-spreads the survivors over the idle clusters.
 class GreedyUtilPolicy final : public AllocationPolicy {
  public:
-  explicit GreedyUtilPolicy(const AllocConfig& cfg)
-      : AllocationPolicy(PolicyKind::kGreedyUtil, cfg) {}
-
   void plan_epoch(const EpochView& view, std::vector<Migration>& out) override {
     std::vector<unsigned> live = live_counts(view);
     std::vector<char> taken(view.threads.size(), 0);
-    for (unsigned moves = 0; moves < config().max_moves_per_epoch; ++moves) {
+    for (unsigned moves = 0; moves < kMaxMovesPerEpoch; ++moves) {
       const unsigned src = most_loaded(live);
       const unsigned dst = least_loaded(live);
       if (src == dst || live[src] <= live[dst] + 1) break;  // balanced
-      if (live[dst] >= view.clusters[dst].capacity) break;
+      if (live[dst] >= view.capacity) break;
       // Weakest thread of the crowded cluster: it loses the least from the
       // migration stall and frees the most contended issue slots.
       int pick = -1;
@@ -83,15 +73,12 @@ class GreedyUtilPolicy final : public AllocationPolicy {
 /// for its new-epoch IPC to mean something.
 class SymbiosisPolicy final : public AllocationPolicy {
  public:
-  explicit SymbiosisPolicy(const AllocConfig& cfg)
-      : AllocationPolicy(PolicyKind::kSymbiosis, cfg) {}
-
   void plan_epoch(const EpochView& view, std::vector<Migration>& out) override {
     ++epoch_index_;
     if (last_moved_.size() < view.threads.size()) {
       last_moved_.resize(view.threads.size(), 0);
     }
-    const unsigned ncl = static_cast<unsigned>(view.clusters.size());
+    const unsigned ncl = view.clusters;
     if (ncl < 2) return;
 
     std::vector<unsigned> ranked;
@@ -118,7 +105,7 @@ class SymbiosisPolicy final : public AllocationPolicy {
       if (last_moved_[i] != 0 && epoch_index_ - last_moved_[i] < 2) continue;
       last_moved_[i] = epoch_index_;
       out.push_back({i, target});
-      if (out.size() >= config().max_moves_per_epoch) break;
+      if (out.size() >= kMaxMovesPerEpoch) break;
     }
   }
 
@@ -134,9 +121,6 @@ class SymbiosisPolicy final : public AllocationPolicy {
 /// it leaves behind keep the shared slots busy.
 class IpcMigratePolicy final : public AllocationPolicy {
  public:
-  explicit IpcMigratePolicy(const AllocConfig& cfg)
-      : AllocationPolicy(PolicyKind::kIpcMigrate, cfg) {}
-
   void plan_epoch(const EpochView& view, std::vector<Migration>& out) override {
     ++epoch_index_;
     if (ewma_.size() < view.threads.size()) {
@@ -164,7 +148,7 @@ class IpcMigratePolicy final : public AllocationPolicy {
     });
 
     for (const unsigned i : ranked) {
-      if (out.size() >= config().max_moves_per_epoch) break;
+      if (out.size() >= kMaxMovesPerEpoch) break;
       const unsigned src = view.threads[i].cluster;
       if (live[src] < 2) continue;  // already has the cluster to itself
       if (last_moved_[i] != 0 && epoch_index_ - last_moved_[i] < 2) continue;
@@ -172,7 +156,7 @@ class IpcMigratePolicy final : public AllocationPolicy {
       // Strict improvement only: the move must leave the fast thread with
       // fewer neighbors than it had.
       if (dst == src || live[dst] + 1 >= live[src]) continue;
-      if (live[dst] >= view.clusters[dst].capacity) continue;
+      if (live[dst] >= view.capacity) continue;
       last_moved_[i] = epoch_index_;
       out.push_back({i, dst});
       --live[src];
@@ -207,48 +191,33 @@ std::optional<PolicyKind> policy_from_name(std::string_view name) {
   return std::nullopt;
 }
 
-Placement AllocationPolicy::initial_placement(
-    const MachineShape& shape, const std::vector<unsigned>& job_threads) {
-  // The historical fill, common to every shipped policy: contexts are
-  // handed out one job at a time in round-robin (a single job degenerates
-  // to the block placement the paper uses — tid 0 lands on chip 0), and
-  // context `slot` is slot / threads_per_cluster in global cluster order.
-  Placement p;
-  p.by_cluster.resize(shape.clusters());
-  std::vector<unsigned> next(job_threads.size(), 0);
+std::vector<unsigned> initial_placement(
+    const std::vector<unsigned>& job_threads) {
   std::vector<unsigned> base(job_threads.size(), 0);
-  for (std::size_t j = 1; j < job_threads.size(); ++j) {
-    base[j] = base[j - 1] + job_threads[j - 1];
+  unsigned rounds = 0;
+  for (std::size_t j = 0; j < job_threads.size(); ++j) {
+    if (j > 0) base[j] = base[j - 1] + job_threads[j - 1];
+    rounds = std::max(rounds, job_threads[j]);
   }
-  unsigned slot = 0;
-  bool placed = true;
-  while (placed) {
-    placed = false;
+  // Round r hands the next context to thread r of every job that has one.
+  std::vector<unsigned> placement;
+  for (unsigned r = 0; r < rounds; ++r) {
     for (std::size_t j = 0; j < job_threads.size(); ++j) {
-      if (next[j] < job_threads[j]) {
-        CSMT_ASSERT_MSG(slot < shape.contexts(),
-                        "mix has more threads than hardware contexts");
-        p.by_cluster[slot / shape.threads_per_cluster].push_back(
-            base[j] + next[j]++);
-        ++slot;
-        placed = true;
-      }
+      if (r < job_threads[j]) placement.push_back(base[j] + r);
     }
   }
-  return p;
+  return placement;
 }
 
-std::unique_ptr<AllocationPolicy> make_policy(const AllocConfig& cfg) {
-  switch (cfg.policy) {
-    case PolicyKind::kStatic: return std::make_unique<StaticPolicy>(cfg);
-    case PolicyKind::kGreedyUtil:
-      return std::make_unique<GreedyUtilPolicy>(cfg);
-    case PolicyKind::kSymbiosis:
-      return std::make_unique<SymbiosisPolicy>(cfg);
-    case PolicyKind::kIpcMigrate:
-      return std::make_unique<IpcMigratePolicy>(cfg);
+std::unique_ptr<AllocationPolicy> make_policy(PolicyKind kind) {
+  switch (kind) {
+    case PolicyKind::kGreedyUtil: return std::make_unique<GreedyUtilPolicy>();
+    case PolicyKind::kSymbiosis: return std::make_unique<SymbiosisPolicy>();
+    case PolicyKind::kIpcMigrate: return std::make_unique<IpcMigratePolicy>();
+    case PolicyKind::kStatic: break;
   }
-  return std::make_unique<StaticPolicy>(cfg);
+  CSMT_ASSERT_MSG(false, "static is no policy: a static run has no controller");
+  return nullptr;
 }
 
 }  // namespace csmt::alloc

@@ -1,21 +1,17 @@
-// csmt::alloc — the pluggable thread-to-cluster allocation API
-// (DESIGN.md §11).
+// csmt::alloc — thread-to-cluster allocation (DESIGN.md §11).
 //
 // The paper only evaluates static assignments: the machine hands contexts
-// out at startup and never revisits the decision. This subsystem carves
-// that implicit policy into a first-class interface: an AllocationPolicy
-// decides the initial placement of a mix's software threads onto the
-// machine's hardware contexts and, for dynamic policies, proposes
-// epoch-boundary migrations from per-thread/per-cluster telemetry (IPC,
-// issue-slot utilization, chip miss rates). The Controller (controller.hpp)
-// executes those decisions against the live clusters under an explicit,
-// deterministic migration cost model.
+// out at startup and never revisits the decision. Every run here starts
+// from that placement (initial_placement); a dynamic AllocationPolicy then
+// proposes epoch-boundary migrations from per-thread telemetry (epoch
+// IPC, done/migrating flags). The Controller (controller.hpp) executes
+// those decisions against the live clusters under an explicit,
+// deterministic migration cost model. A `static` run builds neither.
 //
 // Policy designs follow the dynamic-allocation literature the extension
 // targets: greedy utilization packing (SET-style), complementary-thread
 // pairing on SMT cores (SYNPA-style), and prediction-driven migration
-// (the thread-to-core allocation family). `static` reproduces the
-// historical round-robin fill bit for bit and stays the default.
+// (the thread-to-core allocation family).
 #pragma once
 
 #include <cstdint>
@@ -36,25 +32,23 @@ enum class PolicyKind : std::uint8_t {
 };
 
 /// Stable names ("static", "greedy-util", "symbiosis", "ipc-migrate") for
-/// CLI flags, JSON artifacts, and the sweep cache key.
+/// JSON artifacts and the sweep cache key.
 const char* policy_name(PolicyKind kind);
 std::optional<PolicyKind> policy_from_name(std::string_view name);
 
 /// Epoch length used when a dynamic policy is selected without one.
 inline constexpr Cycle kDefaultEpoch = 5'000;
-/// Default pipeline-restart penalty charged to a migrating thread (cycles
-/// between detach and its first fetch on the destination cluster).
-inline constexpr Cycle kDefaultMigrationCost = 64;
+/// Pipeline-restart penalty charged to a migrating thread: it fetches no
+/// earlier than detach + kMigrationCost (rename flush + state transfer +
+/// cold refill).
+inline constexpr Cycle kMigrationCost = 64;
+/// Cap on the migrations a policy proposes per epoch (keeps churn bounded).
+inline constexpr unsigned kMaxMovesPerEpoch = 4;
 
 struct AllocConfig {
   PolicyKind policy = PolicyKind::kStatic;
   /// Cycles between allocation epochs; 0 = kDefaultEpoch (dynamic only).
   Cycle epoch = 0;
-  /// Cost model: a migrated thread fetches no earlier than
-  /// detach + migration_cost (rename flush + state transfer + cold refill).
-  Cycle migration_cost = kDefaultMigrationCost;
-  /// Cap on migrations started per epoch (keeps churn bounded).
-  unsigned max_moves_per_epoch = 4;
 
   bool dynamic() const { return policy != PolicyKind::kStatic; }
   Cycle resolved_epoch() const {
@@ -62,53 +56,33 @@ struct AllocConfig {
   }
 };
 
-/// Geometry of the machine as the policies see it: clusters are numbered
-/// globally, chip-major (cluster g lives on chip g / clusters_per_chip).
-struct MachineShape {
-  unsigned chips = 1;
-  unsigned clusters_per_chip = 1;
-  unsigned threads_per_cluster = 1;
-
-  unsigned clusters() const { return chips * clusters_per_chip; }
-  unsigned contexts() const { return clusters() * threads_per_cluster; }
-};
-
-/// Initial placement: for each global cluster, the mix-thread indices to
-/// attach, in attach order (order matters — it fixes the round-robin
-/// pointers, so it is part of the bit-identity contract).
-struct Placement {
-  std::vector<std::vector<unsigned>> by_cluster;
-};
+/// The placement every run starts from: entry s is the mix thread bound to
+/// hardware context s, contexts numbered chip-major then cluster-major
+/// (context s lives on global cluster s / threads-per-cluster). Mix
+/// threads are numbered job-major, `job_threads[j]` per job. Contexts are
+/// handed out one job at a time in round-robin, so a single job
+/// degenerates to the block placement the paper uses (tid 0 on chip 0).
+/// The order is part of the bit-identity contract: it fixes each
+/// cluster's attach order and so its round-robin pointers.
+std::vector<unsigned> initial_placement(
+    const std::vector<unsigned>& job_threads);
 
 /// A thread's cluster when it is not bound to one (mid-migration, or a done
 /// thread whose context was reclaimed).
 inline constexpr unsigned kNoCluster = ~0u;
 
 struct ThreadSample {
-  unsigned mix_thread = 0;
   unsigned cluster = kNoCluster;  ///< kNoCluster while in transit/reclaimed
   bool done = false;
-  bool migrating = false;         ///< a started migration has not finished
-  std::uint64_t instret_delta = 0;  ///< instructions retired this epoch
-  double ipc = 0.0;                 ///< instret_delta / epoch length
-};
-
-struct ClusterSample {
-  unsigned capacity = 0;   ///< hardware contexts (Table 2 `threads`)
-  unsigned live = 0;       ///< attached, not done, not frozen for departure
-  double issue_util = 0.0;  ///< issued this epoch / (width * epoch length)
-  /// Chip-level memory telemetry (shared hierarchy §3.4: every cluster of a
-  /// chip reports its chip's rates).
-  double l1_miss_rate = 0.0;
-  double tlb_miss_rate = 0.0;
+  bool migrating = false;  ///< a started migration has not finished
+  double ipc = 0.0;        ///< instructions retired this epoch / epoch length
 };
 
 /// Telemetry snapshot handed to plan_epoch at each epoch boundary.
 struct EpochView {
-  Cycle now = 0;
-  Cycle epoch_len = 0;
-  std::vector<ThreadSample> threads;    ///< indexed by mix thread
-  std::vector<ClusterSample> clusters;  ///< indexed by global cluster
+  unsigned clusters = 0;  ///< global cluster count
+  unsigned capacity = 0;  ///< hardware contexts per cluster (Table 2 `threads`)
+  std::vector<ThreadSample> threads;  ///< indexed by mix thread
 };
 
 /// One proposed move: re-home `mix_thread` onto `to_cluster`.
@@ -126,37 +100,20 @@ struct AllocStats {
   std::uint64_t stall_cycles = 0;  ///< decision -> first eligible fetch, summed
 };
 
+/// A dynamic policy: proposes migrations at epoch boundaries.
 class AllocationPolicy {
  public:
   virtual ~AllocationPolicy() = default;
 
-  PolicyKind kind() const { return kind_; }
-
-  /// Deterministic initial placement of a mix whose jobs contribute
-  /// `job_threads[j]` threads each (mix threads are numbered job-major).
-  /// Every shipped policy uses the historical interleaved fill so that a
-  /// run's first epoch starts from the paper's placement.
-  virtual Placement initial_placement(
-      const MachineShape& shape, const std::vector<unsigned>& job_threads);
-
   /// Epoch boundary: append proposed migrations to `out` (at most
-  /// cfg.max_moves_per_epoch; the controller re-checks feasibility). Must
-  /// be a pure function of `view` and the policy's own state.
+  /// kMaxMovesPerEpoch; the controller re-checks feasibility). Must be a
+  /// pure function of `view` and the policy's own state.
   virtual void plan_epoch(const EpochView& view,
                           std::vector<Migration>& out) = 0;
-
- protected:
-  AllocationPolicy(PolicyKind kind, const AllocConfig& cfg)
-      : kind_(kind), cfg_(cfg) {}
-
-  const AllocConfig& config() const { return cfg_; }
-
- private:
-  PolicyKind kind_;
-  AllocConfig cfg_;
 };
 
-/// Builds the policy `cfg.policy` names.
-std::unique_ptr<AllocationPolicy> make_policy(const AllocConfig& cfg);
+/// Builds the dynamic policy `kind` names. `static` is no policy: a static
+/// run keeps its initial placement and builds no controller.
+std::unique_ptr<AllocationPolicy> make_policy(PolicyKind kind);
 
 }  // namespace csmt::alloc

@@ -6,28 +6,38 @@
 
 #include "cli/parse.hpp"
 
+#if defined(__unix__) || defined(__APPLE__)
+extern char** environ;
+#endif
+
 namespace csmt::cli {
 
+void warn_unknown_env() {
+#if defined(__unix__) || defined(__APPLE__)
+  for (char** e = environ; *e != nullptr; ++e) {
+    const std::string_view entry = *e;
+    const std::string_view name = entry.substr(0, entry.find('='));
+    if (!name.starts_with("CSMT_") ||
+        std::find(std::begin(kEnvNames), std::end(kEnvNames), name) !=
+            std::end(kEnvNames))
+      continue;
+    std::fprintf(stderr, "csmt: ignoring unknown environment variable %.*s\n",
+                 static_cast<int>(name.size()), name.data());
+  }
+#endif
+}
+
 Options Options::from_env(unsigned default_scale) {
+  warn_unknown_env();
   Options opt;
   opt.scale = static_cast<unsigned>(env_u64(
       "CSMT_SCALE", default_scale, 1, "an integer >= 1"));
-  opt.sweep = sweep::SweepOptions::from_env();
+  opt.sweep.jobs = static_cast<unsigned>(env_u64(
+      "CSMT_JOBS", 1, 0, "a worker count, 0 = all hardware threads"));
+  opt.sweep.cache_dir = env_string("CSMT_CACHE_DIR");
   opt.json_path = env_string("CSMT_JSON");
   opt.trace_path = env_string("CSMT_TRACE");
   opt.no_skip = env_flag("CSMT_NO_SKIP");
-  if (const char* s = std::getenv("CSMT_ALLOC_POLICY")) {
-    if (const auto kind = alloc::policy_from_name(s)) {
-      opt.alloc_policy = *kind;
-    } else {
-      std::fprintf(stderr,
-                   "csmt: ignoring unknown CSMT_ALLOC_POLICY='%s' (want "
-                   "static, greedy-util, symbiosis, or ipc-migrate)\n",
-                   s);
-    }
-  }
-  opt.alloc_epoch = env_u64("CSMT_ALLOC_EPOCH", 0, 0,
-                            "a cycle count, 0 = policy default");
   return opt;
 }
 
@@ -46,32 +56,15 @@ Options parse_options(int argc, char** argv, unsigned default_scale) {
       opt.json_path = v;
     } else if (const char* v = flag_value(argc, argv, i, "--trace")) {
       opt.trace_path = v;
-    } else if (const char* v = flag_value(argc, argv, i, "--alloc-policy")) {
-      const auto kind = alloc::policy_from_name(v);
-      if (!kind) {
-        std::fprintf(stderr,
-                     "csmt: --alloc-policy wants static, greedy-util, "
-                     "symbiosis, or ipc-migrate, got '%s'\n",
-                     v);
-        std::exit(2);
-      }
-      opt.alloc_policy = *kind;
-    } else if (const char* v = flag_value(argc, argv, i, "--alloc-epoch")) {
-      opt.alloc_epoch =
-          flag_u64(v, "--alloc-epoch", 0, "a cycle count, 0 = default");
     } else if (std::strcmp(argv[i], "--no-skip") == 0) {
       opt.no_skip = true;
     } else {
       std::fprintf(
           stderr,
           "usage: %s [--scale N] [--jobs N] [--cache-dir PATH] "
-          "[--json PATH] [--trace PATH] [--no-skip] "
-          "[--alloc-policy NAME] [--alloc-epoch N]\n"
+          "[--json PATH] [--trace PATH] [--no-skip]\n"
           "  (env: CSMT_SCALE, CSMT_JOBS, CSMT_CACHE_DIR, CSMT_JSON, "
-          "CSMT_TRACE, CSMT_NO_SKIP, CSMT_ALLOC_POLICY, "
-          "CSMT_ALLOC_EPOCH)\n"
-          "  allocation policies: static, greedy-util, symbiosis, "
-          "ipc-migrate\n",
+          "CSMT_TRACE, CSMT_NO_SKIP)\n",
           argv[0]);
       std::exit(2);
     }

@@ -1,7 +1,6 @@
 // csmt::cli::Options — the consolidated option set shared by the bench and
-// figure binaries: problem scale, sweep controls (workers, result cache),
-// observability knobs, and the thread-to-cluster allocation policy
-// (DESIGN.md §11).
+// figure binaries: problem scale, sweep controls (workers, result cache)
+// and observability knobs.
 //
 // Every knob has an environment default and a flag override; see
 // parse_options for the full list. bench::BenchOptions is an alias of this
@@ -10,8 +9,6 @@
 
 #include <string>
 
-#include "alloc/policy.hpp"
-#include "common/types.hpp"
 #include "sweep/sweep.hpp"
 
 namespace csmt::cli {
@@ -26,23 +23,18 @@ struct Options {
   /// the result cache, so the per-cycle kernel always runs.
   bool no_skip = false;
 
-  // --- thread-to-cluster allocation (csmt::alloc, DESIGN.md §11) ---
-  /// Placement policy; `static` is the paper's fixed assignment.
-  alloc::PolicyKind alloc_policy = alloc::PolicyKind::kStatic;
-  /// Cycles between reallocation epochs; 0 = the policy default.
-  Cycle alloc_epoch = 0;
-
-  /// Environment defaults only: CSMT_SCALE, CSMT_JOBS, CSMT_CACHE_DIR,
-  /// CSMT_JSON, CSMT_TRACE, CSMT_NO_SKIP, CSMT_ALLOC_POLICY,
-  /// CSMT_ALLOC_EPOCH. Malformed values warn and keep the default.
+  /// Environment defaults only: CSMT_SCALE, CSMT_JOBS (0 = every hardware
+  /// thread), CSMT_CACHE_DIR, CSMT_JSON, CSMT_TRACE, CSMT_NO_SKIP.
+  /// Malformed values warn and keep the default; any other CSMT_* variable
+  /// warns (warn_unknown_env).
   static Options from_env(unsigned default_scale = 4);
 };
 
 /// from_env() overridden by flags: --scale N, --jobs N, --cache-dir PATH,
-/// --json PATH, --trace PATH, --no-skip, --alloc-policy NAME,
-/// --alloc-epoch N (both "--flag value" and "--flag=value"). Unknown
-/// arguments and malformed flag values abort with a usage message (exit 2)
-/// so typos don't silently run the wrong experiment.
+/// --json PATH, --trace PATH, --no-skip (both "--flag value" and
+/// "--flag=value"). Unknown arguments and malformed flag values abort with
+/// a usage message (exit 2) so typos don't silently run the wrong
+/// experiment.
 Options parse_options(int argc, char** argv, unsigned default_scale = 4);
 
 }  // namespace csmt::cli

@@ -30,7 +30,8 @@ struct ExperimentSpec {
 
   // --- thread-to-cluster allocation (csmt::alloc, DESIGN.md §11) — part of
   // spec identity: a dynamic policy migrates threads and changes RunStats ---
-  /// Placement policy; `static` reproduces the historical fill bit for bit.
+  /// Migration policy; `static` keeps the historical fill and never
+  /// migrates.
   alloc::PolicyKind alloc_policy = alloc::PolicyKind::kStatic;
   /// Cycles between reallocation decisions (0 = the policy default).
   Cycle alloc_epoch = 0;

@@ -1,6 +1,7 @@
 #include "sim/machine.hpp"
 
 #include <algorithm>
+#include <optional>
 
 #include "alloc/controller.hpp"
 #include "common/assert.hpp"
@@ -90,21 +91,10 @@ MultiRunStats Machine::run(const Mix& mix) {
     }
   }
 
-  // The allocation controller (DESIGN.md §11) owns placement for every
-  // policy. Its `static` initial placement reproduces the historical fill:
-  // contexts handed out one job at a time in round-robin — which for a
-  // single job degenerates to the block placement the paper uses (tid 0 on
-  // chip 0) — so `static` runs are bit-identical to the pre-API machine.
-  const alloc::MachineShape shape{cfg_.chips, cfg_.arch.clusters,
-                                  cfg_.arch.cluster.threads};
-  std::vector<core::Cluster*> clusters;
-  std::vector<const cache::MemSys*> memsys;
-  for (auto& chip : chips_) {
-    for (unsigned j = 0; j < chip->num_clusters(); ++j) {
-      clusters.push_back(&chip->cluster(j));
-      memsys.push_back(&chip->memsys());
-    }
-  }
+  // Every run starts from the historical fill (DESIGN.md §11): context s,
+  // chip-major, runs mix thread placement[s], and Chip::attach_thread
+  // fills a chip's clusters in order. A single job degenerates to the
+  // block placement the paper uses (tid 0 on chip 0).
   std::vector<exec::ThreadContext*> threads;
   std::vector<unsigned> job_threads;
   for (std::size_t j = 0; j < mix.jobs.size(); ++j) {
@@ -113,11 +103,25 @@ MultiRunStats Machine::run(const Mix& mix) {
       threads.push_back(&groups[j]->thread(t));
     }
   }
-  alloc::Controller ctl(shape, cfg_.alloc, std::move(clusters),
-                        std::move(memsys), std::move(threads),
-                        std::move(job_threads), cfg_.trace);
-  ctl.place_initial();
-  alloc_ctl_ = dynamic ? &ctl : nullptr;
+  const std::vector<unsigned> placement =
+      alloc::initial_placement(job_threads);
+  const unsigned per_chip = cfg_.arch.threads_per_chip();
+  for (unsigned s = 0; s < placement.size(); ++s) {
+    chips_[s / per_chip]->attach_thread(threads[placement[s]]);
+  }
+  // Only a dynamic policy migrates; a static run builds no controller.
+  std::optional<alloc::Controller> ctl;
+  if (dynamic) {
+    std::vector<core::Cluster*> clusters;
+    for (auto& chip : chips_) {
+      for (unsigned j = 0; j < chip->num_clusters(); ++j) {
+        clusters.push_back(&chip->cluster(j));
+      }
+    }
+    ctl.emplace(cfg_.alloc, std::move(clusters), std::move(threads),
+                cfg_.trace);
+  }
+  alloc_ctl_ = ctl ? &*ctl : nullptr;
 
   MultiRunStats out;
   out.job_finish.assign(mix.jobs.size(), 0);
@@ -151,7 +155,7 @@ MultiRunStats Machine::run(const Mix& mix) {
       break;
     }
     if (now_ >= next_alloc) {
-      ctl.on_epoch(now_);
+      ctl->on_epoch(now_);
       while (next_alloc <= now_) next_alloc += alloc_interval;
     }
     const bool active = tick_chips(now_);
@@ -167,7 +171,7 @@ MultiRunStats Machine::run(const Mix& mix) {
       // Advance in-flight migrations and observe job completions. Both
       // change only on a tick that commits, so the cycles jumped below
       // cannot hold one.
-      if (dynamic) ctl.on_tick(now_);
+      if (ctl) ctl->on_tick(now_);
       for (std::size_t j = 0; j < mix.jobs.size(); ++j) {
         if (out.job_finish[j] == 0 && groups[j]->all_done()) {
           out.job_finish[j] = now_;
@@ -205,7 +209,7 @@ MultiRunStats Machine::run(const Mix& mix) {
   out.makespan = now_;
   if (!track_jobs) out.job_finish[0] = now_;
   out.combined = collect_stats(now_, running_accum, timed_out);
-  out.combined.alloc = ctl.stats();
+  if (ctl) out.combined.alloc = ctl->stats();
   return out;
 }
 

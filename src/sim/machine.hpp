@@ -44,9 +44,9 @@ struct MachineConfig {
   obs::PhaseProfiler* profiler = nullptr;
 
   // --- thread-to-cluster allocation (csmt::alloc, DESIGN.md §11) ---
-  /// Placement policy and dynamic-migration knobs. The default (`static`,
-  /// epoch 0) reproduces the historical startup fill bit for bit and adds
-  /// nothing to the run loop.
+  /// Migration policy and epoch. Every run starts from the historical
+  /// startup fill; the default (`static`) keeps it, builds no controller
+  /// and adds nothing to the run loop.
   alloc::AllocConfig alloc;
 
   /// Hardware thread contexts across the machine — the paper creates

@@ -7,13 +7,12 @@
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <thread>
 
 #if defined(__unix__) || defined(__APPLE__)
 #include <unistd.h>
 #endif
 
-#include "cli/parse.hpp"
-#include "common/thread_pool.hpp"
 #include "obs/profile.hpp"
 #include "sim/regime.hpp"
 #include "sim/report.hpp"
@@ -122,24 +121,12 @@ std::vector<sim::ExperimentSpec> SweepSpec::expand() const {
           spec.arch = a;
           spec.chips = c;
           spec.scale = s;
-          spec.alloc_policy = alloc_policy;
-          spec.alloc_epoch = alloc_epoch;
           points.push_back(std::move(spec));
         }
       }
     }
   }
   return points;
-}
-
-SweepOptions SweepOptions::from_env() {
-  SweepOptions options;
-  const std::uint64_t jobs = cli::env_u64(
-      "CSMT_JOBS", 1, 0, "a worker count, 0 = all hardware threads");
-  options.jobs =
-      jobs ? static_cast<unsigned>(jobs) : ThreadPool::hardware_default();
-  options.cache_dir = cli::env_string("CSMT_CACHE_DIR");
-  return options;
 }
 
 std::uint64_t spec_hash(const sim::ExperimentSpec& spec) {
@@ -164,7 +151,9 @@ std::uint64_t entry_seal(const sim::ExperimentSpec& spec,
 }
 
 SweepRunner::SweepRunner(SweepOptions options) : options_(std::move(options)) {
-  if (options_.jobs == 0) options_.jobs = ThreadPool::hardware_default();
+  if (options_.jobs == 0) {
+    options_.jobs = std::max(1u, std::thread::hardware_concurrency());
+  }
   if (!options_.cache_dir.empty()) {
     std::error_code ec;
     fs::create_directories(options_.cache_dir, ec);
@@ -234,11 +223,12 @@ std::vector<sim::ExperimentResult> SweepRunner::run(
   };
 
   // Cache probes are serial (they are file reads, not simulations); only
-  // the misses go to the pool. Each worker writes results[i], so ordering
-  // and bit-identity are independent of scheduling. Every finished
-  // cacheable point is published as it completes, so rerunning an
-  // interrupted sweep against the same cache dir simulates only the points
-  // it lacks.
+  // the misses are simulated, by min(jobs, misses) workers that claim them
+  // in index order from one atomic counter. Each worker writes only the
+  // results[i] it claimed, so ordering and bit-identity are independent of
+  // scheduling. Every finished cacheable point is published as it
+  // completes, so rerunning an interrupted sweep against the same cache
+  // dir simulates only the points it lacks.
   std::vector<std::size_t> misses;
   for (std::size_t i = 0; i < points.size(); ++i) {
     std::optional<sim::ExperimentResult> cached =
@@ -254,19 +244,23 @@ std::vector<sim::ExperimentResult> SweepRunner::run(
     }
   }
 
-  if (!misses.empty()) {
-    ThreadPool pool(std::min<std::size_t>(options_.jobs, misses.size()));
-    for (const std::size_t i : misses) {
-      pool.submit([this, i, &points, &results, &note_point, &emit_progress] {
-        results[i] = sim::run_experiment(points[i]);
-        cache_publish(options_.cache_dir, results[i]);
-        note_point(results[i]);
-        emit_progress(false);
-      });
+  std::atomic<std::size_t> next_miss{0};
+  auto work = [&] {
+    for (std::size_t k = next_miss++; k < misses.size(); k = next_miss++) {
+      const std::size_t i = misses[k];
+      results[i] = sim::run_experiment(points[i]);
+      cache_publish(options_.cache_dir, results[i]);
+      note_point(results[i]);
+      emit_progress(false);
     }
-    pool.wait_idle();
-    counters_.executed += misses.size();
+  };
+  {
+    // A jthread joins when destroyed, so no worker outlives this scope.
+    std::vector<std::jthread> workers(
+        std::min<std::size_t>(options_.jobs, misses.size()));
+    for (std::jthread& w : workers) w = std::jthread(work);
   }
+  counters_.executed += misses.size();
 
   emit_progress(true);
   return results;

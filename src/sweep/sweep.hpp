@@ -20,19 +20,14 @@ namespace csmt::sweep {
 
 /// A cartesian grid of experiment points: workloads x archs x chips x
 /// scales, expanded workload-major (the order the paper's figures group
-/// bars in), with the allocation policy applied to every point. The
-/// ablations' per-point overrides (fetch policy, window, L1 organization)
-/// are set on the expanded ExperimentSpecs.
+/// bars in). Per-point settings (the ablations' fetch policy, window and
+/// L1 organization, E1's allocation policy) are set on the expanded
+/// ExperimentSpecs.
 struct SweepSpec {
   std::vector<std::string> workloads;
   std::vector<core::ArchKind> archs;
   std::vector<unsigned> chips = {1};
   std::vector<unsigned> scales = {3};
-  /// Thread-to-cluster allocation policy stamped onto every point
-  /// (DESIGN.md §11); `static` is the paper's fixed placement.
-  alloc::PolicyKind alloc_policy = alloc::PolicyKind::kStatic;
-  /// Reallocation epoch length stamped onto every point (0 = policy default).
-  Cycle alloc_epoch = 0;
 
   /// Expansion order: workload-major, then arch, then chips, then scale —
   /// identical to the nesting of the old per-bench loops.
@@ -56,11 +51,6 @@ struct SweepOptions {
   /// Unread: live telemetry serving was removed. Kept for the same reason
   /// as ckpt_interval.
   int serve_telemetry = -1;
-
-  /// Environment defaults: CSMT_JOBS (count, or 0 for hardware width) and
-  /// CSMT_CACHE_DIR (directory path). Malformed values warn and are
-  /// ignored.
-  static SweepOptions from_env();
 };
 
 /// Tally of how a run's points were satisfied.
@@ -113,8 +103,8 @@ void cache_publish(const std::string& cache_dir,
 
 class SweepRunner {
  public:
-  /// Options from the environment (CSMT_JOBS, CSMT_CACHE_DIR).
-  SweepRunner() : SweepRunner(SweepOptions::from_env()) {}
+  /// The runner reads no environment; cli::Options::from_env().sweep
+  /// carries CSMT_JOBS and CSMT_CACHE_DIR.
   explicit SweepRunner(SweepOptions options);
 
   /// Runs every point of the grid; results arrive in expand() order

@@ -1,8 +1,8 @@
-// csmt::alloc conformance suite (DESIGN.md §11): the policy interface's
-// determinism contract, the `static` policy's bit-identity with the
-// pre-API machine behavior, the dynamic policies' end-to-end runs under
-// both simulation kernels, the migration cost-model accounting, and the
-// bench CLI's flag parsing.
+// csmt::alloc conformance suite (DESIGN.md §11): the one initial
+// placement, the `static` policy's bit-identity with the pre-API machine
+// behavior, the dynamic policies' end-to-end runs under both simulation
+// kernels and the migration cost-model accounting; plus the bench CLI's
+// environment and flag parsing.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -57,28 +57,20 @@ TEST(AllocPolicy, NamesRoundTrip) {
 }
 
 TEST(AllocPolicy, InitialPlacementIsSharedAndDeterministic) {
-  // Two jobs of 3 and 5 threads on a 2-chip machine with 2 clusters of 2
-  // contexts each: the historical fill hands contexts out one job at a
-  // time in round-robin, so the slot order is j0t0 j1t0 j0t1 j1t1 j0t2
-  // j1t2 j1t3 j1t4, cut into clusters of two.
-  const alloc::MachineShape shape{2, 2, 2};
+  // Every run, static or dynamic, starts from this one placement. Two jobs
+  // of 3 and 5 threads: the historical fill hands contexts out one job at
+  // a time in round-robin, so the slot order is j0t0 j1t0 j0t1 j1t1 j0t2
+  // j1t2 j1t3 j1t4. Mix thread indices are job-major: job 0 = 0..2, job 1
+  // = 3..7. On a machine with 2 contexts per cluster, the clusters hold
+  // {0,3}, {1,4}, {2,5} and {6,7}.
   const std::vector<unsigned> job_threads = {3, 5};
-  // Mix thread indices are job-major: job 0 = 0..2, job 1 = 3..7.
-  const std::vector<std::vector<unsigned>> expect = {
-      {0, 3}, {1, 4}, {2, 5}, {6, 7}};
-
-  using alloc::PolicyKind;
-  for (const PolicyKind k :
-       {PolicyKind::kStatic, PolicyKind::kGreedyUtil, PolicyKind::kSymbiosis,
-        PolicyKind::kIpcMigrate}) {
-    alloc::AllocConfig cfg;
-    cfg.policy = k;
-    const auto policy = alloc::make_policy(cfg);
-    const alloc::Placement p1 = policy->initial_placement(shape, job_threads);
-    const alloc::Placement p2 = policy->initial_placement(shape, job_threads);
-    EXPECT_EQ(p1.by_cluster, expect) << alloc::policy_name(k);
-    EXPECT_EQ(p1.by_cluster, p2.by_cluster) << alloc::policy_name(k);
-  }
+  const std::vector<unsigned> expect = {0, 3, 1, 4, 2, 5, 6, 7};
+  EXPECT_EQ(alloc::initial_placement(job_threads), expect);
+  EXPECT_EQ(alloc::initial_placement(job_threads),
+            alloc::initial_placement(job_threads));
+  // A single job is the paper's block placement: tid t on context t.
+  EXPECT_EQ(alloc::initial_placement({4}),
+            (std::vector<unsigned>{0, 1, 2, 3}));
 }
 
 TEST(AllocPolicy, StaticParityAcrossGrid) {
@@ -158,21 +150,20 @@ TEST(AllocPolicy, DynamicPoliciesCompleteAndValidate) {
 TEST(AllocPolicy, MigrationCostAccounting) {
   // Symbiosis re-deals threads by IPC rank every epoch, so on an SMT
   // machine it reliably produces migrations; each completed move costs at
-  // least migration_cost cycles of fetch stall on top of its drain.
+  // least kMigrationCost cycles of fetch stall on top of its drain.
   MachineConfig mc;
   mc.arch = core::arch_preset(core::ArchKind::kSmt2);
   mc.alloc.policy = alloc::PolicyKind::kSymbiosis;
   mc.alloc.epoch = 500;
-  mc.alloc.migration_cost = 64;
   bool ok = false;
   const MultiRunStats r = run_two_job_mix(mc, &ok);
   ASSERT_FALSE(r.combined.timed_out);
   EXPECT_TRUE(ok);
   const alloc::AllocStats& s = r.combined.alloc;
   ASSERT_GT(s.migrations, 0u);
-  // stall = (wake - decision) >= (drain - decision) + migration_cost.
+  // stall = (wake - decision) >= (drain - decision) + kMigrationCost.
   EXPECT_GE(s.stall_cycles,
-            s.drain_cycles + s.migrations * mc.alloc.migration_cost);
+            s.drain_cycles + s.migrations * alloc::kMigrationCost);
 }
 
 TEST(AllocPolicy, DynamicRunIsKernelInvariant) {
@@ -211,38 +202,70 @@ TEST(AllocPolicy, SpecIdentityAndCacheKeyCoverPolicy) {
   EXPECT_NE(sweep::spec_hash(a), sweep::spec_hash(c));
 }
 
-TEST(AllocPolicy, EnvAndFlagParsing) {
-  setenv("CSMT_ALLOC_POLICY", "symbiosis", 1);
-  setenv("CSMT_ALLOC_EPOCH", "2500", 1);
+TEST(CliOptions, EnvAndFlagParsing) {
+  setenv("CSMT_SCALE", "3", 1);
+  setenv("CSMT_JOBS", "2", 1);
+  setenv("CSMT_CACHE_DIR", "env-cache", 1);
   cli::Options opt = cli::Options::from_env();
-  EXPECT_EQ(opt.alloc_policy, alloc::PolicyKind::kSymbiosis);
-  EXPECT_EQ(opt.alloc_epoch, 2500u);
+  EXPECT_EQ(opt.scale, 3u);
+  EXPECT_EQ(opt.sweep.jobs, 2u);
+  EXPECT_EQ(opt.sweep.cache_dir, "env-cache");
 
-  // Malformed environment values warn and keep the default (PR 5 rule).
-  setenv("CSMT_ALLOC_POLICY", "fifo", 1);
-  setenv("CSMT_ALLOC_EPOCH", "soon", 1);
+  // Malformed environment values warn and keep the default.
+  setenv("CSMT_SCALE", "0", 1);
+  setenv("CSMT_JOBS", "soon", 1);
   opt = cli::Options::from_env();
-  EXPECT_EQ(opt.alloc_policy, alloc::PolicyKind::kStatic);
-  EXPECT_EQ(opt.alloc_epoch, 0u);
-  unsetenv("CSMT_ALLOC_POLICY");
-  unsetenv("CSMT_ALLOC_EPOCH");
+  EXPECT_EQ(opt.scale, 4u);
+  EXPECT_EQ(opt.sweep.jobs, 1u);
 
   // Flags override the environment.
-  const char* argv[] = {"alloc_test", "--alloc-policy=ipc-migrate",
-                        "--alloc-epoch", "4096"};
-  opt = cli::parse_options(4, const_cast<char**>(argv));
-  EXPECT_EQ(opt.alloc_policy, alloc::PolicyKind::kIpcMigrate);
-  EXPECT_EQ(opt.alloc_epoch, 4096u);
+  const char* argv[] = {"csmt", "--scale=5", "--jobs", "0",
+                        "--cache-dir", "flag-cache"};
+  opt = cli::parse_options(6, const_cast<char**>(argv));
+  EXPECT_EQ(opt.scale, 5u);
+  EXPECT_EQ(opt.sweep.jobs, 0u);
+  EXPECT_EQ(opt.sweep.cache_dir, "flag-cache");
+  unsetenv("CSMT_SCALE");
+  unsetenv("CSMT_JOBS");
+  unsetenv("CSMT_CACHE_DIR");
+}
+
+TEST(CliOptions, UnknownCsmtVariableWarns) {
+  // A variable no csmt binary reads (here one the allocation flags' removal
+  // retired) warns on stderr and changes nothing.
+  setenv("CSMT_ALLOC_POLICY", "symbiosis", 1);
+  ::testing::internal::CaptureStderr();
+  const cli::Options opt = cli::Options::from_env();
+  const std::string err = ::testing::internal::GetCapturedStderr();
+  unsetenv("CSMT_ALLOC_POLICY");
+  EXPECT_NE(err.find("csmt: ignoring unknown environment variable "
+                     "CSMT_ALLOC_POLICY\n"),
+            std::string::npos)
+      << err;
+  const cli::Options defaults;
+  EXPECT_EQ(opt.scale, defaults.scale);
+  EXPECT_EQ(opt.sweep.jobs, defaults.sweep.jobs);
+  EXPECT_EQ(opt.sweep.cache_dir, defaults.sweep.cache_dir);
+  EXPECT_EQ(opt.json_path, defaults.json_path);
+  EXPECT_EQ(opt.trace_path, defaults.trace_path);
+  EXPECT_EQ(opt.no_skip, defaults.no_skip);
 }
 
 TEST(CliOptionsDeathTest, RemovedFlagsAreUnknown) {
-  // Live telemetry serving and mid-run checkpointing were removed, so their
-  // flags are unknown arguments like any typo: usage line, exit 2.
+  // Live telemetry serving, mid-run checkpointing and the per-binary
+  // allocation knobs were removed, so their flags are unknown arguments
+  // like any typo: usage line, exit 2.
   const char* telemetry[] = {"csmt", "--serve-telemetry", "0"};
   EXPECT_EXIT(cli::parse_options(3, const_cast<char**>(telemetry)),
               ::testing::ExitedWithCode(2), "usage: csmt ");
   const char* ckpt[] = {"csmt", "--ckpt-interval", "2000"};
   EXPECT_EXIT(cli::parse_options(3, const_cast<char**>(ckpt)),
+              ::testing::ExitedWithCode(2), "usage: csmt ");
+  const char* policy[] = {"csmt", "--alloc-policy", "symbiosis"};
+  EXPECT_EXIT(cli::parse_options(3, const_cast<char**>(policy)),
+              ::testing::ExitedWithCode(2), "usage: csmt ");
+  const char* epoch[] = {"csmt", "--alloc-epoch", "2000"};
+  EXPECT_EXIT(cli::parse_options(3, const_cast<char**>(epoch)),
               ::testing::ExitedWithCode(2), "usage: csmt ");
 }
 

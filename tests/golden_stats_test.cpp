@@ -129,10 +129,12 @@ TEST(GoldenStats, AllocPolicyFingerprints) {
           if (policy == alloc::PolicyKind::kSymbiosis) {
             symbiosis_migrations += r.stats.alloc.migrations;
           }
-          points.emplace_back(wl + "/" + core::arch_name(arch) + "/x" +
-                                  std::to_string(chips) + "/" +
-                                  alloc::policy_name(policy),
-                              hex_digest(r));
+          const std::string point = wl + "/" + core::arch_name(arch) + "/x" +
+                                    std::to_string(chips) + "/" +
+                                    alloc::policy_name(policy);
+          // Migration must leave every result functionally correct.
+          EXPECT_TRUE(r.validated) << point;
+          points.emplace_back(point, hex_digest(r));
         }
       }
     }

@@ -114,8 +114,6 @@ std::string seal_hex(const sim::ExperimentSpec& spec,
 TEST(SweepSpec, ExpandsWorkloadMajor) {
   SweepSpec spec = small_grid();
   spec.chips = {1, 4};
-  spec.alloc_policy = alloc::PolicyKind::kSymbiosis;
-  spec.alloc_epoch = 1000;
   const auto points = spec.expand();
   ASSERT_EQ(points.size(), 2u * 2u * 2u);
   // Workload-major, then arch, then chips.
@@ -125,11 +123,7 @@ TEST(SweepSpec, ExpandsWorkloadMajor) {
   EXPECT_EQ(points[1].chips, 4u);
   EXPECT_EQ(points[2].arch, core::ArchKind::kSmt2);
   EXPECT_EQ(points[4].workload, "tomcatv");
-  for (const auto& p : points) {
-    EXPECT_EQ(p.alloc_policy, alloc::PolicyKind::kSymbiosis);
-    EXPECT_EQ(p.alloc_epoch, 1000u);
-    EXPECT_EQ(p.scale, 1u);
-  }
+  for (const auto& p : points) EXPECT_EQ(p.scale, 1u);
 }
 
 TEST(SweepRunner, ParallelIsBitIdenticalToSerial) {

@@ -1,9 +1,10 @@
 // Table 2: the architecture configurations. Prints every preset and checks
 // the table's invariants: each chip provides 8 hardware threads (except the
-// FA processors with fewer contexts), an 8-wide issue budget, 128 window
-// entries and 128 renaming registers chip-wide, and the FA/SMT pairing
-// (SMT4~FA4, SMT2~FA2, SMT1~FA1 in per-cluster resources).
+// FA processors with fewer contexts), an 8-wide issue budget, a 128-entry
+// window chip-wide (IQ, ROB and renaming registers alike), and the FA/SMT
+// pairing (SMT4~FA4, SMT2~FA2, SMT1~FA1 in per-cluster resources).
 #include <cstdio>
+#include <string>
 
 #include "common/table.hpp"
 #include "core/arch_config.hpp"
@@ -22,6 +23,8 @@ int main() {
         core::ArchKind::kSmt1}) {
     const core::ArchConfig c = core::arch_preset(k);
     const auto& cl = c.cluster;
+    const std::string window = std::to_string(cl.window);
+    const std::string chip_window = std::to_string(c.clusters * cl.window);
     t.row({c.name,
            std::to_string(c.clusters) + " x " + std::to_string(cl.width),
            std::to_string(cl.threads) + " [" +
@@ -31,15 +34,12 @@ int main() {
                std::to_string(c.clusters * cl.int_units) + "/" +
                std::to_string(c.clusters * cl.ldst_units) + "/" +
                std::to_string(c.clusters * cl.fp_units) + "]",
-           std::to_string(cl.iq_entries) + " [" +
-               std::to_string(c.clusters * cl.iq_entries) + "]",
-           std::to_string(cl.int_rename) + "/" + std::to_string(cl.fp_rename) +
-               " [" + std::to_string(c.clusters * cl.int_rename) + "/" +
-               std::to_string(c.clusters * cl.fp_rename) + "]"});
+           window + " [" + chip_window + "]",
+           window + "/" + window + " [" + chip_window + "/" + chip_window +
+               "]"});
     // Table 2 invariants.
     ok = ok && c.issue_width_per_chip() == 8;
-    ok = ok && c.clusters * cl.iq_entries == 128;
-    ok = ok && c.clusters * cl.int_rename == 128;
+    ok = ok && c.clusters * cl.window == 128;
     if (c.name != "FA1" && c.name != "SMT1") {
       ok = ok && c.clusters * cl.int_units == 8;
     } else {

@@ -6,15 +6,15 @@ namespace csmt::core {
 namespace {
 
 // One Table 2 row: `clusters` x (`width`-issue, `threads`-thread) clusters.
-// Per-cluster FU mix, window entries, and rename registers follow the table;
-// chip totals are clusters x per-cluster.
+// Per-cluster FU mix and window (IQ, ROB and rename registers alike) follow
+// the table; chip totals are clusters x per-cluster.
 ArchConfig row(const char* name, unsigned clusters, unsigned width,
                unsigned threads, unsigned iu, unsigned lsu, unsigned fpu,
-               unsigned window, unsigned rename) {
+               unsigned window) {
   ArchConfig cfg;
   cfg.name = name;
   cfg.clusters = clusters;
-  cfg.cluster = {width, threads, iu, lsu, fpu, window, window, rename, rename};
+  cfg.cluster = {width, threads, iu, lsu, fpu, window};
   return cfg;
 }
 
@@ -23,22 +23,22 @@ ArchConfig row(const char* name, unsigned clusters, unsigned width,
 ArchConfig arch_preset(ArchKind kind) {
   switch (kind) {
     case ArchKind::kFa8:
-      return row("FA8", 8, 1, 1, 1, 1, 1, 16, 16);
+      return row("FA8", 8, 1, 1, 1, 1, 1, 16);
     case ArchKind::kFa4:
-      return row("FA4", 4, 2, 1, 2, 2, 2, 32, 32);
+      return row("FA4", 4, 2, 1, 2, 2, 2, 32);
     case ArchKind::kFa2:
-      return row("FA2", 2, 4, 1, 4, 4, 4, 64, 64);
+      return row("FA2", 2, 4, 1, 4, 4, 4, 64);
     case ArchKind::kFa1:
-      return row("FA1", 1, 8, 1, 6, 4, 4, 128, 128);
+      return row("FA1", 1, 8, 1, 6, 4, 4, 128);
     case ArchKind::kSmt4:
-      return row("SMT4", 4, 2, 2, 2, 2, 2, 32, 32);
+      return row("SMT4", 4, 2, 2, 2, 2, 2, 32);
     case ArchKind::kSmt2:
-      return row("SMT2", 2, 4, 4, 4, 4, 4, 64, 64);
+      return row("SMT2", 2, 4, 4, 4, 4, 4, 64);
     case ArchKind::kSmt1:
-      return row("SMT1", 1, 8, 8, 6, 4, 4, 128, 128);
+      return row("SMT1", 1, 8, 8, 6, 4, 4, 128);
     case ArchKind::kSmt8:
       // SMT8 is the paper's name for FA8 when used as the SMT baseline.
-      return row("SMT8", 8, 1, 1, 1, 1, 1, 16, 16);
+      return row("SMT8", 8, 1, 1, 1, 1, 1, 16);
   }
   CSMT_ASSERT_MSG(false, "unknown ArchKind");
   return {};

@@ -28,10 +28,10 @@ struct ClusterConfig {
   unsigned int_units = 6;
   unsigned ldst_units = 4;
   unsigned fp_units = 4;
-  unsigned iq_entries = 128;   ///< instruction queue entries
-  unsigned rob_entries = 128;  ///< reorder buffer entries
-  unsigned int_rename = 128;   ///< integer renaming registers
-  unsigned fp_rename = 128;    ///< fp renaming registers
+  /// Window entries: the ROB, and with it the IQ and the int and fp
+  /// renaming registers, which Table 2 sizes alike. Each of those three
+  /// counts live uops, so only a full ROB ever stops dispatch.
+  unsigned window = 128;
   /// Cycles between a sync release and the woken thread's first fetch —
   /// the re-read of the sync line after invalidation. 0 = resolved by the
   /// Machine (15 low-end, 40 high-end; see DESIGN.md knobs).

@@ -69,11 +69,6 @@ class ThreadContext {
   /// Returns false (and leaves `out` untouched) when the thread is done.
   bool step(DynInst& out);
 
-  /// The next instruction step() would execute. Only valid while !done():
-  /// the fetch stage peeks to check resource needs before committing to
-  /// functional execution.
-  const isa::Inst& peek() const { return program_.at(pc_); }
-
   /// Architectural state accessors (tests and debugging).
   std::uint64_t ireg(isa::RegIdx r) const { return iregs_[r]; }
   double freg(isa::RegIdx r) const { return fregs_[r]; }

@@ -12,12 +12,7 @@ ExperimentResult run_experiment(const ExperimentSpec& spec) {
   MachineConfig mc;
   mc.arch = core::arch_preset(spec.arch);
   if (spec.fetch_policy) mc.arch.fetch_policy = *spec.fetch_policy;
-  if (spec.window_size) {
-    mc.arch.cluster.iq_entries = *spec.window_size;
-    mc.arch.cluster.rob_entries = *spec.window_size;
-    mc.arch.cluster.int_rename = *spec.window_size;
-    mc.arch.cluster.fp_rename = *spec.window_size;
-  }
+  if (spec.window_size) mc.arch.cluster.window = *spec.window_size;
   if (spec.l1_private) mc.mem.l1_private = *spec.l1_private;
   mc.chips = spec.chips;
   mc.alloc.policy = spec.alloc_policy;

@@ -21,8 +21,8 @@ struct ExperimentSpec {
   unsigned scale = 3;            ///< workload problem scale
   /// Optional fetch-policy override (ablation A1); default = preset policy.
   std::optional<core::FetchPolicy> fetch_policy;
-  /// Optional per-cluster window override (ablation A2): sets IQ, ROB and
-  /// both renaming-register files to this many entries.
+  /// Optional per-cluster window override (ablation A2): the window's
+  /// entries (ROB, IQ and both renaming-register files alike).
   std::optional<unsigned> window_size;
   /// Optional L1 organization override (ablation A5): true = per-cluster
   /// private L1s, false = the paper's shared L1.

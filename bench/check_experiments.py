@@ -14,6 +14,8 @@ with a fresh, temporary result cache and compares:
   the two printed tables. A cell matches when each coordinate is within
   0.05 of the bench's two-decimal value.
 - Table 3: the `measured` column with the printed latencies, exactly.
+- A1: the cycles of every documented (workload, arch) row under each of
+  the three fetch policies, exactly.
 - A4: the cycles and committed sync insts of every documented
   (arch, chips, model) row, exactly.
 - E1: the makespan of each printed `mix: a + b` table (commas and bold
@@ -21,9 +23,9 @@ with a fresh, temporary result cache and compares:
 
 Prints one line per mismatch, `Figure N workload/ARCH: doc X, bench Y`,
 `Figure 6 workload/low-end: doc X, bench Y`, `Table 3 level: doc X,
-bench Y`, `A4 arch/chips/model: doc X, bench Y` or `E1 mix/ARCH: doc X,
-bench Y`, and exits 1 if there is any; exits 0 when every documented cell
-matches.
+bench Y`, `A1 workload/ARCH/policy: doc X, bench Y`, `A4 arch/chips/model:
+doc X, bench Y` or `E1 mix/ARCH: doc X, bench Y`, and exits 1 if there is
+any; exits 0 when every documented cell matches.
 """
 import os
 import re
@@ -43,6 +45,9 @@ POINT = re.compile(r"\(([-\d.]+), ([-\d.]+)\)")
 # Figure 6 doc column -> index of the bench's table (low end prints first).
 FIG6_COLUMNS = {"low-end measured": 0, "high-end measured": 1}
 FIG6_TOLERANCE = 0.05
+# A1's fetch policies, as its doc columns and printed column prefixes.
+A1_POLICIES = ("strict-RR", "RR-skip", "ICOUNT")
+A1_HEADING = re.compile(r"^== Ablation A1: fetch policy on (\S+) ")
 # Checked A4 columns -> the printed column that follows each (None: last).
 A4_COLUMNS = {"cycles": "sync%", "committed sync insts": None}
 
@@ -141,6 +146,25 @@ def table3_latencies(stdout):
     return table
 
 
+def fetch_policy_cycles(stdout):
+    """{"workload/ARCH/policy": cycles} of the printed A1 tables."""
+    lines = stdout.splitlines()
+    table = {}
+    for i, line in enumerate(lines):
+        m = A1_HEADING.match(line)
+        if not m:
+            continue
+        header = lines[i + 1]
+        for row in lines[i + 3:]:
+            if not row.strip():
+                break
+            for policy in A1_POLICIES:
+                key = "%s/%s/%s" % (row.split()[0], m.group(1), policy)
+                table[key] = cut(row, header, policy + " cycles",
+                                 policy + " fetch%")
+    return table
+
+
 def sync_model_cells(stdout, column):
     """{"arch/chips/model": cell} of one column of the printed A4 table."""
     lines = stdout.splitlines()
@@ -232,6 +256,12 @@ def main():
             "Table 3", table3_latencies(run("table3_memory_latency")),
             {level: cols["measured"] for level, cols in
              doc_table(text, "## Table 3 ").items()})
+        # The documented A1 rows start workload | arch.
+        header, body = doc_rows(text, "### A1 ")
+        mismatches += compare(
+            "A1", fetch_policy_cycles(run("ablation_fetch_policy")),
+            {"%s/%s/%s" % (r[0], r[1], p): r[header.index(p)]
+             for r in body for p in A1_POLICIES})
         # The documented A4 rows start arch | chips | model.
         sync_model = run("ablation_sync_model")
         header, body = doc_rows(text, "### A4 ")

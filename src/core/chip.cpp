@@ -186,7 +186,7 @@ ChipStats Chip::stats() const {
   ChipStats s;
   for (const auto& cl : clusters_) {
     const ClusterStats& c = cl->stats();
-    s.slots.merge(c.slots);
+    s.tally.add(c.tally);
     s.committed_useful += c.committed_useful;
     s.committed_sync += c.committed_sync;
     s.fetched += c.fetched;

@@ -13,7 +13,7 @@
 namespace csmt::core {
 
 struct ChipStats {
-  SlotStats slots;
+  SlotTally tally;  ///< the clusters' slot tallies, summed exactly
   std::uint64_t committed_useful = 0;
   std::uint64_t committed_sync = 0;
   std::uint64_t fetched = 0;

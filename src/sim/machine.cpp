@@ -141,7 +141,7 @@ MultiRunStats Machine::run(const Mix& mix) {
   // cycle is the makespan by definition.
   const bool track_jobs = !single || dynamic;
 
-  double running_accum = 0.0;
+  std::uint64_t running_accum = 0;
   std::int64_t last_running_traced = -1;
   bool timed_out = false;
   // A tick that changes nothing cannot finish the machine (finishing takes
@@ -194,8 +194,7 @@ MultiRunStats Machine::run(const Mix& mix) {
       continue;
     }
     stop = std::min({stop, cfg_.max_cycles, next_alloc});
-    // An integer-valued accumulator far below 2^53: one exact addition.
-    running_accum += static_cast<double>((stop - now_) * running);
+    running_accum += (stop - now_) * running;
     quiet_cycles_ += stop - now_;
     now_ = stop;
   }
@@ -251,17 +250,20 @@ void Machine::settle_chips(Cycle upto) {
   for (auto& chip : chips_) chip->settle(upto);
 }
 
-RunStats Machine::collect_stats(Cycle now, double running_accum,
+RunStats Machine::collect_stats(Cycle now, std::uint64_t running_accum,
                                 bool timed_out) {
   RunStats out;
   out.timed_out = timed_out;
   out.cycles = now;
   out.avg_running_threads =
-      now ? running_accum / static_cast<double>(now) / cfg_.chips : 0.0;
+      now ? static_cast<double>(running_accum) / static_cast<double>(now) /
+                cfg_.chips
+          : 0.0;
 
+  core::SlotTally slots;
   for (const auto& chip : chips_) {
     const core::ChipStats cs = chip->stats();
-    out.slots.merge(cs.slots);
+    slots.add(cs.tally);
     out.committed_useful += cs.committed_useful;
     out.committed_sync += cs.committed_sync;
     out.fetched += cs.fetched;
@@ -279,6 +281,7 @@ RunStats Machine::collect_stats(Cycle now, double running_accum,
     out.mem.upgrades += ms.upgrades;
     out.mem.l1_cross_invalidations += ms.l1_cross_invalidations;
   }
+  out.slots = slots.slots();  // the one division of the §4.1 tally
   // Miss rates: weighted merge across chips.
   {
     std::uint64_t l1h = 0, l1m = 0, l2h = 0, l2m = 0, th = 0, tm = 0;

@@ -157,7 +157,9 @@ class Machine {
   }
 
  private:
-  RunStats collect_stats(Cycle cycles, double running_accum, bool timed_out);
+  /// `running_accum` is the running-thread count summed over cycles.
+  RunStats collect_stats(Cycle cycles, std::uint64_t running_accum,
+                         bool timed_out);
 
   bool all_finished() const;
   /// Ticks every chip; returns true when any chip changed observable state

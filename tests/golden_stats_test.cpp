@@ -81,7 +81,8 @@ TEST(GoldenStats, PaperGridFingerprints) {
   // Every workload on the paper's seven organizations and both machines.
   // The 4-chip half exercises DASH remote fetches, interventions and
   // invalidations, cross-chip sync releases inside the tick, the quiet
-  // path, and lazy replay.
+  // path, and lazy replay. Each point's slots also conserve the issue
+  // bandwidth: the integer tally rounds only when it is read.
   const std::vector<core::ArchKind> archs = {
       core::ArchKind::kFa1,  core::ArchKind::kFa2,  core::ArchKind::kFa4,
       core::ArchKind::kFa8,  core::ArchKind::kSmt1, core::ArchKind::kSmt2,
@@ -95,9 +96,15 @@ TEST(GoldenStats, PaperGridFingerprints) {
         spec.arch = arch;
         spec.chips = chips;
         spec.scale = 1;
-        points.emplace_back(wl + "/" + core::arch_name(arch) + "/x" +
-                                std::to_string(chips),
-                            hex_digest(run_experiment(spec)));
+        const std::string point =
+            wl + "/" + core::arch_name(arch) + "/x" + std::to_string(chips);
+        const ExperimentResult r = run_experiment(spec);
+        const double bandwidth =
+            core::arch_preset(arch).issue_width_per_chip() * chips *
+            static_cast<double>(r.stats.cycles);
+        EXPECT_NEAR(r.stats.slots.total(), bandwidth, 4e-15 * bandwidth)
+            << point;
+        points.emplace_back(point, hex_digest(r));
       }
     }
   }

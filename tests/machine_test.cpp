@@ -70,7 +70,7 @@ TEST(Machine, SlotConservationMachineWide) {
   const RunStats s = run_single(m, busy_program(300), memory);
   // Total slots = chips x chip-issue-width x cycles.
   const double expect = 2.0 * 8.0 * static_cast<double>(s.cycles);
-  EXPECT_NEAR(s.slots.total(), expect, 1e-6 * expect);
+  EXPECT_NEAR(s.slots.total(), expect, 4e-15 * expect);
 }
 
 TEST(Machine, WatchdogFiresOnRunaway) {

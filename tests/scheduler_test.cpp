@@ -2,9 +2,9 @@
 // skipping kernel — per-cluster sleep, and the machine's clock jump while
 // every cluster sleeps — must produce bit-identical results to the
 // per-cycle kernel: same RunStats, same trace counters, same timeout
-// clamp. Comparison goes through render_json so every counter
-// (including the FP slot histogram and avg_running_threads) is compared at
-// full serialized precision.
+// clamp. Comparison goes through render_json so every counter (including
+// the slot values, which both kernels divide out of one integer tally, and
+// avg_running_threads) is compared at full serialized precision.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -98,8 +98,9 @@ TEST(KernelEquivalence, WorkloadGridIsBitIdentical) {
 
 TEST(KernelEquivalence, FetchPoliciesMatchPerCycleKernel) {
   // The default rr-skip is covered above. Strict rr is the one policy whose
-  // quiet spans replay cycle by cycle (its stall check rotates with the
-  // fetch pointer); icount replays them in closed form like rr-skip.
+  // fetch pointer moves on a quiet cycle, so its spans replay the rotation
+  // over the live threads in closed form; icount's pointer, like
+  // rr-skip's, moves only on a fetch.
   const struct {
     const char* workload;
     unsigned chips;
@@ -129,9 +130,13 @@ TEST(KernelEquivalence, FetchPoliciesMatchPerCycleKernel) {
 }
 
 TEST(KernelEquivalence, RunJobsMixIsBitIdentical) {
-  auto run_mix = [](bool no_skip) {
+  // Under every fetch policy. Each cluster holds threads of both jobs, so
+  // once the first job halts, strict rr's quiet spans rotate past its
+  // halted threads.
+  auto run_mix = [](core::FetchPolicy policy, bool no_skip) {
     MachineConfig mc;
     mc.arch = core::arch_preset(core::ArchKind::kSmt2);
+    mc.arch.fetch_policy = policy;
     mc.no_skip = no_skip;
     Machine machine(mc);
     const auto wla = workloads::make_workload("vpenta");
@@ -145,11 +150,16 @@ TEST(KernelEquivalence, RunJobsMixIsBitIdentical) {
     };
     return machine.run(Mix{jobs});
   };
-  const MultiRunStats fast = run_mix(false);
-  const MultiRunStats slow = run_mix(true);
-  EXPECT_EQ(fast.makespan, slow.makespan);
-  EXPECT_EQ(fast.job_finish, slow.job_finish);
-  EXPECT_EQ(stats_json(fast.combined), stats_json(slow.combined));
+  for (const core::FetchPolicy policy :
+       {core::FetchPolicy::kRoundRobin, core::FetchPolicy::kRoundRobinSkip,
+        core::FetchPolicy::kIcount}) {
+    const MultiRunStats fast = run_mix(policy, false);
+    const MultiRunStats slow = run_mix(policy, true);
+    const char* name = core::fetch_policy_name(policy);
+    EXPECT_EQ(fast.makespan, slow.makespan) << name;
+    EXPECT_EQ(fast.job_finish, slow.job_finish) << name;
+    EXPECT_EQ(stats_json(fast.combined), stats_json(slow.combined)) << name;
+  }
 }
 
 TEST(KernelEquivalence, DeadlockClampsToMaxCyclesExactly) {

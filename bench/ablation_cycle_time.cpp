@@ -30,7 +30,7 @@ double clock_factor(csmt::core::ArchKind kind) {
 
 int main(int argc, char** argv) {
   using namespace csmt;
-  const bench::BenchOptions opt = bench::parse_options(argc, argv);
+  const cli::Options opt = cli::parse_options(argc, argv);
   const std::vector<core::ArchKind> archs = {
       core::ArchKind::kSmt8, core::ArchKind::kSmt4, core::ArchKind::kSmt2,
       core::ArchKind::kSmt1};
@@ -41,7 +41,7 @@ int main(int argc, char** argv) {
                 "(%s, scale %u) ==\n",
                 chips == 1 ? "low-end" : "high-end", opt.scale);
     const auto results =
-        bench::run_figure_grid(opt, bench::paper_workloads(), archs, chips);
+        bench::run_figure_grid(opt, workloads::workload_names(), archs, chips);
     all.insert(all.end(), results.begin(), results.end());
 
     AsciiTable t;
@@ -67,7 +67,7 @@ int main(int argc, char** argv) {
     }
     std::printf("%s\n", t.render().c_str());
   }
-  bench::export_json(opt, all);
+  cli::export_json(opt, all);
   std::printf(
       "Expectation: in raw cycles SMT1 edges out SMT2, but with the [12]\n"
       "clock factors SMT2 is decisively faster — the paper's conclusion\n"

@@ -9,7 +9,7 @@
 
 int main(int argc, char** argv) {
   using namespace csmt;
-  const bench::BenchOptions opt = bench::parse_options(argc, argv);
+  const cli::Options opt = cli::parse_options(argc, argv);
   struct Policy {
     core::FetchPolicy policy;
     const char* name;
@@ -28,7 +28,7 @@ int main(int argc, char** argv) {
     // Non-cartesian in the policy axis, so hand the runner an explicit
     // point list: workload-major, one point per (workload, policy).
     std::vector<sim::ExperimentSpec> points;
-    for (const std::string& w : bench::paper_workloads()) {
+    for (const std::string& w : workloads::workload_names()) {
       for (const Policy& p : policies) {
         sim::ExperimentSpec spec;
         spec.workload = w;
@@ -38,7 +38,7 @@ int main(int argc, char** argv) {
         points.push_back(std::move(spec));
       }
     }
-    const auto results = bench::run_points(opt, points);
+    const auto results = cli::run_points(opt, points);
     all.insert(all.end(), results.begin(), results.end());
 
     AsciiTable t;
@@ -59,7 +59,7 @@ int main(int argc, char** argv) {
     }
     std::printf("%s\n", t.render().c_str());
   }
-  bench::export_json(opt, all);
+  cli::export_json(opt, all);
   std::printf(
       "Expectation: strict round-robin, which wastes a stalled thread's\n"
       "fetch turn, takes the most cycles and ICOUNT the fewest, with RR-skip\n"

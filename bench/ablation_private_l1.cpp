@@ -12,7 +12,7 @@
 
 int main(int argc, char** argv) {
   using namespace csmt;
-  const bench::BenchOptions opt = bench::parse_options(argc, argv);
+  const cli::Options opt = cli::parse_options(argc, argv);
 
   std::vector<sim::ExperimentResult> all;
   for (const core::ArchKind arch :
@@ -23,7 +23,7 @@ int main(int argc, char** argv) {
 
     // (shared, private) pair per workload, via the l1_private override.
     std::vector<sim::ExperimentSpec> points;
-    for (const std::string& w : bench::paper_workloads()) {
+    for (const std::string& w : workloads::workload_names()) {
       for (const bool priv : {false, true}) {
         sim::ExperimentSpec spec;
         spec.workload = w;
@@ -33,7 +33,7 @@ int main(int argc, char** argv) {
         points.push_back(std::move(spec));
       }
     }
-    const auto results = bench::run_points(opt, points);
+    const auto results = cli::run_points(opt, points);
     all.insert(all.end(), results.begin(), results.end());
 
     AsciiTable t;
@@ -53,7 +53,7 @@ int main(int argc, char** argv) {
     }
     std::printf("%s\n", t.render().c_str());
   }
-  bench::export_json(opt, all);
+  cli::export_json(opt, all);
   std::printf(
       "Expectation: the private variant pays capacity misses (each cluster\n"
       "keeps 1/clusters of the L1) and write-invalidate misses on shared\n"

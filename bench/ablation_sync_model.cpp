@@ -14,7 +14,7 @@
 
 int main(int argc, char** argv) {
   using namespace csmt;
-  const bench::BenchOptions opt = bench::parse_options(argc, argv);
+  const cli::Options opt = cli::parse_options(argc, argv);
 
   std::vector<sim::ExperimentSpec> points;
   for (const unsigned chips : {1u, 4u}) {
@@ -30,7 +30,7 @@ int main(int argc, char** argv) {
       }
     }
   }
-  const auto results = bench::run_points(opt, points);
+  const auto results = cli::run_points(opt, points);
 
   std::printf("== Ablation A4: blocking sync primitives vs literal spin "
               "loops ==\n");
@@ -52,6 +52,6 @@ int main(int argc, char** argv) {
       "and L1 banks); the blocking model charges the same waste to the\n"
       "sync category without perturbing the running threads — matching the\n"
       "paper's MINT-based methodology.\n");
-  bench::export_json(opt, results);
-  return bench::all_validated(results) ? 0 : 1;
+  cli::export_json(opt, results);
+  return cli::all_validated(results) ? 0 : 1;
 }

@@ -8,7 +8,7 @@
 
 int main(int argc, char** argv) {
   using namespace csmt;
-  const bench::BenchOptions opt = bench::parse_options(argc, argv);
+  const cli::Options opt = cli::parse_options(argc, argv);
   const unsigned sizes[] = {16, 32, 64, 128, 256};
 
   std::printf("== Ablation A2: SMT2 per-cluster window size (low-end, scale "
@@ -17,7 +17,7 @@ int main(int argc, char** argv) {
   // Workload-major point list with a per-point window override (renaming
   // registers scale along, as in Table 2 — see ExperimentSpec).
   std::vector<sim::ExperimentSpec> points;
-  for (const std::string& w : bench::paper_workloads()) {
+  for (const std::string& w : workloads::workload_names()) {
     for (const unsigned size : sizes) {
       sim::ExperimentSpec spec;
       spec.workload = w;
@@ -27,7 +27,7 @@ int main(int argc, char** argv) {
       points.push_back(std::move(spec));
     }
   }
-  const auto results = bench::run_points(opt, points);
+  const auto results = cli::run_points(opt, points);
 
   AsciiTable t;
   std::vector<std::string> header = {"workload"};
@@ -50,7 +50,7 @@ int main(int argc, char** argv) {
     t.row(row);
   }
   std::printf("%s\n", t.render().c_str());
-  bench::export_json(opt, results);
+  cli::export_json(opt, results);
   std::printf(
       "Expectation: strong gains up to ~64 entries per cluster, then\n"
       "diminishing returns — supporting Table 2's 128-entry chip window.\n");

@@ -60,7 +60,7 @@ constexpr std::pair<const char*, const char*> kPolicyMixes[] = {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const bench::BenchOptions opt = bench::parse_options(argc, argv);
+  const cli::Options opt = cli::parse_options(argc, argv);
   const unsigned scale = std::max(2u, opt.scale / 2);
 
   // Pairs first (static), then the policy sweep, in print order. Every
@@ -97,7 +97,7 @@ int main(int argc, char** argv) {
       return 1;
     }
   }
-  const auto results = bench::run_points(opt, points);
+  const auto results = cli::run_points(opt, points);
   auto next = results.begin();
 
   std::printf("== Extension E1: multiprogrammed pairs (low-end, scale %u, "
@@ -170,6 +170,6 @@ int main(int argc, char** argv) {
       "cost drain + %llu-cycle restarts per migration when they guess\n"
       "wrong.\n",
       static_cast<unsigned long long>(alloc::kMigrationCost));
-  bench::export_json(opt, results);
+  cli::export_json(opt, results);
   return 0;
 }

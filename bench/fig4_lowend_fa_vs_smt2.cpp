@@ -6,9 +6,9 @@
 
 int main(int argc, char** argv) {
   using namespace csmt;
-  const bench::BenchOptions opt = bench::parse_options(argc, argv);
+  const cli::Options opt = cli::parse_options(argc, argv);
   const auto results = bench::run_figure_grid(
-      opt, bench::paper_workloads(),
+      opt, workloads::workload_names(),
       {core::ArchKind::kFa8, core::ArchKind::kFa4, core::ArchKind::kFa2,
        core::ArchKind::kFa1, core::ArchKind::kSmt2},
       /*chips=*/1);
@@ -16,6 +16,6 @@ int main(int argc, char** argv) {
       "Figure 4: FA vs clustered SMT, low-end machine (scale " +
           std::to_string(opt.scale) + ")",
       results, "FA8");
-  bench::export_json(opt, results);
+  cli::export_json(opt, results);
   return 0;
 }

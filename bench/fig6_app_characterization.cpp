@@ -23,11 +23,11 @@ struct Point {
   double ilp;
 };
 
-std::vector<Point> measure(const bench::BenchOptions& opt, unsigned chips) {
+std::vector<Point> measure(const cli::Options& opt, unsigned chips) {
   // One grid: workload-major over {FA8, FA1}, so results come back as
   // (FA8, FA1) pairs per workload.
   const auto results = bench::run_figure_grid(
-      opt, bench::paper_workloads(),
+      opt, workloads::workload_names(),
       {core::ArchKind::kFa8, core::ArchKind::kFa1}, chips);
   std::vector<Point> points;
   for (std::size_t i = 0; i + 1 < results.size(); i += 2) {
@@ -60,8 +60,7 @@ void scatter(const std::vector<Point>& points) {
   std::printf("%*s\n", kW - 1, "8  threads");
 }
 
-void report(const char* title, unsigned chips,
-            const bench::BenchOptions& opt) {
+void report(const char* title, unsigned chips, const cli::Options& opt) {
   std::printf("== %s ==\n", title);
   const auto points = measure(opt, chips);
   scatter(points);
@@ -81,7 +80,7 @@ void report(const char* title, unsigned chips,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const auto opt = csmt::bench::parse_options(argc, argv);
+  const auto opt = csmt::cli::parse_options(argc, argv);
   report("Figure 6(a): application characterization, low-end machine", 1,
          opt);
   report("Figure 6(b): application characterization, high-end machine", 4,

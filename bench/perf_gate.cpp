@@ -1,34 +1,36 @@
 // The simulator-speed harness and CI gate (DESIGN.md §9). It runs a fixed
 // point list through sim::run_experiment under both kernels (the skipping
-// kernel kReps times, --no-skip once), prints one line per point and one
-// verdict, and exits 1 when the verdict fails. With CSMT_SIMSPEED_JSON set
-// it appends a run record, labelled by CSMT_SIMSPEED_LABEL, to that
-// trajectory file ({"runs": [...]}, e.g. BENCH_simspeed.json); unset, it
-// writes no file.
+// kernel kReps times, --no-skip kNoSkipReps times), prints one line per
+// point and one verdict, and exits 1 when the verdict fails. With
+// CSMT_SIMSPEED_JSON set it appends a run record, labelled by
+// CSMT_SIMSPEED_LABEL, to that trajectory file ({"runs": [...]}, e.g.
+// BENCH_simspeed.json); unset, it writes no file.
 //
 // The verdict has three checks and no others:
-//  * hard: a run did not validate, the two kernels' stats digests differ,
-//    or a repetition's digest differs from repetition 0's;
+//  * hard: a run did not validate, or a run's stats digest, under either
+//    kernel, differs from the first skip run's;
 //  * structural: the idle and cluster-idle points skip fewer simulated
 //    cycles than the constants in kPoints. Skip counts are simulated, so
 //    this check never flakes;
-//  * speed: every skip-kernel run is bracketed by short runs of a
-//    calibration loop that touches no timing model, and its simulated
-//    cycles/s is divided by the mean inst/s of its two brackets. The
-//    geometric mean over the gated points of each point's median
-//    normalized rate must reach kMinSpeed. A shared VM's speed can flip
-//    between levels 1.5x apart within seconds; brackets taken right next
-//    to each run cancel that, so the floor can sit close to measured
-//    values.
+//  * speed: every run is bracketed by short runs of a calibration loop
+//    that touches no timing model, and its simulated cycles/s is divided
+//    by the mean inst/s of its two brackets. The geometric mean over the
+//    gated points of each point's median skip-kernel normalized rate must
+//    reach kMinSpeed; the --no-skip runs feed only the recorded speedup.
+//    A shared VM's speed can flip between levels 1.5x apart within
+//    seconds; brackets taken right next to each run cancel that, so the
+//    floor can sit close to measured values.
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <ctime>
 #include <fstream>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <thread>
+#include <tuple>
 #include <vector>
 
 #include "bench_util.hpp"
@@ -44,6 +46,9 @@ using namespace csmt;
 
 /// Repetitions of each point's skip-kernel run.
 constexpr unsigned kReps = 11;
+/// Repetitions of each point's --no-skip run: the median of three keeps
+/// one slow run out of the recorded speedup.
+constexpr unsigned kNoSkipReps = 3;
 /// Wall time of one calibration bracket.
 constexpr double kBracketSeconds = 0.03;
 /// Floor on the geometric mean of the gated points' normalized rates
@@ -119,9 +124,9 @@ struct Row {
   /// so they are the same in every repetition.
   obs::SimSpeed speed;
   double skip_seconds = 0.0;     ///< median over repetitions
-  double noskip_seconds = 0.0;   ///< the one --no-skip run
+  double noskip_seconds = 0.0;   ///< median over --no-skip repetitions
   double normalized_rate = 0.0;  ///< median over repetitions
-  double noskip_normalized_rate = 0.0;  ///< the --no-skip run, bracketed
+  double noskip_normalized_rate = 0.0;  ///< median over --no-skip reps
   std::vector<double> calibrations;  ///< every bracket's inst/s
   std::uint64_t peak_rss_kb = 0;     ///< process high-water mark after it
   /// RSS growth across this point (after the previous point's trim): the
@@ -165,36 +170,37 @@ Row run_point(const Point& pt) {
   spec.scale = pt.scale;
   const std::uint64_t rss_before = bench::current_rss_bytes();
 
-  sim::ExperimentResult first;
-  std::vector<double> seconds, rates;
+  std::optional<sim::ExperimentResult> first;
   row.stats_equal = true;
   double before = calibration_rate();
   row.calibrations.push_back(before);
-  for (unsigned rep = 0; rep < kReps; ++rep) {
-    sim::ExperimentResult r = sim::run_experiment(spec);
-    const double after = calibration_rate();
-    row.calibrations.push_back(after);
-    seconds.push_back(r.sim_speed.wall_seconds);
-    rates.push_back(r.sim_speed.cycles_per_sec() / (0.5 * (before + after)));
-    before = after;
-    if (rep == 0) {
-      first = std::move(r);
-    } else {
-      row.stats_equal = row.stats_equal && bench::same_stats(r, first);
+  // Runs `spec` `reps` times, each followed by a calibration bracket, and
+  // returns the median wall seconds and normalized rate. Every run's
+  // digest is compared with the first skip run's.
+  const auto time_reps = [&](unsigned reps) {
+    std::vector<double> seconds, rates;
+    for (unsigned rep = 0; rep < reps; ++rep) {
+      sim::ExperimentResult r = sim::run_experiment(spec);
+      const double after = calibration_rate();
+      row.calibrations.push_back(after);
+      seconds.push_back(r.sim_speed.wall_seconds);
+      rates.push_back(r.sim_speed.cycles_per_sec() /
+                      (0.5 * (before + after)));
+      before = after;
+      if (first) {
+        row.stats_equal = row.stats_equal && bench::same_stats(r, *first);
+      } else {
+        first = std::move(r);
+      }
     }
-  }
+    return std::pair{median(seconds), median(rates)};
+  };
+  std::tie(row.skip_seconds, row.normalized_rate) = time_reps(kReps);
   spec.no_skip = true;
-  const sim::ExperimentResult noskip = sim::run_experiment(spec);
-  const double after = calibration_rate();
-  row.calibrations.push_back(after);
-  row.noskip_normalized_rate =
-      noskip.sim_speed.cycles_per_sec() / (0.5 * (before + after));
-  row.stats_equal = row.stats_equal && bench::same_stats(noskip, first);
+  std::tie(row.noskip_seconds, row.noskip_normalized_rate) =
+      time_reps(kNoSkipReps);
 
-  row.speed = first.sim_speed;
-  row.skip_seconds = median(seconds);
-  row.noskip_seconds = noskip.sim_speed.wall_seconds;
-  row.normalized_rate = median(rates);
+  row.speed = first->sim_speed;
   row.peak_rss_kb = bench::peak_rss_kb();
   const std::uint64_t rss_after = bench::current_rss_bytes();
   row.rss_delta_kb =

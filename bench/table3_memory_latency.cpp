@@ -47,7 +47,7 @@ constexpr Level kLevels[] = {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const bench::BenchOptions opt = bench::parse_options(argc, argv);
+  const cli::Options opt = cli::parse_options(argc, argv);
   std::printf("== Table 3: memory round-trip latencies (pointer chase) ==\n");
 
   std::vector<sim::ExperimentSpec> points;
@@ -61,11 +61,11 @@ int main(int argc, char** argv) {
       points.push_back(std::move(spec));
     }
   }
-  const auto results = bench::run_points(opt, points);
+  const auto results = cli::run_points(opt, points);
 
   AsciiTable t;
   t.header({"level", "Table 3", "expected chase", "measured", "match"});
-  bool all_ok = bench::all_validated(results);
+  bool all_ok = cli::all_validated(results);
   for (std::size_t i = 0; i < std::size(kLevels); ++i) {
     const Level& level = kLevels[i];
     const sim::ExperimentResult& a = results[2 * i];
@@ -84,6 +84,6 @@ int main(int argc, char** argv) {
   std::printf("%s\n%s\n", t.render().c_str(),
               all_ok ? "All Table 3 latencies reproduced."
                      : "MISMATCH against Table 3!");
-  bench::export_json(opt, results);
+  cli::export_json(opt, results);
   return all_ok ? 0 : 1;
 }

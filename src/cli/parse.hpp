@@ -56,14 +56,15 @@ inline std::optional<std::uint64_t> parse_u64(const char* s) {
   return v;
 }
 
-/// Unsigned environment knob: unset/empty -> `fallback`; malformed or below
-/// `min` -> warn (quoting `want`) and `fallback`.
+/// Unsigned environment knob: unset/empty -> `fallback`; malformed or
+/// outside [min, max] -> warn (quoting `want`) and `fallback`.
 inline std::uint64_t env_u64(const char* name, std::uint64_t fallback,
-                             std::uint64_t min, const char* want) {
+                             std::uint64_t min, std::uint64_t max,
+                             const char* want) {
   const char* s = env(name);
   if (!s || !*s) return fallback;
   const auto v = parse_u64(s);
-  if (!v || *v < min) {
+  if (!v || *v < min || *v > max) {
     std::fprintf(stderr, "csmt: ignoring invalid %s='%s' (want %s)\n", name,
                  s, want);
     return fallback;
@@ -105,14 +106,24 @@ inline std::optional<core::ArchKind> arch_arg(std::string name) {
   return core::arch_from_name(name);
 }
 
-/// Flag integer: malformed or below `min` exits 2 with a message.
+/// A binary's command line as its errors quote it: the binary's name and
+/// its own flags, which the usage line lists ahead of the shared ones
+/// (parse_options's).
+struct Usage {
+  const char* argv0;
+  const char* own_flags = "";
+  /// Prints "csmt: <why>" and then the usage line on stderr, and exits 2.
+  [[noreturn]] void fail(const std::string& why) const;
+};
+
+/// Flag integer: malformed or outside [min, max] fails `usage`, quoting
+/// `want`.
 inline std::uint64_t flag_u64(const char* s, const char* flag,
-                              std::uint64_t min, const char* want) {
+                              std::uint64_t min, std::uint64_t max,
+                              const char* want, const Usage& usage) {
   const auto v = parse_u64(s);
-  if (!v || *v < min) {
-    std::fprintf(stderr, "csmt: %s wants %s, got '%s'\n", flag, want, s);
-    std::exit(2);
-  }
+  if (!v || *v < min || *v > max)
+    usage.fail(std::string(flag) + " wants " + want + ", got '" + s + "'");
   return *v;
 }
 

@@ -103,8 +103,8 @@ void cache_publish(const std::string& cache_dir,
 
 class SweepRunner {
  public:
-  /// The runner reads no environment; cli::Options::from_env().sweep
-  /// carries CSMT_JOBS and CSMT_CACHE_DIR.
+  /// The runner reads no environment; cli::parse_options(...).sweep
+  /// carries --jobs/CSMT_JOBS and --cache-dir/CSMT_CACHE_DIR.
   explicit SweepRunner(SweepOptions options);
 
   /// Runs every point of the grid; results arrive in expand() order

@@ -1,16 +1,13 @@
 // csmt::alloc conformance suite (DESIGN.md §11): the one initial
 // placement, the `static` policy's bit-identity with the pre-API machine
 // behavior, the dynamic policies' end-to-end runs under both simulation
-// kernels and the migration cost-model accounting; plus the bench CLI's
-// environment and flag parsing.
+// kernels and the migration cost-model accounting.
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <string>
 #include <vector>
 
 #include "alloc/policy.hpp"
-#include "cli/options.hpp"
 #include "sim/experiment.hpp"
 #include "sim/machine.hpp"
 #include "sim/report.hpp"
@@ -200,73 +197,6 @@ TEST(AllocPolicy, SpecIdentityAndCacheKeyCoverPolicy) {
   c.alloc_epoch = 2000;
   EXPECT_FALSE(a == c);
   EXPECT_NE(sweep::spec_hash(a), sweep::spec_hash(c));
-}
-
-TEST(CliOptions, EnvAndFlagParsing) {
-  setenv("CSMT_SCALE", "3", 1);
-  setenv("CSMT_JOBS", "2", 1);
-  setenv("CSMT_CACHE_DIR", "env-cache", 1);
-  cli::Options opt = cli::Options::from_env();
-  EXPECT_EQ(opt.scale, 3u);
-  EXPECT_EQ(opt.sweep.jobs, 2u);
-  EXPECT_EQ(opt.sweep.cache_dir, "env-cache");
-
-  // Malformed environment values warn and keep the default.
-  setenv("CSMT_SCALE", "0", 1);
-  setenv("CSMT_JOBS", "soon", 1);
-  opt = cli::Options::from_env();
-  EXPECT_EQ(opt.scale, 4u);
-  EXPECT_EQ(opt.sweep.jobs, 1u);
-
-  // Flags override the environment.
-  const char* argv[] = {"csmt", "--scale=5", "--jobs", "0",
-                        "--cache-dir", "flag-cache"};
-  opt = cli::parse_options(6, const_cast<char**>(argv));
-  EXPECT_EQ(opt.scale, 5u);
-  EXPECT_EQ(opt.sweep.jobs, 0u);
-  EXPECT_EQ(opt.sweep.cache_dir, "flag-cache");
-  unsetenv("CSMT_SCALE");
-  unsetenv("CSMT_JOBS");
-  unsetenv("CSMT_CACHE_DIR");
-}
-
-TEST(CliOptions, UnknownCsmtVariableWarns) {
-  // A variable no csmt binary reads (here one the allocation flags' removal
-  // retired) warns on stderr and changes nothing.
-  setenv("CSMT_ALLOC_POLICY", "symbiosis", 1);
-  ::testing::internal::CaptureStderr();
-  const cli::Options opt = cli::Options::from_env();
-  const std::string err = ::testing::internal::GetCapturedStderr();
-  unsetenv("CSMT_ALLOC_POLICY");
-  EXPECT_NE(err.find("csmt: ignoring unknown environment variable "
-                     "CSMT_ALLOC_POLICY\n"),
-            std::string::npos)
-      << err;
-  const cli::Options defaults;
-  EXPECT_EQ(opt.scale, defaults.scale);
-  EXPECT_EQ(opt.sweep.jobs, defaults.sweep.jobs);
-  EXPECT_EQ(opt.sweep.cache_dir, defaults.sweep.cache_dir);
-  EXPECT_EQ(opt.json_path, defaults.json_path);
-  EXPECT_EQ(opt.trace_path, defaults.trace_path);
-  EXPECT_EQ(opt.no_skip, defaults.no_skip);
-}
-
-TEST(CliOptionsDeathTest, RemovedFlagsAreUnknown) {
-  // Live telemetry serving, mid-run checkpointing and the per-binary
-  // allocation knobs were removed, so their flags are unknown arguments
-  // like any typo: usage line, exit 2.
-  const char* telemetry[] = {"csmt", "--serve-telemetry", "0"};
-  EXPECT_EXIT(cli::parse_options(3, const_cast<char**>(telemetry)),
-              ::testing::ExitedWithCode(2), "usage: csmt ");
-  const char* ckpt[] = {"csmt", "--ckpt-interval", "2000"};
-  EXPECT_EXIT(cli::parse_options(3, const_cast<char**>(ckpt)),
-              ::testing::ExitedWithCode(2), "usage: csmt ");
-  const char* policy[] = {"csmt", "--alloc-policy", "symbiosis"};
-  EXPECT_EXIT(cli::parse_options(3, const_cast<char**>(policy)),
-              ::testing::ExitedWithCode(2), "usage: csmt ");
-  const char* epoch[] = {"csmt", "--alloc-epoch", "2000"};
-  EXPECT_EXIT(cli::parse_options(3, const_cast<char**>(epoch)),
-              ::testing::ExitedWithCode(2), "usage: csmt ");
 }
 
 TEST(AllocPolicy, JsonRoundTripCarriesAllocFields) {

@@ -91,9 +91,10 @@ int main(int argc, char** argv) {
   // The driver's three flags come out of argv; the rest is the shared set.
   std::vector<char*> shared = {argv[0]};
   for (int i = 1; i < argc; ++i) {
-    if (const char* v = cli::flag_value(argc, argv, i, "--workload")) {
+    if (const char* v = cli::flag_value(argc, argv, i, "--workload", usage)) {
       grid.workloads = split_list(v);
-    } else if (const char* v = cli::flag_value(argc, argv, i, "--arch")) {
+    } else if (const char* v =
+                   cli::flag_value(argc, argv, i, "--arch", usage)) {
       grid.archs.clear();
       for (const std::string& name : split_list(v)) {
         const auto arch = cli::arch_arg(name);
@@ -103,7 +104,8 @@ int main(int argc, char** argv) {
         }
         grid.archs.push_back(*arch);
       }
-    } else if (const char* v = cli::flag_value(argc, argv, i, "--chips")) {
+    } else if (const char* v =
+                   cli::flag_value(argc, argv, i, "--chips", usage)) {
       grid.chips.clear();
       for (const std::string& n : split_list(v)) {
         grid.chips.push_back(static_cast<unsigned>(cli::flag_u64(

@@ -62,16 +62,12 @@ class LocalMemoryBackend final : public MemoryBackend {
   void writeback_line(ChipId, Addr, Cycle t) override {
     const Cycle start = t > busy_until_ ? t : busy_until_;
     busy_until_ = start + occupancy_;
-    ++writebacks_;
   }
-
-  std::uint64_t writebacks() const { return writebacks_; }
 
  private:
   unsigned latency_;
   unsigned occupancy_;
   Cycle busy_until_ = 0;
-  std::uint64_t writebacks_ = 0;
 };
 
 }  // namespace csmt::cache

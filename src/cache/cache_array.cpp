@@ -4,18 +4,6 @@
 
 namespace csmt::cache {
 
-const char* service_level_name(ServiceLevel lvl) {
-  switch (lvl) {
-    case ServiceLevel::kL1: return "L1";
-    case ServiceLevel::kL2: return "L2";
-    case ServiceLevel::kLocalMemory: return "local-mem";
-    case ServiceLevel::kRemoteMemory: return "remote-mem";
-    case ServiceLevel::kRemoteL2: return "remote-L2";
-    case ServiceLevel::kMergedMshr: return "mshr-merge";
-  }
-  return "?";
-}
-
 CacheArray::CacheArray(const CacheLevelParams& p)
     : params_(p),
       sets_(p.num_sets()),

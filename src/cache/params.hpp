@@ -57,11 +57,6 @@ struct MemSysParams {
   /// L1 of `l1.size_bytes / clusters` per cluster, kept coherent through
   /// the shared inclusive L2 by write-invalidate.
   bool l1_private = false;
-  /// Extra delay charged to a load that misses its private L1 because
-  /// another cluster invalidated the line (cross-L1 transfer through L2).
-  unsigned l1_cross_invalidate_delay = 2;
-
-  std::size_t line_bytes() const { return l1.line_bytes; }
 };
 
 /// Which level ultimately serviced an access (for statistics).
@@ -73,7 +68,5 @@ enum class ServiceLevel : std::uint8_t {
   kRemoteL2,
   kMergedMshr,   ///< piggybacked on an outstanding miss to the same line
 };
-
-const char* service_level_name(ServiceLevel lvl);
 
 }  // namespace csmt::cache

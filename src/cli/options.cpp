@@ -63,17 +63,18 @@ Options parse_options(int argc, char** argv, const char* own_flags) {
   const Usage usage{argv[0], own_flags};
   Options opt = from_env();
   for (int i = 1; i < argc; ++i) {
-    if (const char* v = flag_value(argc, argv, i, "--scale")) {
+    if (const char* v = flag_value(argc, argv, i, "--scale", usage)) {
       opt.scale = static_cast<unsigned>(
           flag_u64(v, "--scale", 1, UINT_MAX, "an integer >= 1", usage));
-    } else if (const char* v = flag_value(argc, argv, i, "--jobs")) {
+    } else if (const char* v = flag_value(argc, argv, i, "--jobs", usage)) {
       opt.sweep.jobs = static_cast<unsigned>(
           flag_u64(v, "--jobs", 0, UINT_MAX, "a worker count", usage));
-    } else if (const char* v = flag_value(argc, argv, i, "--cache-dir")) {
+    } else if (const char* v =
+                   flag_value(argc, argv, i, "--cache-dir", usage)) {
       opt.sweep.cache_dir = v;
-    } else if (const char* v = flag_value(argc, argv, i, "--json")) {
+    } else if (const char* v = flag_value(argc, argv, i, "--json", usage)) {
       opt.json_path = v;
-    } else if (const char* v = flag_value(argc, argv, i, "--trace")) {
+    } else if (const char* v = flag_value(argc, argv, i, "--trace", usage)) {
       opt.trace_path = v;
     } else if (std::strcmp(argv[i], "--no-skip") == 0) {
       opt.no_skip = true;

@@ -85,16 +85,28 @@ inline bool env_flag(const char* name) {
   return s && std::strcmp(s, "0") != 0;
 }
 
+/// A binary's command line as its errors quote it: the binary's name and
+/// its own flags, which the usage line lists ahead of the shared ones
+/// (parse_options's).
+struct Usage {
+  const char* argv0;
+  const char* own_flags = "";
+  /// Prints "csmt: <why>" and then the usage line on stderr, and exits 2.
+  [[noreturn]] void fail(const std::string& why) const;
+};
+
 /// Matches argv[i] against `flag` in both "--flag value" and "--flag=value"
 /// forms; returns the value (advancing `i` past a separate value cell) or
-/// nullptr when argv[i] is some other argument.
-inline const char* flag_value(int argc, char** argv, int& i,
-                              const char* flag) {
+/// nullptr when argv[i] is some other argument. A bare flag with nothing
+/// after it fails `usage`.
+inline const char* flag_value(int argc, char** argv, int& i, const char* flag,
+                              const Usage& usage) {
   const std::size_t n = std::strlen(flag);
   if (std::strncmp(argv[i], flag, n) != 0) return nullptr;
   if (argv[i][n] == '=') return argv[i] + n + 1;
-  if (argv[i][n] == '\0' && i + 1 < argc) return argv[++i];
-  return nullptr;
+  if (argv[i][n] != '\0') return nullptr;
+  if (i + 1 == argc) usage.fail(std::string(flag) + " needs a value");
+  return argv[++i];
 }
 
 /// An architecture named on a command line, in any case ("smt2", "FA1");
@@ -105,16 +117,6 @@ inline std::optional<core::ArchKind> arch_arg(std::string name) {
   }
   return core::arch_from_name(name);
 }
-
-/// A binary's command line as its errors quote it: the binary's name and
-/// its own flags, which the usage line lists ahead of the shared ones
-/// (parse_options's).
-struct Usage {
-  const char* argv0;
-  const char* own_flags = "";
-  /// Prints "csmt: <why>" and then the usage line on stderr, and exits 2.
-  [[noreturn]] void fail(const std::string& why) const;
-};
 
 /// Flag integer: malformed or outside [min, max] fails `usage`, quoting
 /// `want`.

@@ -1,5 +1,7 @@
 #include "core/chip.hpp"
 
+#include <algorithm>
+
 #include "common/assert.hpp"
 
 namespace csmt::core {
@@ -21,17 +23,6 @@ Chip::Chip(ChipId id, const ArchConfig& cfg,
         static_cast<ClusterId>(c), cfg.cluster, cfg.fetch_policy, memsys_,
         trace, prof, pid));
   }
-  // All clusters start awake, linked in id order (the baseline tick order).
-  Cluster* prev = nullptr;
-  for (auto& cl : clusters_) {
-    cl->set_chip(this);
-    if (prev) {
-      prev->next_active_ = cl.get();
-    } else {
-      active_head_ = cl.get();
-    }
-    prev = cl.get();
-  }
 }
 
 void Chip::trace_flush(Cycle end) {
@@ -49,123 +40,39 @@ void Chip::attach_thread(exec::ThreadContext* tc) {
 }
 
 void Chip::tick(Cycle now) {
-  if (!wake_pending_.empty() || next_wake_ <= now) process_wakes(now);
+  // Chips tick in index order and clusters in id order, so a release from
+  // earlier in that order flags its sleeping target before this scan
+  // reaches it (the target wakes and ticks this cycle), and one from later
+  // in the order flags it after the scan has passed (it wakes next cycle):
+  // the per-cycle kernel's rule for when the target first sees the release
+  // (DESIGN.md §14).
   bool any = false;
-  ticking_ = true;
-  tick_now_ = now;
-  Cluster* prev = nullptr;
-  for (Cluster* c = active_head_; c != nullptr;) {
-    ticking_id_ = c->id();
-    ticking_node_ = c;
-    const unsigned running_before = c->last_running_;
-    c->tick(now);
-    running_ += c->last_running_ - running_before;
-    // Read the successor only after the tick: an in-tick wake of a
-    // higher-id cluster splices it in right here, and the baseline ticks
-    // that cluster this same cycle.
-    Cluster* next = c->next_active_;
-    if (c->active_last_tick()) {
+  for (auto& cl : clusters_) {
+    Cluster& c = *cl;
+    if (c.sleep_until_ > now) continue;
+    if (c.asleep_) c.wake(now);
+    const unsigned running_before = c.last_running_;
+    c.tick(now);
+    running_ += c.last_running_ - running_before;
+    if (c.active_last_tick()) {
       any = true;
-      c->idle_streak_ = 0;
-      prev = c;
-    } else if (lazy_ && c->try_sleep(now)) {
-      if (prev) {
-        prev->next_active_ = next;
-      } else {
-        active_head_ = next;
-      }
-      c->next_active_ = nullptr;
-      ++asleep_n_;
-      if (c->sleep_until_ < next_wake_) next_wake_ = c->sleep_until_;
-    } else {
-      prev = c;
+      c.idle_streak_ = 0;
+    } else if (lazy_) {
+      c.try_sleep(now);
     }
-    c = next;
   }
-  ticking_ = false;
   last_active_ = any;
 }
 
+Cycle Chip::sleep_horizon() const {
+  Cycle h = kNeverCycle;
+  for (const auto& cl : clusters_) h = std::min(h, cl->sleep_until_);
+  return h;
+}
+
 void Chip::settle(Cycle upto) {
-  if (asleep_n_ == 0) return;
   for (auto& cl : clusters_) {
     if (cl->asleep_) cl->settle(upto);
-  }
-}
-
-void Chip::link_active(Cluster* c) {
-  if (!active_head_ || c->id() < active_head_->id()) {
-    c->next_active_ = active_head_;
-    active_head_ = c;
-    return;
-  }
-  Cluster* p = active_head_;
-  while (p->next_active_ && p->next_active_->id() < c->id()) {
-    p = p->next_active_;
-  }
-  c->next_active_ = p->next_active_;
-  p->next_active_ = c;
-}
-
-void Chip::notify_woken(Cluster* c) {
-  CSMT_ASSERT(asleep_n_ > 0);
-  --asleep_n_;
-  link_active(c);
-}
-
-void Chip::signal_wake(Cluster* c) {
-  if (!c->asleep_ || c->wake_queued_) return;
-  if (ticking_ && c->id() > ticking_id_) {
-    // The release lands mid-tick and the baseline's id-ordered loop would
-    // tick `c` later this same cycle with the release visible: wake it in
-    // place and splice it in after the current node so the loop reaches
-    // it. (Only a release from this chip's own tick takes this path;
-    // ticking_ is false while any other chip ticks.)
-    c->wake(tick_now_);
-    CSMT_ASSERT(asleep_n_ > 0);
-    --asleep_n_;
-    Cluster* p = ticking_node_;
-    while (p->next_active_ && p->next_active_->id() < c->id()) {
-      p = p->next_active_;
-    }
-    c->next_active_ = p->next_active_;
-    p->next_active_ = c;
-  } else {
-    // Queue for the top of this chip's next tick — exactly when the
-    // baseline's order first lets the target observe the release. On this
-    // chip, an earlier-id target already ticked this cycle. From another
-    // chip, chips tick in index order: a later chip has not ticked yet and
-    // processes the wake this cycle, an earlier one next cycle.
-    c->wake_queued_ = true;
-    wake_pending_.push_back(c);
-  }
-}
-
-void Chip::process_wakes(Cycle now) {
-  for (Cluster* c : wake_pending_) {
-    if (!c->asleep_) {
-      c->wake_queued_ = false;  // woke through another path meanwhile
-      continue;
-    }
-    c->wake(now);
-    CSMT_ASSERT(asleep_n_ > 0);
-    --asleep_n_;
-    link_active(c);
-  }
-  wake_pending_.clear();
-  if (next_wake_ <= now) {
-    next_wake_ = kNeverCycle;
-    for (auto& cl : clusters_) {
-      if (!cl->asleep_) continue;
-      if (cl->sleep_until_ <= now) {
-        cl->wake(now);
-        CSMT_ASSERT(asleep_n_ > 0);
-        --asleep_n_;
-        link_active(cl.get());
-      } else if (cl->sleep_until_ < next_wake_) {
-        next_wake_ = cl->sleep_until_;
-      }
-    }
   }
 }
 

@@ -32,25 +32,22 @@ class Chip {
   /// Threads are block-assigned: contexts of cluster 0 fill first.
   void attach_thread(exec::ThreadContext* tc);
 
-  /// Advances the chip by one cycle. With lazy mode on (DESIGN.md §14) only
-  /// the clusters on the intrusive active list take a full tick; a cluster
-  /// that stays inactive past its probe backoff falls asleep and is
-  /// unlinked, so a busy-machine cycle costs O(active clusters). A chip
-  /// whose clusters are all asleep does no per-cycle work at all.
+  /// Advances the chip by one cycle, scanning its clusters in id order
+  /// (the per-cycle kernel's order). With lazy mode on (DESIGN.md §14) a
+  /// sleeping cluster is skipped unless its stored horizon is due or a
+  /// release flagged it; then it wakes at its own place in the scan and
+  /// ticks. A cluster that stays inactive past its probe backoff falls
+  /// asleep.
   void tick(Cycle now);
 
   /// True when any cluster changed observable state in the tick at `now`.
   bool active_last_tick() const { return last_active_; }
 
-  /// While every cluster sleeps and no wake is queued, the earliest cycle
-  /// a sleeper wakes itself (kNeverCycle: none will); 0 otherwise. The
-  /// machine jumps its clock only across cycles every chip sleeps through
-  /// (DESIGN.md §8). A sleeper woken by a release leaves the stored
-  /// minimum early, never late: jumping to it costs one idle tick, which
-  /// recomputes it.
-  Cycle sleep_horizon() const {
-    return active_head_ || !wake_pending_.empty() ? 0 : next_wake_;
-  }
+  /// While every cluster sleeps and none is flagged for a wake, the
+  /// earliest cycle a sleeper wakes itself (kNeverCycle: none will); 0
+  /// otherwise. The machine jumps its clock only across cycles every chip
+  /// sleeps through (DESIGN.md §8).
+  Cycle sleep_horizon() const;
 
   /// Enables cluster-level sleep (off under --no-skip and under tracing,
   /// where lazy replay would emit events out of timestamp order).
@@ -59,19 +56,6 @@ class Chip {
   /// Replays all sleeping clusters' skipped cycles < `upto` (they stay
   /// asleep). Called before the end-of-run stats read.
   void settle(Cycle upto);
-
-  /// Wake request from a cluster's unblock hook. Mid-tick wakes of a
-  /// higher-id cluster on this chip happen in place (the baseline would
-  /// tick it later this same cycle, after the release); everything else
-  /// queues for the top of this chip's next tick, matching when the
-  /// baseline's tick order lets the target observe the release. A release
-  /// from another chip always queues: this chip processes it this cycle
-  /// if it has not ticked yet, next cycle if it has.
-  void signal_wake(Cluster* c);
-
-  /// A cluster woke itself outside tick() (freeze/detach/attach settling):
-  /// relink it into the active list.
-  void notify_woken(Cluster* c);
 
   /// Cycles skipped and lazily replayed across all clusters.
   std::uint64_t lazy_replayed() const;
@@ -100,30 +84,14 @@ class Chip {
   void trace_flush(Cycle end);
 
  private:
-  /// Wakes every cluster whose scheduled or queued wake is due at `now`.
-  void process_wakes(Cycle now);
-  /// Sorted (by cluster id) insert into the intrusive active list, so the
-  /// tick order of awake clusters always matches the baseline's id order.
-  void link_active(Cluster* c);
-
   ChipId id_;
   ArchConfig cfg_;
   cache::MemSys memsys_;
   std::vector<std::unique_ptr<Cluster>> clusters_;
 
-  // Cluster-level quiescence state (DESIGN.md §14); all transient.
-  Cluster* active_head_ = nullptr;      ///< awake clusters, id order
-  std::vector<Cluster*> wake_pending_;  ///< hook wakes for the next tick
-  Cycle next_wake_ = kNeverCycle;       ///< <= earliest sleeper self-wake
-  unsigned asleep_n_ = 0;
-  bool lazy_ = false;
+  bool lazy_ = false;  ///< cluster-level sleep on (DESIGN.md §14)
   unsigned running_ = 0;  ///< sum of the clusters' running_threads()
   bool last_active_ = true;
-  // Mid-tick context for signal_wake's in-place path.
-  bool ticking_ = false;
-  ClusterId ticking_id_ = 0;
-  Cycle tick_now_ = 0;
-  Cluster* ticking_node_ = nullptr;
 };
 
 }  // namespace csmt::core

@@ -329,27 +329,25 @@ void Cluster::quiet_span(Cycle n) {
   }
 }
 
-bool Cluster::try_sleep(Cycle now) {
+void Cluster::try_sleep(Cycle now) {
   // Probe deferral (DESIGN.md §9): a failed probe (horizon at now+1)
   // doubles the number of inactive ticks the next probe waits for, so busy
   // clusters with 1-cycle gaps do not pay the per-thread horizon walk and
   // the wheel search every gap.
-  if (++idle_streak_ <= sleep_defer_) return false;
+  if (++idle_streak_ <= sleep_defer_) return;
   idle_streak_ = 0;
   const Cycle h = next_event(now);
   if (h <= now + 1) {
     sleep_defer_ = sleep_defer_ == 0 ? 1 : std::min<Cycle>(sleep_defer_ * 2, 64);
-    return false;
+    return;
   }
   // next_event primed the quiet plan for (now, h); it stays valid for the
   // whole sleep because nothing internal can change and every external
   // input (sync unblock, freeze/detach/attach) wakes us first.
   sleep_defer_ = 0;
   asleep_ = true;
-  wake_queued_ = false;
   sleep_until_ = h;
   quiet_from_ = now + 1;
-  return true;
 }
 
 void Cluster::settle(Cycle upto) {
@@ -363,19 +361,13 @@ void Cluster::settle(Cycle upto) {
 void Cluster::wake(Cycle now) {
   settle(now);
   asleep_ = false;
-  wake_queued_ = false;
+  sleep_until_ = 0;
   idle_streak_ = 0;
-}
-
-void Cluster::ensure_awake(Cycle now) {
-  if (!asleep_) return;
-  wake(now);
-  if (chip_) chip_->notify_woken(this);
 }
 
 void Cluster::unblock_hook(void* ctx, exec::ThreadContext* /*tc*/) {
   Cluster* c = static_cast<Cluster*>(ctx);
-  if (c->asleep_ && c->chip_) c->chip_->signal_wake(c);
+  if (c->asleep_) c->sleep_until_ = 0;
 }
 
 std::uint8_t Cluster::thread_state(const ThreadSlot& t, Cycle now) const {

@@ -26,8 +26,6 @@
 
 namespace csmt::core {
 
-class Chip;
-
 inline constexpr std::uint16_t kNoUop = 0xFFFF;
 /// End of an issue-stage source list. A source node names one operand of
 /// one in-flight uop: `slot * 2 + operand`.
@@ -189,28 +187,25 @@ class Cluster {
   // --- component-granular quiescence (DESIGN.md §14) ---
   //
   // A cluster whose horizon is beyond now+1 can go to sleep: the owning
-  // chip unlinks it from the per-chip active list and stops ticking it.
-  // While asleep the primed quiet plan stays valid (nothing internal can
-  // change, and every external input — a sync unblock, a migration — wakes
-  // it first), so the skipped cycles are replayed as one quiet_span() by
-  // settle() when the cluster next wakes or a stats consumer needs them.
-  // Sleep is the only way csmt skips work: the machine jumps its clock
-  // only while every cluster sleeps (DESIGN.md §8).
-
-  /// Binds the owning chip for wake notifications (called at chip setup).
-  void set_chip(Chip* chip) { chip_ = chip; }
+  // chip's scan passes over it until the horizon is due or a release
+  // flags it. While asleep the primed quiet plan stays valid (nothing
+  // internal can change, and every external input — a sync unblock, a
+  // migration — wakes it first), so the skipped cycles are replayed as one
+  // quiet_span() by settle() when the cluster next wakes or a stats
+  // consumer needs them. Sleep is the only way csmt skips work: the machine
+  // jumps its clock only while every cluster sleeps (DESIGN.md §8).
 
   /// Called by the chip after an inactive tick at `now`: probes the horizon
   /// (with exponential deferral, DESIGN.md §9) and falls asleep when it is
-  /// beyond now+1. Returns true when asleep.
-  bool try_sleep(Cycle now);
+  /// beyond now+1.
+  void try_sleep(Cycle now);
 
   /// Replays quiet accounting for all skipped cycles < `upto`. Keeps
   /// the cluster asleep; wake() is settle() plus rejoining the awake world.
   void settle(Cycle upto);
 
-  /// Settles through `now` and marks the cluster awake. The caller (Chip)
-  /// relinks it into the active list.
+  /// Settles through `now` and marks the cluster awake, so the chip's
+  /// scan ticks it again.
   void wake(Cycle now);
 
   /// Cycles this cluster skipped and lazily replayed (host observability).
@@ -234,7 +229,7 @@ class Cluster {
   }
 
  private:
-  friend class Chip;  ///< active-list linkage + sleep bookkeeping
+  friend class Chip;  ///< the chip's scan reads and drives sleep state
 
   struct RenameEntry {
     std::uint32_t gen = 0;
@@ -373,12 +368,14 @@ class Cluster {
   void prime_quiet_plan(Cycle now);
 
   /// Settles and wakes a sleeping cluster before external mutation
-  /// (freeze/detach/attach); tells the chip so the active list stays
-  /// consistent. No-op while awake.
-  void ensure_awake(Cycle now);
+  /// (freeze/detach/attach). No-op while awake.
+  void ensure_awake(Cycle now) {
+    if (asleep_) wake(now);
+  }
 
-  /// ThreadContext unblock hook: an externally released thread wakes the
-  /// owning (possibly sleeping) cluster through the chip.
+  /// ThreadContext unblock hook: an externally released thread flags the
+  /// owning cluster, if asleep, by pulling its stored horizon in to 0, so
+  /// the chip's scan wakes it the next time it passes.
   static void unblock_hook(void* ctx, exec::ThreadContext* tc);
 
   ClusterId id_;
@@ -430,11 +427,11 @@ class Cluster {
   unsigned quiet_live_ = 0;  ///< threads strict RR rotates over
 
   // Cluster-level sleep state (DESIGN.md §14).
-  Chip* chip_ = nullptr;          ///< wake notifications (not state)
-  Cluster* next_active_ = nullptr;  ///< chip's intrusive active list
   bool asleep_ = false;
-  bool wake_queued_ = false;      ///< already on the chip's wake list
-  Cycle sleep_until_ = 0;         ///< horizon captured at sleep time
+  /// The cycle from which the chip's scan ticks this cluster: 0 while
+  /// awake; while asleep, the horizon captured at sleep time, pulled in
+  /// to 0 when a release flags it.
+  Cycle sleep_until_ = 0;
   Cycle quiet_from_ = 0;          ///< next skipped cycle not yet replayed
   Cycle idle_streak_ = 0;         ///< inactive ticks since last probe
   Cycle sleep_defer_ = 0;         ///< probe backoff, doubling up to 64

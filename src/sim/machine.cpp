@@ -59,6 +59,9 @@ void Machine::trace_flush(Cycle end) {
 }
 
 MultiRunStats Machine::run(const Mix& mix) {
+  // Host time outside every pipeline, memory and noc scope is `other`;
+  // those scopes pause it, so the phases sum to the run's wall time.
+  obs::ScopedPhase phase(cfg_.profiler, obs::Phase::kOther);
   // A run leaves its clock, clusters and caches behind.
   CSMT_ASSERT_MSG(now_ == 0, "one Machine runs one mix");
   CSMT_ASSERT_MSG(!mix.jobs.empty(), "a mix needs at least one job");
@@ -179,7 +182,7 @@ MultiRunStats Machine::run(const Mix& mix) {
       }
     }
 
-    // Every cluster on every chip sleeps and no wake is queued: nothing can
+    // Every cluster on every chip sleeps and none is flagged: nothing can
     // happen before the earliest sleeper wake. Jump there in one step —
     // clamped to the watchdog, so a deadlocked machine times out at exactly
     // max_cycles, and to the next allocation epoch — and let each sleeper

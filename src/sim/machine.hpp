@@ -169,7 +169,8 @@ class Machine {
   /// cluster sleeps).
   unsigned running_now() const;
   /// The cycle run() may jump to: the earliest sleeper wake when every
-  /// cluster on every chip sleeps and no wake is queued, else at most now_.
+  /// cluster on every chip sleeps and none is flagged for a wake, else at
+  /// most now_.
   Cycle sleep_horizon() const;
   /// Replays sleeping clusters' skipped cycles < `upto` (DESIGN.md §14);
   /// required before the end-of-run stats read.

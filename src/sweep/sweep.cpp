@@ -190,7 +190,10 @@ std::vector<sim::ExperimentResult> SweepRunner::run(
   std::atomic<std::int64_t> last_emit_ms{-1000};
   auto emit_progress = [&](bool final_line) {
     if (!options_.progress || points.empty()) return;
+    const std::uint64_t n_done = done.load();
     if (!tty && !final_line) {
+      // The line that completes the sweep is the final call's to print.
+      if (n_done == points.size()) return;
       const std::int64_t now_ms =
           static_cast<std::int64_t>(sweep_timer.elapsed_seconds() * 1e3);
       std::int64_t prev = last_emit_ms.load();
@@ -202,7 +205,7 @@ std::vector<sim::ExperimentResult> SweepRunner::run(
         stderr,
         "%scsmt sweep: %llu/%zu done (hits=%llu) "
         "regimes[busy/mixed/idle]=%llu/%llu/%llu elapsed=%.1fs%s",
-        tty ? "\r" : "", static_cast<unsigned long long>(done.load()),
+        tty ? "\r" : "", static_cast<unsigned long long>(n_done),
         points.size(), static_cast<unsigned long long>(hits.load()),
         static_cast<unsigned long long>(
             regimes[static_cast<int>(sim::Regime::kBusy)].load()),

@@ -116,7 +116,6 @@ class SweepRunner {
   std::vector<sim::ExperimentResult> run(
       const std::vector<sim::ExperimentSpec>& points);
 
-  const SweepOptions& options() const { return options_; }
   const SweepCounters& counters() const { return counters_; }
 
  private:

@@ -96,6 +96,13 @@ TEST(CliOptionsDeathTest, MalformedValuesPrintWhyAndTheUsageLine) {
               "usage: csmt ");
 }
 
+TEST(CliOptionsDeathTest, ValueFlagGivenLastReportsTheMissingValue) {
+  EXPECT_EXIT(parse({"--scale"}), ::testing::ExitedWithCode(2),
+              "csmt: --scale needs a value\nusage: csmt ");
+  EXPECT_EXIT(parse({"--jobs", "2", "--json"}), ::testing::ExitedWithCode(2),
+              "csmt: --json needs a value\nusage: csmt ");
+}
+
 TEST(CliOptionsDeathTest, UsageLineListsTheBinarysOwnFlagsFirst) {
   const char* argv[] = {"csmt", "--bogus"};
   EXPECT_EXIT(parse_options(2, const_cast<char**>(argv), "[--chips N,...]"),

@@ -139,6 +139,21 @@ TEST(PhaseProfiler, ProfiledRunHasIdenticalStats) {
             sim::to_json(plain).find("stats")->dump());
 }
 
+TEST(PhaseProfiler, PhasesSumToTheRunsWallTime) {
+  sim::ExperimentSpec spec;
+  spec.workload = "ocean";
+  spec.arch = core::ArchKind::kSmt2;
+  spec.chips = 4;
+  spec.scale = 1;
+  spec.profile_phases = true;
+  const obs::SimSpeed speed = sim::run_experiment(spec).sim_speed;
+  double sum = 0;
+  for (const double s : speed.phase_seconds) sum += s;
+  EXPECT_NEAR(sum, speed.wall_seconds, 0.02 * speed.wall_seconds);
+  EXPECT_GT(speed.phase_seconds[static_cast<std::size_t>(obs::Phase::kOther)],
+            0.0);
+}
+
 TEST(PhaseProfiler, NullScopeIsNoop) {
   obs::ScopedPhase scope(nullptr, obs::Phase::kNoc);  // must not crash
   obs::SimSpeed speed;

@@ -143,6 +143,22 @@ TEST(SweepRunner, ParallelIsBitIdenticalToSerial) {
   }
 }
 
+TEST(SweepRunner, PipedProgressPrintsTheLastLineOnce) {
+  // Captured stderr is not a terminal, so progress comes as whole lines;
+  // the last point's throttled line must leave "1/1 done" to the final one.
+  SweepOptions options = quiet(1);
+  options.progress = true;
+  testing::internal::CaptureStderr();
+  SweepRunner(options).run({small_grid().expand().front()});
+  const std::string err = testing::internal::GetCapturedStderr();
+  std::size_t lines = 0;
+  for (std::size_t at = err.find("1/1 done"); at != std::string::npos;
+       at = err.find("1/1 done", at + 1)) {
+    ++lines;
+  }
+  EXPECT_EQ(lines, 1u) << err;
+}
+
 TEST(SweepRunner, CacheHitSkipsSimulation) {
   const fs::path dir = scratch_dir("sweep_cache");
   fs::remove_all(dir);
